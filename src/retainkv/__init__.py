@@ -5,10 +5,10 @@ from .backbone import Backbone, random_backbone, student_backward, student_forwa
 from .eviction import (
     EvictionConfig,
     EvictionPolicy,
-    EvictionScore,
-    evict_global,
     global_score,
     global_score_infinite,
+    score_entries,
+    select_retained,
 )
 from .gates import (
     GateParams,

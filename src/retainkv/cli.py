@@ -2,12 +2,11 @@
 
 Subcommands `theory`, `train`, `eval`, `survival` each take a JSON config
 (`--config`), a mandatory `--seed`, and an output directory (`--out`).
-Exit codes: 0 success, 1 assertion or theory violation, 2 config error.
-Outputs are plain CSV/JSON for external plotting; aside from wall-clock
-timing columns, (config, seed) determines every output byte.
-
-The only environment variable honored is RETAINKV_THREADS, which sizes the
-thread pool used for independent (policy, budget) evaluation cells.
+Exit codes: 0 success, 1 assertion or theory violation, 2 bad input: a bad
+config, or a missing, corrupt or mismatched `--checkpoint`, each reported in
+one line. Outputs are plain CSV/JSON for external plotting; aside from
+wall-clock timing columns, (config, seed) determines every output byte. No
+environment variable is read.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -26,7 +24,7 @@ from . import theory
 from .backbone import student_forward
 from .eviction import TraceRow
 from .evaluate import POLICIES, SelectionRecorder, decode_sequence, evaluate_policies
-from .gates import init_gate_params, load_gates, save_gates
+from .gates import GateParams, init_gate_params, load_gates, save_gates
 from .tasks import TaskSpec, build_task_model, default_shape, generate_dataset
 from .theory import (
     PersistenceConfig,
@@ -74,7 +72,7 @@ PRESETS = {
 
 
 class ConfigError(ValueError):
-    pass
+    """Bad input: a config, or a checkpoint that cannot serve the backbone."""
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -316,6 +314,28 @@ def _prepare(cfg: dict, seed: int):
     return spec, bb, (s_data, s_gates, s_train, s_eval)
 
 
+def _load_checkpoint(path: str | None, bb) -> GateParams | None:
+    """Load `--checkpoint`, checking it fits the backbone before any decoding."""
+    if not path:
+        return None
+    try:
+        gates = load_gates(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read checkpoint {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"bad checkpoint {path}: {exc}") from None
+    if gates.gate_input not in ("embedding", "kv"):
+        raise ConfigError(f"bad checkpoint {path}: unknown gate_input {gates.gate_input!r}")
+    shape = bb.shape
+    d_in = shape.d_model if gates.gate_input == "embedding" else 2 * shape.head_dim
+    have = (gates.layers, gates.heads, gates.d_in, gates.gate_input)
+    need = (shape.layers, shape.heads, d_in, gates.gate_input)
+    if have != need:
+        raise ConfigError(f"checkpoint {path} does not fit the backbone: (layers, heads, "
+                          f"d_in, gate_input) is {have}, the backbone needs {need}")
+    return gates
+
+
 PERSISTENCE_COLUMNS = ("config", "horizon", "criterion", "fraction")
 
 
@@ -359,27 +379,14 @@ def cmd_train(cfg: dict, seed: int, out: str, args) -> int:
 def cmd_eval(cfg: dict, seed: int, out: str, args) -> int:
     spec, bb, (s_data, _, _, s_eval) = _prepare(cfg, seed)
     ecfg = cfg["eval"]
-    gates = load_gates(args.checkpoint) if args.checkpoint else None
+    gates = _load_checkpoint(args.checkpoint, bb)
     gated = {"global", "per_head"} & set(ecfg["policies"])
     if gates is None and gated:
         raise ConfigError(f"policies {sorted(gated)} require --checkpoint")
     samples = generate_dataset(spec, ecfg["samples"], np.random.default_rng(s_eval))
     trace: list[TraceRow] | None = [] if ecfg.get("trace") else None
-
-    threads = int(os.environ.get("RETAINKV_THREADS", "1"))
-    cells = []
-    if threads > 1:
-        grid = [(p, b) for b in ecfg["budgets"] for p in ecfg["policies"]]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(evaluate_policies, bb, gates, samples, [p], [b],
-                                   cfg["eviction"]["horizon"], cfg["eviction"]["cadence"])
-                       for p, b in grid]
-            for fut in futures:
-                cells.extend(fut.result())
-    else:
-        cells = evaluate_policies(bb, gates, samples, ecfg["policies"], ecfg["budgets"],
-                                  cfg["eviction"]["horizon"], cfg["eviction"]["cadence"],
-                                  trace)
+    cells = evaluate_policies(bb, gates, samples, ecfg["policies"], ecfg["budgets"],
+                              cfg["eviction"]["horizon"], cfg["eviction"]["cadence"], trace)
     rows = [{"policy": c.policy, "budget": c.budget, "accuracy": c.accuracy,
              "mean_retained": c.mean_retained, "peak_entries": c.peak_entries,
              "seconds": round(c.seconds, 4)} for c in cells]
@@ -398,7 +405,7 @@ def cmd_eval(cfg: dict, seed: int, out: str, args) -> int:
 def cmd_survival(cfg: dict, seed: int, out: str, args) -> int:
     spec, bb, (s_data, _, _, s_eval) = _prepare(cfg, seed)
     scfg = cfg["survival"]
-    gates = load_gates(args.checkpoint) if args.checkpoint else None
+    gates = _load_checkpoint(args.checkpoint, bb)
     samples = generate_dataset(spec, scfg["samples"], np.random.default_rng(s_eval))
     recorder = SelectionRecorder(top_k=scfg["top_k"], tau=scfg["tau"])
     for sample in samples:

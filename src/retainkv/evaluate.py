@@ -14,74 +14,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backbone import Backbone, _gate_input
-from .eviction import EvictionConfig, EvictionPolicy, TraceRow
+from .eviction import POLICIES, EvictionConfig, EvictionPolicy, TraceRow
 from .gates import GateParams, gate_forward_batch
 from .paged_cache import PagedKVStore
 from .tasks import Sample
 
-POLICIES = ("full", "global", "per_head", "recency")
-
-
-class _FullPolicy:
-    def admit(self, layer, head, birth, beta):
-        pass
-
-    def step(self, now):
-        return {}
-
-
-class _PerHeadPolicy:
-    """Independent fixed budget per (layer, head), same scores and tie rule."""
-
-    def __init__(self, m_head: int, layers: int, heads: int, horizon, cadence: int,
-                 trace=None):
-        cfg = EvictionConfig(m_global=m_head, horizon=horizon, cadence=cadence)
-        self.subs = {(l, h): EvictionPolicy(cfg, trace)
-                     for l in range(layers) for h in range(heads)}
-
-    def admit(self, layer, head, birth, beta):
-        self.subs[(layer, head)].admit(layer, head, birth, beta)
-
-    def step(self, now):
-        out = {}
-        for sub in self.subs.values():
-            out.update(sub.step(now))
-        return out
-
-
-class _RecencyPolicy:
-    """Sliding window per head: keep the most recent `window` births."""
-
-    def __init__(self, window: int, layers: int, heads: int):
-        self.window = window
-        self.alive = {(l, h): [] for l in range(layers) for h in range(heads)}
-
-    def admit(self, layer, head, birth, beta):
-        self.alive[(layer, head)].append(birth)
-
-    def step(self, now):
-        out = {}
-        for key, births in self.alive.items():
-            cut = [b for b in births if b <= now - self.window]
-            if cut:
-                out[key] = cut
-                self.alive[key] = [b for b in births if b > now - self.window]
-        return out
-
 
 def make_policy(name: str, total_budget: int, layers: int, heads: int,
-                horizon=2, cadence: int = 1, trace=None):
-    if name == "full":
-        return _FullPolicy()
-    if name == "global":
-        return EvictionPolicy(EvictionConfig(m_global=max(1, total_budget),
-                                             horizon=horizon, cadence=cadence), trace)
-    per_head = max(1, total_budget // (layers * heads))
-    if name == "per_head":
-        return _PerHeadPolicy(per_head, layers, heads, horizon, cadence, trace)
-    if name == "recency":
-        return _RecencyPolicy(per_head, layers, heads)
-    raise ValueError(f"unknown policy {name!r}; expected one of {POLICIES}")
+                horizon=2, cadence: int = 1, trace=None) -> EvictionPolicy:
+    """The eviction engine for one policy at a total budget of entries.
+
+    `global` ranks against the whole budget; `per_head` and `recency` give
+    every (layer, head) an equal share, `total_budget // (layers * heads)`.
+    """
+    if name not in POLICIES:
+        raise ValueError(f"unknown policy {name!r}; expected one of {POLICIES}")
+    m = total_budget if name == "global" else total_budget // (layers * heads)
+    return EvictionPolicy(EvictionConfig(m_global=max(1, m), horizon=horizon, cadence=cadence),
+                          trace, policy=name)
 
 
 class SelectionRecorder:
@@ -153,24 +103,27 @@ def decode_sequence(bb: Backbone, gates: GateParams | None, sample: Sample,
     peak_entries = 0
     peak_pages = 0
 
+    scale = np.sqrt(dh)
     for t in range(T):
         h = bb.embed[tokens[t]] + bb.pos[t]
         for l in range(L):
             x = h
+            # every head of the layer at once: [H, dh] rows
+            q_all = x @ bb.wq[l]
+            k_all = x @ bb.wk[l]
+            v_all = x @ bb.wv[l]
+            if gates is not None:
+                gin = _gate_input(x[None, :], k_all[:, None, :], v_all[:, None, :],
+                                  gates.gate_input)
+                betas = gate_forward_batch(gin, l, None, gates)[:, 0].tolist()
+            else:
+                betas = [1.0] * H
             attn = np.zeros_like(h)
             for hd in range(H):
-                q = x @ bb.wq[l, hd]
-                k = x @ bb.wk[l, hd]
-                v = x @ bb.wv[l, hd]
-                if gates is not None:
-                    gin = _gate_input(x[None, :], k[None, :], v[None, :], gates.gate_input)
-                    beta = float(gate_forward_batch(gin, l, hd, gates)[0])
-                else:
-                    beta = 1.0
-                store.append(l, hd, k, v, t, beta)
-                policy.admit(l, hd, t, beta)
+                store.append(l, hd, k_all[hd], v_all[hd], t, betas[hd])
+                policy.admit(l, hd, t, betas[hd])
                 snap = store.gather(l, hd)
-                z = snap.keys @ q / np.sqrt(dh)
+                z = snap.keys @ q_all[hd] / scale
                 z = z - z.max()
                 e = np.exp(z)
                 w = e / e.sum()

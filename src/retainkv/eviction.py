@@ -1,31 +1,21 @@
-"""Global future-utility scoring and the single-budget top-M eviction policy.
+"""Global future-utility scoring and one array-based eviction engine.
 
 Every cached token (layer, head, birth) is scored by the geometric sum of its
 retention weight over a lookahead horizon; one global ranking then keeps the
 best M entries across all layers and heads. Capacity allocation across heads
-is whatever that ranking produces.
+is whatever that ranking produces. The baselines run on the same engine: a
+per-head split ranks inside each (layer, head), a sliding window keeps the
+newest births, and the full cache never evicts.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 INFINITE = "infinite"
-
-
-@dataclass(frozen=True)
-class EvictionScore:
-    """One cached token's utility at a given step and horizon."""
-
-    layer: int
-    head: int
-    token_birth: int
-    beta: float
-    score: float
+POLICIES = ("full", "global", "per_head", "recency")
 
 
 @dataclass(frozen=True)
@@ -33,8 +23,6 @@ class EvictionConfig:
     m_global: int
     horizon: int | str = 2       # lookahead T - t; "infinite" for the limit form
     cadence: int = 1             # steps between compressions
-    tie_break: str = "score_birth_layer_head"
-    protected_recent: int = 0    # optional window never evicted; 0 = pure ranking
 
     def __post_init__(self):
         if self.m_global < 1:
@@ -43,102 +31,78 @@ class EvictionConfig:
             raise ValueError("horizon must be >= 1 or 'infinite'")
         if self.cadence < 1:
             raise ValueError("cadence must be >= 1")
-        if self.tie_break != "score_birth_layer_head":
-            raise ValueError(f"unknown tie_break rule {self.tie_break!r}")
-
-
-def global_score(beta: float, birth: int, now: int, horizon: int) -> float:
-    """Sum of beta**(s - birth) for s in (now, now + horizon].
-
-    Closed form beta**(now+1-birth) * (1 - beta**horizon) / (1 - beta),
-    evaluated through exp/log1p/expm1 so it matches direct summation to full
-    precision; beta == 1 is the limit `horizon`, beta == 0 scores 0.
-    """
-    if not (0.0 <= beta <= 1.0):
-        raise ValueError("beta must lie in [0, 1]")
-    if now < birth:
-        raise ValueError("now must be >= birth")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if beta == 1.0:
-        return float(horizon)
-    if beta == 0.0:
-        return 0.0
-    lead = now + 1 - birth
-    log_beta = math.log(beta)
-    head = math.exp(lead * log_beta)                 # beta ** (now+1-birth)
-    geom = -math.expm1(horizon * log_beta)           # 1 - beta ** horizon
-    return head * geom / (1.0 - beta)
-
-
-def global_score_infinite(beta: float, birth: int, now: int) -> float:
-    """Infinite-horizon limit beta**(now+1-birth) / (1 - beta); needs beta < 1."""
-    if not (0.0 <= beta < 1.0):
-        raise ValueError("infinite-horizon score diverges at beta == 1")
-    if now < birth:
-        raise ValueError("now must be >= birth")
-    if beta == 0.0:
-        return 0.0
-    lead = now + 1 - birth
-    return math.exp(lead * math.log(beta)) / (1.0 - beta)
 
 
 def score_entries(births, betas, now: int, horizon) -> np.ndarray:
-    """Vectorized scores for parallel arrays of cache entries.
+    """Future-utility scores for parallel arrays of cache entries.
 
-    Under the infinite horizon, beta == 1 entries get +inf: they outrank every
-    finite score and fall back to the standard tie rule among themselves.
+    Entry i scores sum of beta_i**(s - birth_i) for s in (now, now + horizon],
+    in closed form beta**(now+1-birth) * (1 - beta**horizon) / (1 - beta),
+    evaluated through exp/log/expm1 so it matches direct summation to full
+    precision. beta == 1 scores the limit `horizon`, beta == 0 scores 0. Under
+    the infinite horizon the score is beta**(now+1-birth) / (1 - beta), and
+    beta == 1 entries get +inf: they outrank every finite score and fall back
+    to the tie rule among themselves.
     """
     births = np.asarray(births, dtype=np.int64)
     betas = np.asarray(betas, dtype=np.float64)
-    lead = (now + 1 - births).astype(np.float64)
-    if np.any(lead < 1):
-        raise ValueError("now must be >= every birth")
-    scores = np.empty_like(betas)
-    one = betas == 1.0
-    zero = betas == 0.0
-    mid = ~(one | zero)
-    with np.errstate(divide="ignore"):
-        log_beta = np.where(mid, np.log(np.where(mid, betas, 0.5)), 0.0)
-    head = np.exp(lead * log_beta)
-    if horizon == INFINITE:
-        scores[one] = np.inf
-        scores[mid] = head[mid] / (1.0 - betas[mid])
-    else:
+    if births.shape != betas.shape:
+        raise ValueError("births and betas must have one shape")
+    infinite = horizon == INFINITE
+    if not infinite:
         horizon = int(horizon)
-        scores[one] = float(horizon)
-        geom = -np.expm1(horizon * log_beta)
-        scores[mid] = head[mid] * geom[mid] / (1.0 - betas[mid])
-    scores[zero] = 0.0
+        if horizon < 1:
+            raise ValueError("horizon must be >= 1")
+    if births.size:
+        if now < births.max():
+            raise ValueError("now must be >= every birth")
+        if not (betas.min() >= 0.0 and betas.max() <= 1.0):
+            raise ValueError("beta must lie in [0, 1]")
+    lead = (now + 1 - births).astype(np.float64)
+    # log(0) = -inf gives head 0 at beta == 0; beta == 1 divides by zero and
+    # is set below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_beta = np.log(betas)
+        head = np.exp(lead * log_beta)                        # beta ** (now+1-birth)
+        if infinite:
+            return head / (1.0 - betas)
+        scores = head * -np.expm1(horizon * log_beta) / (1.0 - betas)
+    scores[betas == 1.0] = float(horizon)
     return scores
 
 
-def evict_global(entries: Iterable[EvictionScore], cfg: EvictionConfig) -> list[EvictionScore]:
-    """Retain the min(M, n) entries with the largest scores.
+def global_score(beta: float, birth: int, now: int, horizon: int) -> float:
+    """`score_entries` for one entry at a finite horizon."""
+    return float(score_entries([birth], [beta], now, int(horizon))[0])
 
-    Deterministic tie rule: score descending, then younger token (larger
-    birth) first, then (layer, head) ascending.
+
+def global_score_infinite(beta: float, birth: int, now: int) -> float:
+    """`score_entries` for one entry at the infinite horizon; needs beta < 1."""
+    if beta == 1.0:
+        raise ValueError("infinite-horizon score diverges at beta == 1")
+    return float(score_entries([birth], [beta], now, INFINITE)[0])
+
+
+def select_retained(scores, births, layers, heads, m: int, per_head: bool = False) -> np.ndarray:
+    """Indices of the entries that survive, best first.
+
+    Ranking: score descending, then younger token (larger birth) first, then
+    (layer, head) ascending. Keeps the min(m, n) best entries, or with
+    `per_head` the min(m, n) best inside each (layer, head) group, listed
+    group by group in (layer, head) order.
     """
-    entries = list(entries)
-    seen = set()
-    for e in entries:
-        key = (e.layer, e.head, e.token_birth)
-        if key in seen:
-            raise ValueError(f"duplicate entry {key}")
-        seen.add(key)
-    if len(entries) <= cfg.m_global:
-        return sorted(entries, key=_tie_key)
-    scores = np.array([e.score for e in entries])
-    births = np.array([e.token_birth for e in entries])
-    layers = np.array([e.layer for e in entries])
-    heads = np.array([e.head for e in entries])
-    # last key is the primary sort key
-    order = np.lexsort((heads, layers, -births, -scores))
-    return [entries[i] for i in order[: cfg.m_global]]
-
-
-def _tie_key(e: EvictionScore):
-    return (-e.score, -e.token_birth, e.layer, e.head)
+    if not per_head:
+        # last key is the primary sort key
+        return np.lexsort((heads, layers, -births, -scores))[:m]
+    order = np.lexsort((-births, -scores, heads, layers))
+    if order.size == 0:
+        return order
+    lo, ho = layers[order], heads[order]
+    pos = np.arange(order.size)
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = (lo[1:] != lo[:-1]) | (ho[1:] != ho[:-1])
+    rank = pos - np.maximum.accumulate(np.where(starts, pos, 0))
+    return order[rank < m]
 
 
 @dataclass
@@ -151,88 +115,106 @@ class TraceRow:
     action: str  # "retain" | "evict"
 
 
-@dataclass
-class _Entry:
-    layer: int
-    head: int
-    birth: int
-    beta: float
-
-
 class EvictionPolicy:
     """Stateful monotone eviction: once out, a token never re-enters.
 
-    Tokens appended since the last compression stay resident until the next
-    compression event; compressions fire every `cadence` steps.
+    Live entries are parallel arrays (layer, head, birth, beta) in admission
+    order. `policy` chooses what a compression keeps:
+
+    * "global": the `m_global` best entries overall (`select_retained`).
+    * "per_head": the same ranking, `m_global` entries in each (layer, head).
+    * "recency": in each (layer, head), births after `now - m_global`; nothing
+      is scored and it compresses at every step, whatever the cadence.
+    * "full": everything; it never compresses.
+
+    Tokens admitted since the last compression stay resident until the next
+    one; "global" and "per_head" compress every `cadence` steps and trace a
+    row per scored entry, group by group for "per_head".
     """
 
-    def __init__(self, cfg: EvictionConfig, trace: list[TraceRow] | None = None):
+    def __init__(self, cfg: EvictionConfig, trace: list[TraceRow] | None = None,
+                 policy: str = "global"):
+        if policy not in POLICIES:
+            raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
         self.cfg = cfg
-        self._alive: dict[tuple[int, int, int], _Entry] = {}
-        self._evicted: set[tuple[int, int, int]] = set()
+        self.policy = policy
         self.trace = trace
+        self._admitted: set[tuple[int, int, int]] = set()
+        self._n = 0
+        self._layer = np.empty(64, dtype=np.int64)
+        self._head = np.empty(64, dtype=np.int64)
+        self._birth = np.empty(64, dtype=np.int64)
+        self._beta = np.empty(64, dtype=np.float64)
 
     def admit(self, layer: int, head: int, birth: int, beta: float) -> None:
         key = (layer, head, birth)
-        if key in self._evicted or key in self._alive:
+        if key in self._admitted:
             raise ValueError(f"token {key} was already admitted")
-        self._alive[key] = _Entry(layer, head, birth, float(beta))
+        self._admitted.add(key)
+        n = self._n
+        if n == self._birth.shape[0]:
+            self._layer, self._head, self._birth, self._beta = (
+                np.concatenate([a, np.empty_like(a)])
+                for a in (self._layer, self._head, self._birth, self._beta))
+        self._layer[n] = layer
+        self._head[n] = head
+        self._birth[n] = birth
+        self._beta[n] = beta
+        self._n = n + 1
 
     def alive(self, layer: int, head: int) -> list[int]:
-        return sorted(e.birth for (l, h, _), e in self._alive.items() if l == layer and h == head)
+        n = self._n
+        mine = (self._layer[:n] == layer) & (self._head[:n] == head)
+        return sorted(self._birth[:n][mine].tolist())
 
     def total_alive(self) -> int:
-        return len(self._alive)
+        return self._n
 
     def step(self, now: int) -> dict[tuple[int, int], list[int]]:
         """Run one policy step; returns births evicted per (layer, head).
 
-        A no-op except at multiples of the configured cadence.
+        A no-op for "full", and for the ranked policies except at multiples
+        of the configured cadence.
         """
-        if (now + 1) % self.cfg.cadence != 0:
+        if self.policy == "full":
+            return {}
+        if self.policy != "recency" and (now + 1) % self.cfg.cadence != 0:
             return {}
         return self.compress(now)
 
     def compress(self, now: int) -> dict[tuple[int, int], list[int]]:
-        entries = list(self._alive.values())
-        if not entries:
+        n = self._n
+        if n == 0 or self.policy == "full":
             return {}
-        protected = []
-        rankable = []
-        for e in entries:
-            if self.cfg.protected_recent and now - e.birth < self.cfg.protected_recent:
-                protected.append(e)
-            else:
-                rankable.append(e)
-        budget = self.cfg.m_global - len(protected)
-        scored = [
-            EvictionScore(e.layer, e.head, e.birth, e.beta,
-                          _scalar_score(e.beta, e.birth, now, self.cfg.horizon))
-            for e in rankable
-        ]
-        if budget <= 0:
-            retained = []
+        layer, head, birth = self._layer[:n], self._head[:n], self._birth[:n]
+        if self.policy == "recency":
+            keep = birth > now - self.cfg.m_global
         else:
-            retained = evict_global(scored, EvictionConfig(
-                m_global=budget, horizon=self.cfg.horizon, cadence=self.cfg.cadence))
-        keep = {(e.layer, e.head, e.token_birth) for e in retained}
-        keep |= {(e.layer, e.head, e.birth) for e in protected}
-        evicted: dict[tuple[int, int], list[int]] = {}
-        for s in scored:
-            key = (s.layer, s.head, s.token_birth)
-            action = "retain" if key in keep else "evict"
+            scores = score_entries(birth, self._beta[:n], now, self.cfg.horizon)
+            keep = np.zeros(n, dtype=bool)
+            keep[select_retained(scores, birth, layer, head, self.cfg.m_global,
+                                 per_head=self.policy == "per_head")] = True
             if self.trace is not None:
-                self.trace.append(TraceRow(now, s.layer, s.head, s.token_birth, s.score, action))
-            if action == "evict":
-                evicted.setdefault((s.layer, s.head), []).append(s.token_birth)
-                self._evicted.add(key)
-                del self._alive[key]
+                self._record(now, scores, keep)
+        if keep.all():
+            return {}
+        gone = np.flatnonzero(~keep)
+        evicted: dict[tuple[int, int], list[int]] = {}
+        for l, h, b in zip(layer[gone].tolist(), head[gone].tolist(), birth[gone].tolist()):
+            evicted.setdefault((l, h), []).append(b)
+        kept = np.flatnonzero(keep)
+        for a in (self._layer, self._head, self._birth, self._beta):
+            a[:kept.size] = a[kept]
+        self._n = kept.size
         return evicted
 
-
-def _scalar_score(beta: float, birth: int, now: int, horizon) -> float:
-    if horizon == INFINITE:
-        if beta == 1.0:
-            return math.inf
-        return global_score_infinite(beta, birth, now)
-    return global_score(beta, birth, now, int(horizon))
+    def _record(self, now: int, scores: np.ndarray, keep: np.ndarray) -> None:
+        n = self._n
+        rows = np.arange(n)
+        if self.policy == "per_head":
+            rows = np.lexsort((self._head[:n], self._layer[:n]))  # stable: admission order inside
+        self.trace.extend(
+            TraceRow(now, l, h, b, s, "retain" if k else "evict")
+            for l, h, b, s, k in zip(self._layer[rows].tolist(), self._head[rows].tolist(),
+                                     self._birth[rows].tolist(), scores[rows].tolist(),
+                                     keep[rows].tolist()))

@@ -145,13 +145,29 @@ def gate_forward(x: Array, layer: int, head: int, params: GateParams) -> float:
     return float(sigmoid(float(wg @ p) + bg))
 
 
-def gate_forward_batch(x: Array, layer: int, head: int, params: GateParams) -> Array:
-    """Vectorized `gate_forward` over rows of x [n, d_in]."""
-    x = as_matrix(x, "x")
-    h = np.tanh(x @ params.w1[layer, head].T + params.b1[layer, head])
-    p = h @ params.w2[layer, head].T + params.b2[layer, head]
-    wg, bg = params.readout(layer, head)
-    return sigmoid(p @ wg + bg)
+def gate_forward_batch(x: Array, layer: int, head: int | None, params: GateParams) -> Array:
+    """Vectorized `gate_forward` over rows of x [n, d_in].
+
+    With `head=None` every head of the layer runs at once: x is [n, d_in],
+    shared by all heads, or [heads, n, d_in], one block per head, and the
+    result is [heads, n]. Each head's rows are bit-identical to its own call.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 and not (head is None and x.ndim == 3):
+        raise ValueError(f"x must be [n, d_in], or [heads, n, d_in] for every head; "
+                         f"got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("x contains non-finite entries")
+    heads = slice(None) if head is None else slice(head, head + 1)
+    h = np.tanh(x @ params.w1[layer, heads].transpose(0, 2, 1)
+                + params.b1[layer, heads][:, None, :])
+    p = h @ params.w2[layer, heads].transpose(0, 2, 1) + params.b2[layer, heads][:, None, :]
+    if params.tied:
+        z = p @ params.wg + params.bg
+    else:
+        z = (p @ params.wg[layer, heads][:, :, None])[..., 0] + params.bg[layer, heads][:, None]
+    beta = sigmoid(z)
+    return beta if head is None else beta[0]
 
 
 # -- losses -----------------------------------------------------------------
@@ -305,44 +321,60 @@ def save_gates(path, params: GateParams) -> None:
 
 
 def load_gates(path) -> GateParams:
+    """Read a checkpoint written by `save_gates`.
+
+    Raises OSError if the file cannot be read and ValueError if its contents
+    are not exactly one well-formed checkpoint: bad magic, version or header,
+    truncated arrays, or trailing bytes.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != MAGIC:
-            raise ValueError(f"not a gate checkpoint (magic {magic!r})")
-        (n,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(n).decode("utf-8"))
-        if header.get("version") != 1:
-            raise ValueError(f"unsupported checkpoint version {header.get('version')}")
-        L, H = header["layers"], header["heads"]
-        d_in, dg = header["d_in"], header["d_gate"]
-        tied = header["tied"]
+        blob = fh.read()
+    if blob[:8] != MAGIC:
+        raise ValueError(f"not a gate checkpoint (magic {blob[:8]!r})")
+    if len(blob) < 12:
+        raise ValueError("truncated checkpoint header")
+    (n,) = struct.unpack_from("<I", blob, 8)
+    if len(blob) < 12 + n:
+        raise ValueError("truncated checkpoint header")
+    try:
+        header = json.loads(blob[12:12 + n].decode("utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"unreadable checkpoint header ({exc})") from None
+    if not isinstance(header, dict):
+        raise ValueError("checkpoint header is not a JSON object")
+    if header.get("version") != 1:
+        raise ValueError(f"unsupported checkpoint version {header.get('version')}")
+    missing = {"layers", "heads", "d_in", "d_gate", "tied", "gate_input", "activation",
+               "seed"} - set(header)
+    if missing:
+        raise ValueError(f"checkpoint header lacks {sorted(missing)}")
+    L, H = header["layers"], header["heads"]
+    d_in, dg = header["d_in"], header["d_gate"]
+    tied = header["tied"]
+    if not all(type(v) is int and v >= 1 for v in (L, H, d_in, dg)) or type(tied) is not bool:
+        raise ValueError("checkpoint header has bad dimensions")
 
-        def read(shape):
-            count = int(np.prod(shape))
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise ValueError("truncated checkpoint")
-            return np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+    per_head = dg * d_in + dg + dg * dg + dg
+    readout = dg + 1 if tied else L * H * (dg + 1)
+    count = L * H * per_head + readout
+    payload = len(blob) - 12 - n
+    if payload < 8 * count:
+        raise ValueError("truncated checkpoint")
+    if payload > 8 * count:
+        raise ValueError(f"{payload - 8 * count} trailing bytes after the checkpoint")
+    flat = np.frombuffer(blob, dtype="<f8", count=count, offset=12 + n).astype(np.float64)
 
-        w1 = np.empty((L, H, dg, d_in))
-        b1 = np.empty((L, H, dg))
-        w2 = np.empty((L, H, dg, dg))
-        b2 = np.empty((L, H, dg))
-        for l in range(L):
-            for h in range(H):
-                w1[l, h] = read((dg, d_in))
-                b1[l, h] = read((dg,))
-                w2[l, h] = read((dg, dg))
-                b2[l, h] = read((dg,))
-        if tied:
-            wg = read((dg,))
-            bg = np.float64(read((1,))[0])
-        else:
-            wg = np.empty((L, H, dg))
-            bg = np.empty((L, H))
-            for l in range(L):
-                for h in range(H):
-                    wg[l, h] = read((dg,))
-                    bg[l, h] = read((1,))[0]
-        return GateParams(w1, b1, w2, b2, wg, np.asarray(bg, dtype=np.float64), tied,
-                          header["gate_input"], header["activation"], header["seed"])
+    # layer-major (layer, head) blocks of w1, b1, w2, b2, then the readout
+    heads = flat[:L * H * per_head].reshape(L, H, per_head)
+    cuts = np.cumsum([dg * d_in, dg, dg * dg])
+    w1, b1, w2, b2 = np.split(heads, cuts, axis=2)
+    w1 = np.ascontiguousarray(w1.reshape(L, H, dg, d_in))
+    w2 = np.ascontiguousarray(w2.reshape(L, H, dg, dg))
+    rest = flat[L * H * per_head:]
+    if tied:
+        wg, bg = rest[:dg].copy(), rest[dg]
+    else:
+        pairs = rest.reshape(L, H, dg + 1)
+        wg, bg = pairs[..., :dg].copy(), pairs[..., dg].copy()
+    return GateParams(w1, b1.copy(), w2, b2.copy(), wg, np.asarray(bg, dtype=np.float64), tied,
+                      header["gate_input"], header["activation"], header["seed"])

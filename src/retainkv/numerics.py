@@ -24,7 +24,7 @@ def as_vector(x, name: str = "x") -> Array:
     a = np.ascontiguousarray(x, dtype=np.float64)
     if a.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
@@ -34,7 +34,7 @@ def as_matrix(x, name: str = "x") -> Array:
     a = np.ascontiguousarray(x, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 

@@ -1,10 +1,13 @@
 """Paged KV storage with per-(layer, head) block tables.
 
-Entries live in fixed-size pages drawn from a shared pool. Each (layer, head)
-owns an ordered block table of page ids forming a variable-length logical
-sequence; eviction tombstones slots in place and returns fully emptied pages
-to a LIFO free list, so logical order is preserved without contiguous storage.
-`compact` repacks a head's survivors into the minimal number of pages.
+Each (layer, head) keeps its live keys, values, births and betas in compacted
+arrays in birth order; that is the only copy of the cache, and `gather`
+returns views of it without copying. Pages account for that storage: entries
+occupy slots of fixed-size pages drawn from a shared pool, and each head owns
+an ordered block table of page ids forming a variable-length logical
+sequence. Eviction tombstones slots in place and returns fully emptied pages
+to a LIFO free list, so page use follows the paged layout exactly; `compact`
+repacks a head's survivors into the minimal number of pages.
 """
 
 from __future__ import annotations
@@ -34,25 +37,79 @@ class GatherResult:
 
 
 class _Page:
-    __slots__ = ("keys", "values", "births", "betas", "occupied", "cursor")
+    __slots__ = ("occupied", "live", "cursor")
 
-    def __init__(self, page_size: int, dim: int):
-        self.keys = np.zeros((page_size, dim))
-        self.values = np.zeros((page_size, dim))
-        self.births = np.zeros(page_size, dtype=np.int64)
-        self.betas = np.zeros(page_size)
+    def __init__(self, page_size: int):
         self.occupied = np.zeros(page_size, dtype=bool)
+        self.live = 0
         # next append slot; holes left by eviction are never refilled, which
         # keeps slot order identical to birth order
         self.cursor = 0
 
     def reset(self) -> None:
         self.occupied[:] = False
+        self.live = 0
         self.cursor = 0
 
-    @property
-    def live(self) -> int:
-        return int(self.occupied.sum())
+
+class _HeadData:
+    """A head's live entries in birth order: rows [start, stop) of its arrays.
+
+    A row is never rewritten once a view of it may exist: appends go past
+    `stop`, evicting the oldest rows only advances `start`, and any other
+    eviction copies the survivors into new arrays.
+    """
+
+    __slots__ = ("arrays", "readonly", "start", "stop")
+
+    def __init__(self, capacity: int, dim: int):
+        # keys, values, births, betas
+        self.arrays = (np.empty((capacity, dim)), np.empty((capacity, dim)),
+                       np.empty(capacity, dtype=np.int64), np.empty(capacity))
+        self.readonly = tuple(a.view() for a in self.arrays)
+        for a in self.readonly:
+            a.flags.writeable = False
+        self.start = self.stop = 0
+
+    def views(self) -> tuple[Array, Array, np.ndarray, np.ndarray]:
+        """Read-only views of the live rows."""
+        s, e = self.start, self.stop
+        keys, values, births, betas = self.readonly
+        return keys[s:e], values[s:e], births[s:e], betas[s:e]
+
+    def append(self, key: Array, value: Array, birth: int, beta: float, spare: int) -> None:
+        if self.stop == self.arrays[2].shape[0]:
+            self._rebuild(None, max(spare, self.stop - self.start))
+        i = self.stop
+        keys, values, births, betas = self.arrays
+        keys[i] = key
+        values[i] = value
+        births[i] = birth
+        betas[i] = beta
+        self.stop = i + 1
+
+    def drop(self, births: list[int], spare: int) -> None:
+        """Remove live births (each present once)."""
+        pos = np.searchsorted(self.arrays[2][self.start:self.stop], births)
+        if pos.max() == len(births) - 1:    # exactly the oldest rows
+            self.start += len(births)
+            return
+        keep = np.ones(self.stop - self.start, dtype=bool)
+        keep[pos] = False
+        self._rebuild(keep, spare)
+
+    def _rebuild(self, keep: np.ndarray | None, spare: int) -> None:
+        """Copy the live rows, or those `keep` selects, into new arrays."""
+        live = self.views()
+        n = live[2].shape[0] if keep is None else int(np.count_nonzero(keep))
+        fresh = _HeadData(n + spare, live[0].shape[1])
+        for dst, src in zip(fresh.arrays, live):
+            if keep is None:
+                dst[:n] = src
+            else:
+                src.compress(keep, axis=0, out=dst[:n])
+        self.arrays, self.readonly = fresh.arrays, fresh.readonly
+        self.start, self.stop = 0, n
 
 
 class _BlockTable:
@@ -68,7 +125,10 @@ class _BlockTable:
 class PagedKVStore:
     """Fixed-size pages, per-(layer, head) block tables, per-head logical lengths.
 
-    Single writer per (layer, head); `gather` snapshots may be read concurrently.
+    Single writer per (layer, head). A `gather` snapshot never changes:
+    `append` writes past the end of every view already returned, and `evict`
+    either drops the oldest rows from the live range or rebuilds the survivors
+    into new arrays.
     """
 
     def __init__(self, layers: int, heads: int, dim: int,
@@ -84,6 +144,7 @@ class PagedKVStore:
         self._free: list[int] = []      # LIFO reuse for reproducible traces
         self._next_page_id = 0
         self._tables = {(l, h): _BlockTable() for l in range(layers) for h in range(heads)}
+        self._data = {key: _HeadData(page_size, dim) for key in self._tables}
 
     # -- allocation ---------------------------------------------------------
 
@@ -96,7 +157,7 @@ class PagedKVStore:
             raise CacheCapacityError(f"page pool exhausted (max_pages={self.max_pages})")
         pid = self._next_page_id
         self._next_page_id += 1
-        self._pages[pid] = _Page(self.page_size, self.dim)
+        self._pages[pid] = _Page(self.page_size)
         return pid
 
     def _table(self, layer: int, head: int) -> _BlockTable:
@@ -104,6 +165,20 @@ class PagedKVStore:
             return self._tables[(layer, head)]
         except KeyError:
             raise IndexError(f"no such (layer, head): ({layer}, {head})") from None
+
+    def _place(self, table: _BlockTable, birth: int) -> None:
+        """Occupy the next slot of the head's tail page, opening a page if full."""
+        if table.page_ids and self._pages[table.page_ids[-1]].cursor < self.page_size:
+            pid = table.page_ids[-1]
+        else:
+            pid = self._alloc_page()
+            table.page_ids.append(pid)
+        page = self._pages[pid]
+        slot = page.cursor
+        page.occupied[slot] = True
+        page.live += 1
+        page.cursor += 1
+        table.slot_of_birth[birth] = (pid, slot)
 
     # -- operations ---------------------------------------------------------
 
@@ -124,97 +199,57 @@ class PagedKVStore:
         if not (0.0 <= beta <= 1.0):
             raise ValueError("beta must lie in [0, 1]")
 
-        if table.page_ids and self._pages[table.page_ids[-1]].cursor < self.page_size:
-            pid = table.page_ids[-1]
-        else:
-            pid = self._alloc_page()
-            table.page_ids.append(pid)
-        page = self._pages[pid]
-        slot = page.cursor
-        page.keys[slot] = k
-        page.values[slot] = v
-        page.births[slot] = birth
-        page.betas[slot] = beta
-        page.occupied[slot] = True
-        page.cursor += 1
+        self._place(table, birth)
         table.logical_length += 1
-        table.slot_of_birth[birth] = (pid, slot)
         table.max_birth = birth
-        return pid, slot
+        self._data[(layer, head)].append(k, v, birth, beta, self.page_size)
+        return table.slot_of_birth[birth]
 
     def evict(self, layer: int, head: int, births) -> None:
         """Tombstone the given birth indices; free pages that become empty."""
         table = self._table(layer, head)
-        for birth in births:
-            birth = int(birth)
-            if birth not in table.slot_of_birth:
+        gone = [int(b) for b in births]
+        seen: set[int] = set()
+        for birth in gone:
+            if birth not in table.slot_of_birth or birth in seen:
                 raise KeyError(f"birth {birth} not present in ({layer}, {head})")
+            seen.add(birth)
+        for birth in gone:
             pid, slot = table.slot_of_birth.pop(birth)
             page = self._pages[pid]
             page.occupied[slot] = False
+            page.live -= 1
             table.logical_length -= 1
             if page.live == 0:
                 table.page_ids.remove(pid)
                 self._free.append(pid)
+        if not gone:
+            return
+        self._data[(layer, head)].drop(gone, self.page_size)
 
     def gather(self, layer: int, head: int) -> GatherResult:
-        """Copy out a head's live entries in logical (birth) order."""
-        table = self._table(layer, head)
-        if table.logical_length == 0:
-            empty = np.zeros((0, self.dim))
-            return GatherResult(empty, empty.copy(),
-                                np.zeros(0, dtype=np.int64), np.zeros(0))
-        keys, values, births, betas = [], [], [], []
-        for pid in table.page_ids:
-            page = self._pages[pid]
-            mask = page.occupied
-            keys.append(page.keys[mask])
-            values.append(page.values[mask])
-            births.append(page.births[mask])
-            betas.append(page.betas[mask])
-        return GatherResult(
-            np.concatenate(keys), np.concatenate(values),
-            np.concatenate(births), np.concatenate(betas),
-        )
+        """A head's live entries in logical (birth) order, as read-only views
+        of the store's arrays (no copy)."""
+        self._table(layer, head)
+        return GatherResult(*self._data[(layer, head)].views())
 
     def compact(self, layer: int, head: int) -> None:
         """Repack a head's survivors into ceil(n / page_size) pages.
 
-        Gather output is unchanged bit-for-bit; only the physical layout moves.
+        Gather output is unchanged bit-for-bit; only the page layout moves.
         """
         table = self._table(layer, head)
         dense = all(self._pages[pid].live == self._pages[pid].cursor for pid in table.page_ids)
         full_prefix = all(self._pages[pid].live == self.page_size for pid in table.page_ids[:-1])
         if dense and full_prefix:
             return
-        snap = self.gather(layer, head)
+        births = sorted(table.slot_of_birth)
         for pid in table.page_ids:
             self._free.append(pid)
         table.page_ids = []
         table.slot_of_birth = {}
-        table.logical_length = 0
-        for i in range(len(snap)):
-            pid_slot = self._append_compacted(table, snap.keys[i], snap.values[i],
-                                              int(snap.births[i]), float(snap.betas[i]))
-            table.slot_of_birth[int(snap.births[i])] = pid_slot
-        table.logical_length = len(snap)
-
-    def _append_compacted(self, table: _BlockTable, k: Array, v: Array,
-                          birth: int, beta: float) -> tuple[int, int]:
-        if table.page_ids and self._pages[table.page_ids[-1]].cursor < self.page_size:
-            pid = table.page_ids[-1]
-        else:
-            pid = self._alloc_page()
-            table.page_ids.append(pid)
-        page = self._pages[pid]
-        slot = page.cursor
-        page.keys[slot] = k
-        page.values[slot] = v
-        page.births[slot] = birth
-        page.betas[slot] = beta
-        page.occupied[slot] = True
-        page.cursor += 1
-        return pid, slot
+        for birth in births:
+            self._place(table, birth)
 
     # -- accounting ---------------------------------------------------------
 
@@ -228,13 +263,18 @@ class PagedKVStore:
         return sum(len(t.page_ids) for t in self._tables.values())
 
     def occupied_slots(self) -> int:
-        return sum(self._pages[pid].live
+        return sum(int(self._pages[pid].occupied.sum())
                    for t in self._tables.values() for pid in t.page_ids)
 
     def check_accounting(self) -> None:
-        """Internal consistency: occupancy matches lengths, no page aliasing."""
+        """Internal consistency: occupancy matches lengths and the stored
+        entries, no page aliasing."""
         if self.occupied_slots() != self.total_entries():
             raise AssertionError("occupied slots disagree with logical lengths")
+        for key, t in self._tables.items():
+            births = self._data[key].views()[2]
+            if births.tolist() != sorted(t.slot_of_birth):
+                raise AssertionError(f"stored entries of {key} disagree with its block table")
         seen: set[int] = set()
         for t in self._tables.values():
             for pid in t.page_ids:

@@ -11,7 +11,7 @@ import pytest
 
 from retainkv.attention import HeadCache, UsefulSet, attend_full
 from retainkv.backbone import random_backbone, student_forward
-from retainkv.eviction import EvictionConfig, EvictionPolicy, EvictionScore, evict_global, global_score
+from retainkv.eviction import EvictionConfig, EvictionPolicy, score_entries, select_retained
 from retainkv.evaluate import SelectionRecorder, decode_sequence, evaluate_policies
 from retainkv.gates import ModelShape, flatten_params, init_gate_params, unflatten_params
 from retainkv.numerics import finite_diff_grad
@@ -96,9 +96,12 @@ def test_criterion_04_closed_form_score_grid():
 
     worst = 0.0
     for beta in (0.0, 1e-6, 0.5, 1.0 - 1e-6, 1.0):
-        for age in range(0, 65):
-            for horizon in range(1, 65):
-                got = global_score(beta, birth=0, now=age, horizon=horizon)
+        for horizon in range(1, 65):
+            # one production call per (beta, horizon): births 64..0 at now = 64
+            scores = score_entries(64 - np.arange(65), np.full(65, beta), now=64,
+                                   horizon=horizon)
+            for age in range(0, 65):
+                got = scores[age]
                 want = direct(beta, age + 1, horizon)
                 err = abs(got - want) / max(1.0, abs(want))
                 worst = max(worst, err)
@@ -155,13 +158,12 @@ def test_criterion_07_eviction_matches_brute_force_and_stays_monotone():
         heads = rng.integers(0, 4, size=n)
         births = rng.permutation(n)
         scores = np.round(rng.random(n) * 10, 1)  # coarse grid forces real ties
-        entries = [EvictionScore(int(layers[i]), int(heads[i]), int(births[i]),
-                                 0.5, float(scores[i])) for i in range(n)]
         m = int(rng.integers(1, n + 1))
-        got = evict_global(entries, EvictionConfig(m_global=m))
-        want = sorted(entries, key=lambda e: (-e.score, -e.token_birth, e.layer, e.head))[:m]
-        if [(e.layer, e.head, e.token_birth) for e in got] != \
-           [(e.layer, e.head, e.token_birth) for e in want]:
+        got = select_retained(scores, births, layers, heads, m)
+        keys = list(zip(layers.tolist(), heads.tolist(), births.tolist(), scores.tolist()))
+        want = sorted(range(n), key=lambda i: (-keys[i][3], -keys[i][2],
+                                               keys[i][0], keys[i][1]))[:m]
+        if got.tolist() != want:
             mismatch += 1
 
     policy = EvictionPolicy(EvictionConfig(m_global=50, horizon=2))
@@ -173,11 +175,11 @@ def test_criterion_07_eviction_matches_brute_force_and_stays_monotone():
         for l in range(2):
             for h in range(2):
                 policy.admit(l, h, t, float(r2.random()))
-        policy.step(t)
+        out = {(l, h, b) for (l, h), births in policy.step(t).items() for b in births}
         budget_ok &= policy.total_alive() <= 50
-        alive = set(policy._alive)
-        monotone_ok &= evicted_seen.isdisjoint(alive)
-        evicted_seen |= policy._evicted
+        alive = {(l, h, b) for l in range(2) for h in range(2) for b in policy.alive(l, h)}
+        monotone_ok &= evicted_seen.isdisjoint(alive) and evicted_seen.isdisjoint(out)
+        evicted_seen |= out
     report(7, mismatch == 0 and budget_ok and monotone_ok,
            f"0 of 100 sort mismatches, budget and monotonicity over 1000 steps")
 

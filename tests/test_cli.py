@@ -1,9 +1,11 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from retainkv.cli import ConfigError, load_config, main
+from retainkv.gates import ModelShape, init_gate_params, save_gates
 
 SMALL_TASK = {
     "task": {"context_len": 32, "n_keys": 4, "n_values": 3, "n_queries": 2,
@@ -153,15 +155,74 @@ class TestTrainEvalSurvival:
                             for row in rows])
         assert rowsets[0] == rowsets[1]
 
-    def test_thread_pool_matches_sequential(self, tmp_path, monkeypatch):
+
+def _checkpoint(path, layers=2, heads=2, d_in=32, gate_input="embedding"):
+    """A gate checkpoint for SMALL_TASK's backbone (2 layers, 2 heads, d_model 32)."""
+    shape = ModelShape(layers=layers, heads=heads, head_dim=16, gate_hidden=8,
+                       seq_len=37, vocab=40)
+    save_gates(path, init_gate_params(shape, d_in, np.random.default_rng(0),
+                                      gate_input=gate_input))
+    return path
+
+
+def _bad_checkpoint(tmp_path, case):
+    path = tmp_path / "gates.ckpt"
+    if case == "missing":
+        return tmp_path / "no_such.ckpt"
+    if case == "corrupt":
+        path.write_bytes(b"not a checkpoint at all")
+        return path
+    if case == "bad_header":
+        blob = _checkpoint(path).read_bytes()
+        path.write_bytes(blob[:12] + b"\xff" + blob[13:])
+        return path
+    if case == "truncated":
+        blob = _checkpoint(path).read_bytes()
+        path.write_bytes(blob[:-9])
+        return path
+    if case == "trailing":
+        blob = _checkpoint(path).read_bytes()
+        path.write_bytes(blob + b"\x00")
+        return path
+    if case == "layers":
+        return _checkpoint(path, layers=3)
+    if case == "heads":
+        return _checkpoint(path, heads=4)
+    if case == "d_in":
+        return _checkpoint(path, d_in=16, gate_input="kv")
+    raise AssertionError(case)
+
+
+class TestBadCheckpoint:
+    """Exit 2 with one line on stderr, checked before any decoding."""
+
+    CASES = ("missing", "corrupt", "bad_header", "truncated", "trailing",
+             "layers", "heads", "d_in")
+
+    @pytest.mark.parametrize("command", ["eval", "survival"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_exit_code_two_with_one_line(self, tmp_path, capsys, monkeypatch, command, case):
+        import retainkv.cli as cli
+
+        def no_decoding(*args, **kwargs):
+            raise AssertionError("decoding started")
+
+        monkeypatch.setattr(cli, "decode_sequence", no_decoding)
+        monkeypatch.setattr(cli, "evaluate_policies", no_decoding)
         cfg = write_config(tmp_path, SMALL_TASK)
-        rowsets = []
-        for name, threads in (("seq", "1"), ("par", "3")):
-            monkeypatch.setenv("RETAINKV_THREADS", threads)
-            out = tmp_path / name
-            assert main(["eval", "--config", cfg, "--seed", "6", "--out", str(out)]) == 0
-            rows = read_csv(out / "eval.csv")
-            rowsets.append(sorted(
-                [{k: v for k, v in row.items() if k != "seconds"} for row in rows],
-                key=lambda r: (r["policy"], r["budget"])))
-        assert rowsets[0] == rowsets[1]
+        ckpt = _bad_checkpoint(tmp_path, case)
+        code = main([command, "--config", cfg, "--seed", "1", "--out", str(tmp_path / "out"),
+                     "--checkpoint", str(ckpt)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "checkpoint" in err, err
+        assert "Traceback" not in err
+
+    def test_good_checkpoint_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, SMALL_TASK)
+        ckpt = _checkpoint(tmp_path / "gates.ckpt")
+        assert main(["eval", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "a"),
+                     "--checkpoint", str(ckpt)]) == 0
+        kv = _checkpoint(tmp_path / "kv.ckpt", d_in=32, gate_input="kv")
+        assert main(["survival", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "b"),
+                     "--checkpoint", str(kv)]) == 0

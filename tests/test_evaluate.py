@@ -74,7 +74,10 @@ class TestPolicies:
                     policy.admit(l, h, t, 1.0)
             policy.step(t)
         # window of 2 per head
-        assert sorted(policy.alive[(0, 0)]) == [18, 19]
+        for l in range(2):
+            for h in range(2):
+                assert policy.alive(l, h) == [18, 19]
+        assert policy.total_alive() == 8
 
     def test_per_head_budget_is_local(self):
         policy = make_policy("per_head", total_budget=8, layers=2, heads=2)
@@ -84,8 +87,9 @@ class TestPolicies:
                     policy.admit(l, h, t, 0.9 if h == 0 else 0.1)
             policy.step(t)
         # each head keeps exactly its local budget of 2, scores notwithstanding
-        for key, sub in policy.subs.items():
-            assert sub.total_alive() == 2
+        for l in range(2):
+            for h in range(2):
+                assert policy.alive(l, h) == [8, 9]
 
 
 class TestEvaluatePolicies:

@@ -2,17 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from retainkv.eviction import (
     INFINITE,
+    POLICIES,
     EvictionConfig,
     EvictionPolicy,
-    EvictionScore,
     TraceRow,
-    evict_global,
     global_score,
     global_score_infinite,
     score_entries,
+    select_retained,
 )
 
 
@@ -23,6 +25,18 @@ def direct_sum(beta, birth, now, horizon):
         e = s - birth
         total += beta ** e if not (beta == 0.0 and e == 0) else 1.0
     return total
+
+
+def math_closed_form(beta, birth, now, horizon):
+    """Scalar oracle: the closed form through the `math` module."""
+    if beta == 1.0:
+        return float(horizon) if horizon != INFINITE else math.inf
+    if beta == 0.0:
+        return 0.0
+    head = math.exp((now + 1 - birth) * math.log(beta))
+    if horizon == INFINITE:
+        return head / (1.0 - beta)
+    return head * -math.expm1(horizon * math.log(beta)) / (1.0 - beta)
 
 
 class TestGlobalScore:
@@ -73,71 +87,101 @@ class TestGlobalScoreInfinite:
 class TestScoreEntries:
     def test_matches_scalar(self, rng):
         births = rng.integers(0, 50, size=200)
-        betas = rng.random(200)
+        betas = np.concatenate([rng.random(196), [0.0, 1.0, 0.0, 1.0]])
         now = 60
-        for horizon in (1, 2, 5):
+        for horizon in (1, 2, 5, INFINITE):
             vec = score_entries(births, betas, now, horizon)
             for i in range(200):
                 assert vec[i] == pytest.approx(
-                    global_score(betas[i], int(births[i]), now, horizon), rel=1e-12)
+                    math_closed_form(betas[i], int(births[i]), now, horizon), rel=1e-12)
 
     def test_infinite_horizon_beta_one_is_inf(self):
         vec = score_entries([0, 1], [1.0, 0.5], now=5, horizon=INFINITE)
         assert math.isinf(vec[0])
         assert vec[1] == pytest.approx(global_score_infinite(0.5, 1, 5), rel=1e-12)
 
+    def test_invalid_args(self):
+        with pytest.raises(ValueError):
+            score_entries([0, 1], [0.5, 1.5], now=3, horizon=2)
+        with pytest.raises(ValueError):
+            score_entries([0, 1], [0.5, np.nan], now=3, horizon=2)
+        with pytest.raises(ValueError):
+            score_entries([0, 4], [0.5, 0.5], now=3, horizon=2)
+        with pytest.raises(ValueError):
+            score_entries([0], [0.5], now=3, horizon=0)
+        with pytest.raises(ValueError):
+            score_entries([0, 1], [0.5], now=3, horizon=2)
 
-def brute_force_retain(entries, m):
+    def test_empty(self):
+        assert score_entries([], [], now=0, horizon=2).shape == (0,)
+
+
+def brute_force_retain(layers, heads, births, scores, m):
     """Oracle: full sort by the documented tie rule using python sorted()."""
-    ranked = sorted(entries, key=lambda e: (-e.score, -e.token_birth, e.layer, e.head))
+    keys = list(zip(layers.tolist(), heads.tolist(), births.tolist(), scores.tolist()))
+    ranked = sorted(range(len(keys)), key=lambda i: (-keys[i][3], -keys[i][2],
+                                                     keys[i][0], keys[i][1]))
     return ranked[:m]
 
 
+def retain(entries, m):
+    """(layer, head, birth) of the entries `select_retained` keeps, best first."""
+    layers, heads, births, scores = (np.array(c) for c in zip(*entries))
+    idx = select_retained(scores, births, layers, heads, m)
+    return [entries[i][:3] for i in idx]
+
+
 class TestEvictGlobal:
-    def test_under_budget_retains_all(self, rng):
-        entries = [EvictionScore(0, 0, i, 0.5, float(i)) for i in range(5)]
-        out = evict_global(entries, EvictionConfig(m_global=10))
-        assert len(out) == 5
+    def test_under_budget_retains_all(self):
+        entries = [(0, 0, i, float(i)) for i in range(5)]
+        assert len(retain(entries, 10)) == 5
 
     def test_tie_break_example(self):
         scores = [5.0, 4.0, 4.0, 3.0, 2.0, 1.0]
-        entries = [EvictionScore(0, 0, i, 0.5, s) for i, s in enumerate(scores)]
-        out = evict_global(entries, EvictionConfig(m_global=3))
-        assert sorted(e.token_birth for e in out) == [0, 1, 2]
+        entries = [(0, 0, i, s) for i, s in enumerate(scores)]
+        assert sorted(b for _, _, b in retain(entries, 3)) == [0, 1, 2]
 
     def test_all_equal_scores_rule_forced(self):
-        entries = [
-            EvictionScore(1, 1, 4, 0.5, 1.0),
-            EvictionScore(0, 1, 4, 0.5, 1.0),
-            EvictionScore(0, 0, 9, 0.5, 1.0),
-            EvictionScore(1, 0, 2, 0.5, 1.0),
-        ]
-        out = evict_global(entries, EvictionConfig(m_global=2))
+        entries = [(1, 1, 4, 1.0), (0, 1, 4, 1.0), (0, 0, 9, 1.0), (1, 0, 2, 1.0)]
         # youngest first, then (layer, head) lexicographic
-        assert [(e.layer, e.head, e.token_birth) for e in out] == [(0, 0, 9), (0, 1, 4)]
+        assert retain(entries, 2) == [(0, 0, 9), (0, 1, 4)]
 
     def test_duplicate_entries_rejected(self):
-        entries = [EvictionScore(0, 0, 1, 0.5, 1.0)] * 2
+        policy = EvictionPolicy(EvictionConfig(m_global=1))
+        policy.admit(0, 0, 1, 0.5)
         with pytest.raises(ValueError):
-            evict_global(entries, EvictionConfig(m_global=1))
+            policy.admit(0, 0, 1, 0.5)
 
     def test_matches_brute_force(self, rng):
         for trial in range(30):
             n = int(rng.integers(1, 400))
-            entries = []
-            used = set()
-            while len(entries) < n:
-                key = (int(rng.integers(0, 3)), int(rng.integers(0, 3)), int(rng.integers(0, 200)))
-                if key in used:
-                    continue
-                used.add(key)
-                score = float(rng.choice([0.0, 0.5, 1.0, 2.0, rng.random() * 3]))
-                entries.append(EvictionScore(*key, 0.5, score))
+            keys = set()
+            while len(keys) < n:
+                keys.add((int(rng.integers(0, 3)), int(rng.integers(0, 3)),
+                          int(rng.integers(0, 200))))
+            layers, heads, births = (np.array(c) for c in zip(*sorted(keys)))
+            perm = rng.permutation(n)
+            layers, heads, births = layers[perm], heads[perm], births[perm]
+            scores = np.array([float(rng.choice([0.0, 0.5, 1.0, 2.0, rng.random() * 3]))
+                               for _ in range(n)])
             m = int(rng.integers(1, n + 1))
-            got = evict_global(entries, EvictionConfig(m_global=m))
-            want = brute_force_retain(entries, m)
-            assert [(e.layer, e.head, e.token_birth) for e in got] == \
-                   [(e.layer, e.head, e.token_birth) for e in want]
+            got = select_retained(scores, births, layers, heads, m)
+            assert got.tolist() == brute_force_retain(layers, heads, births, scores, m)
+
+    def test_per_head_keeps_top_m_of_each_group(self, rng):
+        n = 300
+        layers, heads = rng.integers(0, 2, size=n), rng.integers(0, 3, size=n)
+        births = rng.permutation(n)
+        scores = np.round(rng.random(n) * 4, 1)
+        got = select_retained(scores, births, layers, heads, 7, per_head=True)
+        want = []
+        for l in range(2):
+            for h in range(3):
+                group = np.flatnonzero((layers == l) & (heads == h))
+                best = brute_force_retain(layers[group], heads[group], births[group],
+                                          scores[group], 7)
+                want.extend(group[best].tolist())
+        assert got.tolist() == want
 
 
 class TestHorizonBehavior:
@@ -157,6 +201,10 @@ class TestHorizonBehavior:
         assert flipped
 
 
+def alive_keys(policy, layers=2, heads=2):
+    return {(l, h, b) for l in range(layers) for h in range(heads) for b in policy.alive(l, h)}
+
+
 class TestPolicy:
     def test_huge_budget_never_evicts(self):
         policy = EvictionPolicy(EvictionConfig(m_global=10**9))
@@ -169,17 +217,21 @@ class TestPolicy:
         """At each step every (layer, head) caches the new token's entry."""
         cfg = EvictionConfig(m_global=40, horizon=2, cadence=1)
         policy = EvictionPolicy(cfg)
-        prev_evicted: set = set()
+        evicted: set = set()
+        prev_alive: set = set()
         for t in range(1000):
             for l in range(2):
                 for h in range(2):
                     policy.admit(l, h, t, float(rng.random()))
-            policy.step(t)
+            out = {(l, h, b) for (l, h), births in policy.step(t).items() for b in births}
             assert policy.total_alive() <= cfg.m_global
-            alive_now = set(policy._alive)
-            assert prev_evicted <= policy._evicted   # evictions only grow
-            assert policy._evicted.isdisjoint(alive_now)
-            prev_evicted = set(policy._evicted)
+            alive_now = alive_keys(policy)
+            assert len(alive_now) == policy.total_alive()
+            assert evicted.isdisjoint(out)               # evicted once, never again
+            assert out <= prev_alive | {(l, h, t) for l in range(2) for h in range(2)}
+            assert alive_now.isdisjoint(out)
+            evicted |= out
+            prev_alive = alive_now
 
     def test_deterministic_rerun(self, rng):
         def run(seed):
@@ -191,7 +243,7 @@ class TestPolicy:
                     for h in range(2):
                         policy.admit(l, h, t, float(r.random()))
                 policy.step(t)
-                snapshots.append(tuple(sorted(policy._alive)))
+                snapshots.append(tuple(sorted(alive_keys(policy))))
             return snapshots
 
         assert run(7) == run(7)
@@ -234,3 +286,108 @@ def test_config_validation():
         EvictionConfig(m_global=1, horizon=0)
     with pytest.raises(ValueError):
         EvictionConfig(m_global=1, cadence=0)
+
+
+# -- property test: the engine against a brute-force oracle ----------------------
+
+BETA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)   # coarse, so equal scores really occur
+
+
+class BruteForcePolicy:
+    """Reference semantics: a python list of live entries, ranked by sorted()."""
+
+    def __init__(self, policy, m, horizon, cadence):
+        self.policy, self.m, self.horizon, self.cadence = policy, m, horizon, cadence
+        self.alive = []   # (layer, head, birth, beta) in admission order
+        self.trace = []
+
+    def step(self, now):
+        if self.policy == "full" or not self.alive:
+            return {}
+        if self.policy != "recency" and (now + 1) % self.cadence:
+            return {}
+        if self.policy == "recency":
+            keep = {i for i, e in enumerate(self.alive) if e[2] > now - self.m}
+        else:
+            scores = score_entries([e[2] for e in self.alive], [e[3] for e in self.alive],
+                                   now, self.horizon).tolist()
+            ranked = sorted(range(len(self.alive)), key=lambda i: (
+                -scores[i], -self.alive[i][2], self.alive[i][0], self.alive[i][1]))
+            if self.policy == "global":
+                keep = set(ranked[:self.m])
+            else:
+                keep = set()
+                for g in {e[:2] for e in self.alive}:
+                    keep |= set([i for i in ranked if self.alive[i][:2] == g][:self.m])
+            rows = range(len(self.alive))
+            if self.policy == "per_head":
+                rows = sorted(rows, key=lambda i: (self.alive[i][:2], i))
+            self.trace += [(now, *self.alive[i][:3], scores[i],
+                            "retain" if i in keep else "evict") for i in rows]
+        evicted = {}
+        for i, e in enumerate(self.alive):
+            if i not in keep:
+                evicted.setdefault(e[:2], []).append(e[2])
+        self.alive = [e for i, e in enumerate(self.alive) if i in keep]
+        return evicted
+
+
+@st.composite
+def scripts(draw):
+    policy = draw(st.sampled_from(POLICIES))
+    m = draw(st.integers(1, 12))
+    horizon = draw(st.sampled_from([1, 2, 5, INFINITE]))
+    cadence = draw(st.integers(1, 3))
+    ops = draw(st.lists(st.one_of(
+        st.just(("step",)),
+        st.tuples(st.just("admit"), st.integers(0, 1), st.integers(0, 2),
+                  st.integers(0, 2), st.sampled_from(BETA_GRID))), max_size=120))
+    return policy, m, horizon, cadence, ops
+
+
+class TestEngineMatchesBruteForce:
+    @settings(max_examples=300, deadline=None)
+    @given(scripts())
+    def test_random_interleavings(self, script):
+        policy_name, m, horizon, cadence, ops = script
+        trace: list[TraceRow] = []
+        policy = EvictionPolicy(EvictionConfig(m_global=m, horizon=horizon, cadence=cadence),
+                                trace, policy=policy_name)
+        oracle = BruteForcePolicy(policy_name, m, horizon, cadence)
+        now = 0
+        admitted, evicted = set(), set()
+        for op in ops:
+            if op[0] == "admit":
+                _, l, h, back, beta = op
+                key = (l, h, max(0, now - back))
+                if key in admitted:
+                    with pytest.raises(ValueError):
+                        policy.admit(*key, beta)
+                    continue
+                admitted.add(key)
+                policy.admit(*key, beta)
+                oracle.alive.append((*key, beta))
+                continue
+            got = policy.step(now)
+            want = oracle.step(now)
+            assert list(got.items()) == list(want.items())
+            out = {(l, h, b) for (l, h), births in got.items() for b in births}
+            assert evicted.isdisjoint(out)
+            evicted |= out
+            alive = alive_keys(policy, 2, 3)
+            assert alive == {e[:3] for e in oracle.alive}
+            assert alive.isdisjoint(evicted)
+            assert policy.total_alive() == len(alive)
+            compressed = policy_name == "recency" or (
+                policy_name != "full" and (now + 1) % cadence == 0)
+            if compressed and policy_name == "global":
+                assert len(alive) <= m
+            if compressed and policy_name in ("per_head", "recency"):
+                for l in range(2):
+                    for h in range(3):
+                        assert len(policy.alive(l, h)) <= m
+            if compressed and policy_name == "recency":
+                assert all(b > now - m for _, _, b in alive)
+            now += 1
+        assert [(r.step, r.layer, r.head, r.token_birth, r.score, r.action)
+                for r in trace] == oracle.trace

@@ -206,3 +206,57 @@ class TestCheckpoint:
         path.write_bytes(b"NOTAGATE" + b"\x00" * 32)
         with pytest.raises(ValueError):
             load_gates(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path, params):
+        path = tmp_path / "gates.ckpt"
+        save_gates(path, params)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match="trailing"):
+            load_gates(path)
+
+    @pytest.mark.parametrize("keep", [4, 11, 30, -1, -8])
+    def test_truncated_rejected(self, tmp_path, params, keep):
+        path = tmp_path / "gates.ckpt"
+        save_gates(path, params)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ValueError):
+            load_gates(path)
+
+    def test_reloaded_tensors_are_contiguous_copies(self, tmp_path, rng):
+        params = init_gate_params(SHAPE, d_in=8, rng=rng, tied=False)
+        path = tmp_path / "gates.ckpt"
+        save_gates(path, params)
+        loaded = load_gates(path)
+        for name, arr in loaded.tensors().items():
+            assert arr.flags.c_contiguous and arr.flags.writeable, name
+            assert arr.shape == params.tensors()[name].shape, name
+
+
+class TestGateForwardAllHeads:
+    """`head=None` runs a layer's heads in one call, bit-identical per head."""
+
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_shared_input_matches_per_head(self, rng, tied):
+        params = init_gate_params(SHAPE, d_in=8, rng=rng, tied=tied, init_scale=2.0)
+        params.bg -= 18.0
+        xs = rng.normal(size=(5, 8))
+        for layer in range(SHAPE.layers):
+            got = gate_forward_batch(xs, layer, None, params)
+            assert got.shape == (SHAPE.heads, 5)
+            for head in range(SHAPE.heads):
+                assert np.array_equal(got[head], gate_forward_batch(xs, layer, head, params))
+
+    def test_per_head_input_matches_per_head(self, rng):
+        params = init_gate_params(SHAPE, d_in=8, rng=rng, tied=False, gate_input="kv",
+                                  init_scale=2.0)
+        params.bg -= 18.0
+        xs = rng.normal(size=(SHAPE.heads, 1, 8))
+        got = gate_forward_batch(xs, 1, None, params)
+        for head in range(SHAPE.heads):
+            assert np.array_equal(got[head], gate_forward_batch(xs[head], 1, head, params))
+
+    def test_bad_input_rejected(self, params):
+        with pytest.raises(ValueError):
+            gate_forward_batch(np.ones(8), 0, None, params)
+        with pytest.raises(ValueError):
+            gate_forward_batch(np.full((1, 8), np.nan), 0, None, params)

@@ -235,3 +235,50 @@ def test_snapshot_is_json_serializable(rng):
     blob = json.dumps(store.snapshot())
     parsed = json.loads(blob)
     assert parsed["tables"]["0,0"]["logical_length"] == 10
+
+
+class TestZeroCopySnapshots:
+    def test_gather_returns_views_of_one_copy(self, rng):
+        store = PagedKVStore(1, 1, 4, page_size=4)
+        for i in range(6):
+            store.append(0, 0, rng.normal(size=4), rng.normal(size=4), i, 0.5)
+        a, b = store.gather(0, 0), store.gather(0, 0)
+        for f in ("keys", "values", "births", "betas"):
+            assert np.shares_memory(getattr(a, f), getattr(b, f)), f
+
+    def test_snapshot_never_changes(self, rng):
+        """Appends write past every returned view; evictions rebuild."""
+        store = PagedKVStore(2, 1, 4, page_size=4)
+        taken = []
+        birth = 0
+        for op in range(400):
+            roll = rng.random()
+            h = int(rng.integers(0, 2))
+            live = store.gather(h, 0).births
+            if roll < 0.6 or not len(live):
+                store.append(h, 0, rng.normal(size=4), rng.normal(size=4), birth,
+                             float(rng.random()))
+                birth += 1
+            elif roll < 0.9:
+                store.evict(h, 0, rng.choice(live, size=min(2, len(live)), replace=False))
+            else:
+                store.compact(h, 0)
+            snap = store.gather(h, 0)
+            taken.append((snap, [np.array(getattr(snap, f)) for f in
+                                 ("keys", "values", "births", "betas")]))
+        store.check_accounting()
+        for snap, copies in taken:
+            for f, want in zip(("keys", "values", "births", "betas"), copies):
+                assert np.array_equal(getattr(snap, f), want), f
+
+    def test_bad_evict_leaves_store_unchanged(self, rng):
+        store = PagedKVStore(1, 1, 2, page_size=2)
+        for i in range(4):
+            store.append(0, 0, [i, i], [i, i], i, 1.0)
+        before = store.snapshot()
+        for births in ([1, 7], [2, 2]):
+            with pytest.raises(KeyError):
+                store.evict(0, 0, births)
+            assert store.snapshot() == before
+            assert list(store.gather(0, 0).births) == [0, 1, 2, 3]
+        store.check_accounting()
