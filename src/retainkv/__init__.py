@@ -13,14 +13,12 @@ from .eviction import (
 from .gates import (
     GateParams,
     ModelShape,
-    cap_loss_global,
-    cap_loss_per_head,
+    cap_loss_global_grad,
     gate_forward,
     init_gate_params,
     load_gates,
     quality_loss,
     save_gates,
-    total_loss,
 )
 from .numerics import EmptySupportError, finite_diff_grad, sigmoid, softmax, softmax_log_space
 from .paged_cache import CacheCapacityError, PagedKVStore

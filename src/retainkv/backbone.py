@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import GateParams, ModelShape
-from .numerics import Array, sigmoid
+from .gates import GateParams, ModelShape, _gate_mlp
+from .numerics import Array
 
 
 @dataclass
@@ -119,26 +119,23 @@ def student_forward(bb: Backbone, gates: GateParams | None, tokens) -> tuple[Arr
         x = h
         x_in.append(x)
         attn = np.zeros_like(h)
-        heads = []
-        for hd in range(H):
-            q = x @ bb.wq[l, hd]
-            k = x @ bb.wk[l, hd]
-            v = x @ bb.wv[l, hd]
-            cache = {"q": q, "k": k, "v": v}
-            z = (q @ k.T) / np.sqrt(dh)
+        # k and v may feed the gate, which runs once for all heads; q waits for
+        # its head, as computing it here too raised peak memory ~1 MB at T=489
+        heads = [{"k": x @ bb.wk[l, hd], "v": x @ bb.wv[l, hd]} for hd in range(H)]
+        if gates is not None:
+            gin = [_gate_input(x, c["k"], c["v"], gates.gate_input) for c in heads]
+            shared = gates.gate_input == "embedding"
+            h1, p, beta = _gate_mlp(x if shared else np.stack(gin), l, None, gates)
+            betas[l] = beta
+        for hd, cache in enumerate(heads):
+            cache["q"] = x @ bb.wq[l, hd]
+            z = (cache["q"] @ cache["k"].T) / np.sqrt(dh)
             if gates is not None:
-                gin = _gate_input(x, k, v, gates.gate_input)
-                h1 = np.tanh(gin @ gates.w1[l, hd].T + gates.b1[l, hd])
-                p = h1 @ gates.w2[l, hd].T + gates.b2[l, hd]
-                wg, bg = gates.readout(l, hd)
-                beta = sigmoid(p @ wg + bg)
-                betas[l, hd] = beta
-                z = z + np.where(ages > 0, ages * np.log(beta)[None, :], 0.0)
-                cache.update({"gin": gin, "h1": h1, "p": p, "beta": beta})
+                z = z + np.where(ages > 0, ages * np.log(beta[hd])[None, :], 0.0)
+                cache.update({"gin": gin[hd], "h1": h1[hd], "p": p[hd], "beta": beta[hd]})
             w = _causal_softmax(z)
             cache["w"] = w
-            attn += (w @ v) @ bb.wo[l, hd]
-            heads.append(cache)
+            attn += (w @ cache["v"]) @ bb.wo[l, hd]
         per_head_all.append(heads)
         h = h + attn
         a = np.tanh(h @ bb.mlp_w1[l] + bb.mlp_b1[l])

@@ -85,6 +85,43 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
+# Allowed values of float keys and of float list items; every int key and int
+# list item must be >= 1.
+FLOAT_RANGES = {
+    "train.lr": ("> 0", lambda v: v > 0),
+    "train.lambda_cap": (">= 0", lambda v: v >= 0),
+    "train.budget_fraction": ("> 0", lambda v: v > 0),
+    "eval.budgets": ("in (0, 1]", lambda v: 0 < v <= 1),
+    "survival.tau": ("in (0, 1]", lambda v: 0 < v <= 1),
+    "theory.var_radius": ("in (0, 1)", lambda v: 0 < v < 1),
+}
+GATE_INPUTS = ("embedding", "kv")
+
+
+def _check_value(name: str, val, default) -> None:
+    """Raise ConfigError unless `val` has the type of `default` and an
+    allowed value."""
+    if name == "eviction.horizon" and val == "infinite":
+        return
+    if isinstance(default, list):
+        if not isinstance(val, list) or not val:
+            raise ConfigError(f"{name} must be a non-empty list, got {val!r}")
+        for item in val:
+            _check_value(name, item, default[0])
+    elif isinstance(default, (bool, str)):
+        if type(val) is not type(default):
+            raise ConfigError(f"{name} must be a {type(default).__name__}, got {val!r}")
+        if name == "train.gate_input" and val not in GATE_INPUTS:
+            raise ConfigError(f"{name} must be one of {list(GATE_INPUTS)}, got {val!r}")
+    elif isinstance(default, int):
+        if type(val) is not int or val < 1:
+            raise ConfigError(f"{name} must be an integer >= 1, got {val!r}")
+    elif type(val) not in (int, float) or not np.isfinite(val):
+        raise ConfigError(f"{name} must be a finite number, got {val!r}")
+    elif name in FLOAT_RANGES and not FLOAT_RANGES[name][1](val):
+        raise ConfigError(f"{name} must be {FLOAT_RANGES[name][0]}, got {val!r}")
+
+
 def load_config(path: str | None, preset: str = "default") -> dict:
     if preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r}; options: {sorted(PRESETS)}")
@@ -104,12 +141,20 @@ def load_config(path: str | None, preset: str = "default") -> dict:
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
     for section in ("task", "model", "train", "eviction", "eval", "survival", "theory"):
+        if not isinstance(cfg[section], dict):
+            raise ConfigError(f"[{section}] must be a JSON object, got {cfg[section]!r}")
         extra = set(cfg[section]) - set(DEFAULT_CONFIG[section])
         if extra:
             raise ConfigError(f"unknown keys in [{section}]: {sorted(extra)}")
+        for key, default in DEFAULT_CONFIG[section].items():
+            _check_value(f"{section}.{key}", cfg[section][key], default)
     for policy in cfg["eval"]["policies"]:
         if policy not in POLICIES:
             raise ConfigError(f"unknown policy {policy!r}")
+    try:
+        TaskSpec(**cfg["task"])
+    except ValueError as exc:
+        raise ConfigError(f"bad [task]: {exc}") from None
     return cfg
 
 
@@ -324,7 +369,7 @@ def _load_checkpoint(path: str | None, bb) -> GateParams | None:
         raise ConfigError(f"cannot read checkpoint {path}: {exc.strerror or exc}") from None
     except ValueError as exc:
         raise ConfigError(f"bad checkpoint {path}: {exc}") from None
-    if gates.gate_input not in ("embedding", "kv"):
+    if gates.gate_input not in GATE_INPUTS:
         raise ConfigError(f"bad checkpoint {path}: unknown gate_input {gates.gate_input!r}")
     shape = bb.shape
     d_in = shape.d_model if gates.gate_input == "embedding" else 2 * shape.head_dim

@@ -134,19 +134,27 @@ def init_gate_params(shape: ModelShape, d_in: int, rng: np.random.Generator,
                       tied, gate_input, "tanh", seed)
 
 
-def gate_forward(x: Array, layer: int, head: int, params: GateParams) -> float:
-    """Retention score sigmoid(wg . Proj_{layer,head}(x) + bg), in (0, 1)."""
-    x = as_vector(x, "x")
-    if x.shape[0] != params.d_in:
-        raise ValueError(f"gate input dim {x.shape[0]} != {params.d_in}")
-    h = np.tanh(params.w1[layer, head] @ x + params.b1[layer, head])
-    p = params.w2[layer, head] @ h + params.b2[layer, head]
-    wg, bg = params.readout(layer, head)
-    return float(sigmoid(float(wg @ p) + bg))
+def _gate_mlp(x: Array, layer: int, head: int | None,
+              params: GateParams) -> tuple[Array, Array, Array]:
+    """The gate MLP of one head, or of every head of the layer with `head=None`.
+
+    x is [n, d_in], shared by the heads, or [heads, n, d_in], one block per
+    head. Returns the tanh hidden layer h1 and the projection p, both
+    [heads, n, d_gate], and beta [heads, n]; one head keeps a leading axis of 1.
+    """
+    heads = slice(None) if head is None else slice(head, head + 1)
+    h1 = np.tanh(x @ params.w1[layer, heads].transpose(0, 2, 1)
+                 + params.b1[layer, heads][:, None, :])
+    p = h1 @ params.w2[layer, heads].transpose(0, 2, 1) + params.b2[layer, heads][:, None, :]
+    if params.tied:
+        z = p @ params.wg + params.bg
+    else:
+        z = (p @ params.wg[layer, heads][:, :, None])[..., 0] + params.bg[layer, heads][:, None]
+    return h1, p, sigmoid(z)
 
 
 def gate_forward_batch(x: Array, layer: int, head: int | None, params: GateParams) -> Array:
-    """Vectorized `gate_forward` over rows of x [n, d_in].
+    """Retention scores sigmoid(wg . Proj_{layer,head}(x) + bg) of rows of x [n, d_in].
 
     With `head=None` every head of the layer runs at once: x is [n, d_in],
     shared by all heads, or [heads, n, d_in], one block per head, and the
@@ -156,113 +164,81 @@ def gate_forward_batch(x: Array, layer: int, head: int | None, params: GateParam
     if x.ndim != 2 and not (head is None and x.ndim == 3):
         raise ValueError(f"x must be [n, d_in], or [heads, n, d_in] for every head; "
                          f"got shape {x.shape}")
+    if x.shape[-1] != params.d_in:
+        raise ValueError(f"gate input dim {x.shape[-1]} != {params.d_in}")
     if not np.isfinite(x).all():
         raise ValueError("x contains non-finite entries")
-    heads = slice(None) if head is None else slice(head, head + 1)
-    h = np.tanh(x @ params.w1[layer, heads].transpose(0, 2, 1)
-                + params.b1[layer, heads][:, None, :])
-    p = h @ params.w2[layer, heads].transpose(0, 2, 1) + params.b2[layer, heads][:, None, :]
-    if params.tied:
-        z = p @ params.wg + params.bg
-    else:
-        z = (p @ params.wg[layer, heads][:, :, None])[..., 0] + params.bg[layer, heads][:, None]
-    beta = sigmoid(z)
+    beta = _gate_mlp(x, layer, head, params)[2]
     return beta if head is None else beta[0]
+
+
+def gate_forward(x: Array, layer: int, head: int, params: GateParams) -> float:
+    """`gate_forward_batch` for one input vector, in (0, 1)."""
+    return float(gate_forward_batch(as_vector(x, "x")[None, :], layer, head, params)[0])
 
 
 # -- losses -----------------------------------------------------------------
 
 
-def _log_softmax(logits: Array) -> Array:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+def quality_loss(teacher_logits: Array, student_logits: Array,
+                 targets) -> tuple[float, float, Array]:
+    """KL(teacher || student) and student NLL, each a mean over positions.
 
-
-def quality_loss(teacher_logits: Array, student_logits: Array, targets) -> float:
-    """Mean over positions of KL(teacher || student) plus student NLL."""
+    Returns (kl, nll, dlogits), where dlogits is the gradient of kl + nll at
+    the student logits.
+    """
     p_logits = as_matrix(teacher_logits, "teacher_logits")
     q_logits = as_matrix(student_logits, "student_logits")
     if p_logits.shape != q_logits.shape:
         raise ValueError("teacher and student logits must share a shape")
     targets = np.asarray(targets, dtype=np.int64)
-    if targets.shape != (p_logits.shape[0],):
+    n = p_logits.shape[0]
+    if targets.shape != (n,):
         raise ValueError("targets must give one vocab index per position")
-    log_p = _log_softmax(p_logits)
-    log_q = _log_softmax(q_logits)
+
+    def log_softmax(z):
+        zz = z - z.max(axis=-1, keepdims=True)
+        return zz - np.log(np.exp(zz).sum(axis=-1, keepdims=True))
+
+    log_p = log_softmax(p_logits)
+    log_q = log_softmax(q_logits)
     p = np.exp(log_p)
+    q = np.exp(log_q)
     kl = float((p * (log_p - log_q)).sum(axis=-1).mean())
-    nll = float(-log_q[np.arange(targets.shape[0]), targets].mean())
-    return kl + nll
+    rows = np.arange(n)
+    nll = float(-log_q[rows, targets].mean())
+    onehot = np.zeros_like(q)
+    onehot[rows, targets] = 1.0
+    dlogits = ((q - p) + (q - onehot)) / n
+    return kl, nll, dlogits
 
 
-def _retained_mass_per_step(betas: Array) -> Array:
-    """Per-step sums over heads and tokens of beta**(t - i), with beta**0 == 1.
+def cap_loss_global_grad(betas: Array, m_global: float) -> tuple[float, Array]:
+    """Hinge on the global retained mass, sum_t max(0, mass_t - m_global), and
+    its subgradient with respect to each beta.
 
     betas is [(layers * heads), T]; entry (g, i) is token i's score in head
-    group g. Returns the length-T vector of global retained mass.
+    group g, and mass_t sums beta_{g,i}**(t - i) over groups and tokens i <= t,
+    with beta**0 == 1. d mass_t / d beta_{g,i} is (t - i) * beta**(t - i - 1)
+    for t > i and zero at t == i; the hinge subgradient is 1[mass_t > m_global].
     """
     b = as_matrix(betas, "betas")
     if np.any(b < 0.0) or np.any(b > 1.0):
         raise ValueError("betas must lie in [0, 1]")
     G, T = b.shape
-    mass = np.zeros(T)
-    # decay[t, i] = beta_i ** (t - i) for i <= t
-    with np.errstate(divide="ignore"):
-        log_b = np.where(b > 0.0, np.log(np.where(b > 0.0, b, 1.0)), -np.inf)
-    ages = np.arange(T)[:, None] - np.arange(T)[None, :]  # [t, i]
-    causal = ages >= 0
-    for g in range(G):
-        with np.errstate(invalid="ignore"):
-            expo = ages * log_b[g][None, :]
-        expo = np.where(ages == 0, 0.0, expo)  # 0**0 == 1, even at beta == 0
-        decay = np.where(causal, np.exp(np.where(causal, expo, -np.inf)), 0.0)
-        mass += decay.sum(axis=1)
-    return mass
-
-
-def cap_loss_global(betas: Array, m_global: float) -> float:
-    """Hinge on the global retained mass: sum_t max(0, mass_t - m_global)."""
-    mass = _retained_mass_per_step(betas)
-    return float(np.maximum(0.0, mass - m_global).sum())
-
-
-def cap_loss_per_head(betas: Array, m: float) -> float:
-    """Per-head hinge with a fixed local budget, summed over heads."""
-    b = as_matrix(betas, "betas")
-    total = 0.0
-    for g in range(b.shape[0]):
-        total += cap_loss_global(b[g : g + 1], m)
-    return float(total)
-
-
-def total_loss(quality: float, cap: float, lam: float) -> float:
-    """Combined objective quality + lam * cap."""
-    if lam < 0.0:
-        raise ValueError("lambda must be >= 0")
-    return float(quality + lam * cap)
-
-
-def cap_loss_global_grad(betas: Array, m_global: float) -> tuple[float, Array]:
-    """Capacity loss and its subgradient with respect to each beta.
-
-    d mass_t / d beta_{g,i} is (t - i) * beta**(t - i - 1) for t > i and zero
-    at t == i (the age-0 term is constant 1); hinge subgradient 1[mass > m].
-    """
-    b = as_matrix(betas, "betas")
-    G, T = b.shape
-    mass = _retained_mass_per_step(b)
-    active = (mass > m_global).astype(np.float64)
+    ages = np.subtract.outer(np.arange(T), np.arange(T)).astype(np.float64)  # [t, i]
+    # decay[g, t, i] = beta_{g,i} ** (t - i) for i <= t, else 0, and 1 at age 0
+    # even for beta == 0; exp runs only at positive ages
+    with np.errstate(divide="ignore", invalid="ignore"):
+        decay = ages * np.log(b)[:, None, :]
+    np.exp(decay, out=decay, where=ages > 0)
+    decay[:, ages < 0] = 0.0
+    decay[:, ages == 0] = 1.0
+    mass = decay.sum(axis=2).sum(axis=0)
     loss = float(np.maximum(0.0, mass - m_global).sum())
-    ages = np.arange(T)[:, None] - np.arange(T)[None, :]  # [t, i]
-    dbeta = np.zeros_like(b)
-    with np.errstate(divide="ignore"):
-        log_b = np.where(b > 0.0, np.log(np.where(b > 0.0, b, 1.0)), -np.inf)
-    for g in range(G):
-        with np.errstate(invalid="ignore"):
-            expo = (ages - 1) * log_b[g][None, :]
-        expo = np.where(ages == 1, 0.0, expo)  # beta**0 == 1
-        pw = np.where(ages >= 1, np.exp(np.where(ages >= 1, expo, -np.inf)), 0.0)
-        dbeta[g] = (active[:, None] * ages * pw).sum(axis=0)
+    # beta ** (t - i - 1) is the decay one step earlier
+    active = (mass > m_global).astype(np.float64)
+    dbeta = ((active[1:, None] * ages[1:]) * decay[:, :-1]).sum(axis=1)
     return loss, dbeta
 
 

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backbone import Backbone, student_backward, student_forward, teacher_forward
-from .gates import (
-    GateParams,
-    cap_loss_global_grad,
-    quality_loss,
-    total_loss,
-)
+from .gates import GateParams, cap_loss_global_grad, quality_loss
 
 
 class DivergenceError(RuntimeError):
@@ -52,41 +47,23 @@ class TrainResult:
         ]
 
 
-def _quality_with_grad(teacher_logits, student_logits, targets):
-    """Mean per-position KL(p||q) + NLL and its gradient at the student logits."""
-    def log_softmax(z):
-        zz = z - z.max(axis=-1, keepdims=True)
-        return zz - np.log(np.exp(zz).sum(axis=-1, keepdims=True))
-
-    n = teacher_logits.shape[0]
-    log_p = log_softmax(teacher_logits)
-    log_q = log_softmax(student_logits)
-    p = np.exp(log_p)
-    q = np.exp(log_q)
-    kl = float((p * (log_p - log_q)).sum(axis=-1).mean())
-    rows = np.arange(n)
-    nll = float(-log_q[rows, targets].mean())
-    onehot = np.zeros_like(q)
-    onehot[rows, targets] = 1.0
-    dlogits = ((q - p) + (q - onehot)) / n
-    return kl, nll, dlogits
-
-
 def loss_and_grads(bb: Backbone, gates: GateParams, tokens, lam: float,
                    m_global: float) -> tuple[LossBreakdown, GateParams]:
     """Full objective on one sequence plus analytic gate gradients.
 
     Positions 0..T-2 predict the next token. The capacity hinge is evaluated
-    on the betas the student actually produced for this sequence.
+    on the betas the student actually produced for this sequence. The total is
+    quality + lam * cap.
     """
+    if lam < 0.0:
+        raise ValueError("lambda must be >= 0")
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.shape[0] < 2:
         raise ValueError("need at least two tokens to form a prediction")
     teacher_logits = teacher_forward(bb, tokens)
     student_logits, trace = student_forward(bb, gates, tokens)
     targets = tokens[1:]
-    kl, nll, dlogits_used = _quality_with_grad(
-        teacher_logits[:-1], student_logits[:-1], targets)
+    kl, nll, dlogits_used = quality_loss(teacher_logits[:-1], student_logits[:-1], targets)
     quality = kl + nll
     G = trace.betas.reshape(bb.shape.head_count, -1)
     cap, dbeta_flat = cap_loss_global_grad(G, m_global)
@@ -94,7 +71,7 @@ def loss_and_grads(bb: Backbone, gates: GateParams, tokens, lam: float,
     dlogits[:-1] = dlogits_used
     dbeta = lam * dbeta_flat.reshape(trace.betas.shape)
     grads = student_backward(bb, gates, trace, dlogits, dbeta)
-    breakdown = LossBreakdown(total_loss(quality, cap, lam), quality, cap, kl, nll)
+    breakdown = LossBreakdown(float(quality + lam * cap), quality, cap, kl, nll)
     return breakdown, grads
 
 

@@ -67,6 +67,31 @@ class TestConfig:
         assert code == 2
 
 
+class TestBadConfigValue:
+    """Exit 2 with one `config error:` line naming the value, before any work."""
+
+    CASES = {
+        "negative_lambda": ("train", {"train": {"lambda_cap": -1}}, "train.lambda_cap"),
+        "zero_steps": ("train", {"train": {"steps": 0}}, "train.steps"),
+        "zero_batch": ("train", {"train": {"batch_size": 0}}, "train.batch_size"),
+        "zero_samples": ("eval", {"eval": {"samples": 0}}, "eval.samples"),
+        "negative_budget": ("eval", {"eval": {"budgets": [-0.5]}}, "eval.budgets"),
+        "string_context": ("train", {"task": {"context_len": "abc"}}, "task.context_len"),
+        "section_not_object": ("train", {"train": "x"}, "[train] must be a JSON object"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exit_code_two_with_one_line(self, tmp_path, capsys, case):
+        command, payload, named = self.CASES[case]
+        cfg = write_config(tmp_path, payload)
+        code = main([command, "--config", cfg, "--seed", "1", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert named in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestTheoryCommand:
     def test_report_written_and_clean(self, tmp_path):
         path = write_config(tmp_path, {**SMALL_THEORY, **SMALL_TASK})

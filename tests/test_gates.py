@@ -6,19 +6,25 @@ import pytest
 from retainkv.gates import (
     GateParams,
     ModelShape,
-    cap_loss_global,
     cap_loss_global_grad,
-    cap_loss_per_head,
     gate_forward,
     gate_forward_batch,
     init_gate_params,
     load_gates,
     quality_loss,
     save_gates,
-    total_loss,
 )
 
 SHAPE = ModelShape(layers=2, heads=2, head_dim=4, gate_hidden=6, seq_len=16, vocab=12)
+
+
+def quality(teacher_logits, student_logits, targets):
+    kl, nll, _ = quality_loss(teacher_logits, student_logits, targets)
+    return kl + nll
+
+
+def cap(betas, m_global):
+    return cap_loss_global_grad(betas, m_global)[0]
 
 
 @pytest.fixture
@@ -76,13 +82,13 @@ class TestGateForward:
 class TestQualityLoss:
     def test_equal_logits_one_hot_teacher(self):
         logits = np.array([[30.0, 0.0, 0.0], [0.0, 30.0, 0.0]])
-        loss = quality_loss(logits, logits, [0, 1])
+        loss = quality(logits, logits, [0, 1])
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_kl_term_vanishes_when_equal(self, rng):
         logits = rng.normal(size=(4, 6))
         targets = rng.integers(0, 6, size=4)
-        loss = quality_loss(logits, logits, targets)
+        loss = quality(logits, logits, targets)
         # loss reduces to the pure NLL of the shared distribution
         log_q = logits - logits.max(1, keepdims=True)
         log_q = log_q - np.log(np.exp(log_q).sum(1, keepdims=True))
@@ -107,7 +113,7 @@ class TestQualityLoss:
                 want += sum(pi * math.log(pi / qi) for pi, qi in zip(p, q))
                 want += -math.log(q[targets[t]])
             want /= 2
-            got = quality_loss(p_logits, q_logits, targets)
+            got = quality(p_logits, q_logits, targets)
             assert got == pytest.approx(want, rel=1e-10)
 
     def test_nonfinite_rejected(self):
@@ -115,38 +121,47 @@ class TestQualityLoss:
         with pytest.raises(ValueError):
             quality_loss(bad, bad, [0])
 
+    def test_mismatched_shapes_rejected(self, rng):
+        logits = rng.normal(size=(3, 4))
+        with pytest.raises(ValueError, match="share a shape"):
+            quality_loss(logits, logits[:2], [0, 1])
+        with pytest.raises(ValueError, match="one vocab index"):
+            quality_loss(logits, logits, [0, 1])
+
+    def test_grad_matches_finite_differences(self, rng):
+        from retainkv.numerics import finite_diff_grad
+
+        p_logits = rng.normal(size=(3, 5))
+        q_logits = rng.normal(size=(3, 5))
+        targets = rng.integers(0, 5, size=3)
+        _, _, dlogits = quality_loss(p_logits, q_logits, targets)
+
+        def f(flat):
+            return quality(p_logits, flat.reshape(3, 5), targets)
+
+        fd = finite_diff_grad(f, q_logits.ravel()).reshape(3, 5)
+        np.testing.assert_allclose(dlogits, fd, rtol=1e-6, atol=1e-9)
+
 
 class TestCapLoss:
     def test_all_zero_beta_costs_head_count(self):
         # each step contributes exactly one unit per head via the age-0 term
         betas = np.zeros((4, 5))
-        assert cap_loss_global(betas, m_global=4.0) == 0.0
-        assert cap_loss_global(betas, m_global=3.0) == pytest.approx(5.0)
-        assert cap_loss_per_head(betas, 1.0) == 0.0
+        assert cap(betas, m_global=4.0) == 0.0
+        assert cap(betas, m_global=3.0) == pytest.approx(5.0)
 
     def test_all_one_beta_worked_example(self):
         betas = np.ones((1, 3))
         # per-step masses 1, 2, 3 against budget 2
-        assert cap_loss_global(betas, m_global=2.0) == pytest.approx(1.0)
+        assert cap(betas, m_global=2.0) == pytest.approx(1.0)
 
     def test_infinite_budget_is_free(self, rng):
         betas = rng.random((4, 8))
-        assert cap_loss_global(betas, m_global=np.inf) == 0.0
-
-    def test_per_head_equals_global_for_one_head(self, rng):
-        betas = rng.random((1, 6))
-        assert cap_loss_per_head(betas, 2.0) == pytest.approx(cap_loss_global(betas, 2.0))
-
-    def test_per_head_only_counts_over_budget_heads(self):
-        betas = np.stack([np.ones(4), np.zeros(4)])
-        # head 0 masses 1,2,3,4; head 1 masses all 1
-        want = sum(max(0.0, m - 2.0) for m in (1, 2, 3, 4))
-        assert cap_loss_per_head(betas, 2.0) == pytest.approx(want)
+        assert cap(betas, m_global=np.inf) == 0.0
 
     def test_under_budget_is_zero(self, rng):
         betas = 0.1 * rng.random((2, 6))
-        assert cap_loss_per_head(betas, 6.0) == 0.0
-        assert cap_loss_global(betas, 12.0) == 0.0
+        assert cap(betas, 12.0) == 0.0
 
     def test_grad_matches_finite_differences(self, rng):
         from retainkv.numerics import finite_diff_grad
@@ -156,22 +171,64 @@ class TestCapLoss:
         _, grad = cap_loss_global_grad(betas, m)
 
         def f(flat):
-            return cap_loss_global(flat.reshape(2, 5), m)
+            return cap(flat.reshape(2, 5), m)
 
         fd = finite_diff_grad(f, betas.ravel()).reshape(2, 5)
         np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8)
 
 
-class TestTotalLoss:
-    def test_weighted_sum(self):
-        assert total_loss(2.0, 3.0, 0.5) == pytest.approx(3.5)
+def cap_oracle(betas, m_global):
+    """Double loop over steps t and tokens i <= t: beta**0 == 1, and
+    d beta**(t-i) / d beta == (t - i) * beta**(t - i - 1)."""
+    G, T = betas.shape
+    loss = 0.0
+    dbeta = np.zeros((G, T))
+    for t in range(T):
+        mass = sum(1.0 if i == t else float(betas[g, i]) ** (t - i)
+                   for g in range(G) for i in range(t + 1))
+        if mass > m_global:
+            loss += mass - m_global
+            for g in range(G):
+                for i in range(t):
+                    dbeta[g, i] += (t - i) * float(betas[g, i]) ** (t - i - 1)
+    return loss, dbeta
 
-    def test_zero_cap(self):
-        assert total_loss(1.25, 0.0, 1.0) == 1.25
 
-    def test_negative_lambda_rejected(self):
+class TestCapLossOracle:
+    """Loss and gradient against `cap_oracle`, including the betas exactly 0
+    and 1 that central differences cannot reach."""
+
+    @pytest.mark.parametrize("G,T", [(1, 1), (3, 1), (1, 6), (4, 9), (2, 17)])
+    @pytest.mark.parametrize("kind", ["random", "zeros", "ones", "mixed"])
+    def test_matches_oracle(self, rng, G, T, kind):
+        betas = {"random": rng.random((G, T)),
+                 "zeros": np.zeros((G, T)),
+                 "ones": np.ones((G, T)),
+                 "mixed": rng.choice([0.0, 0.5, 1.0], size=(G, T))}[kind]
+        for m_global in (0.0, 0.5 * G, 0.3 * G * T, float(G * T)):
+            loss, dbeta = cap_loss_global_grad(betas, m_global)
+            want_loss, want_dbeta = cap_oracle(betas, m_global)
+            assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(dbeta, want_dbeta, rtol=1e-12, atol=1e-12)
+            assert dbeta.shape == (G, T)
+
+    def test_zero_beta_gradient_counts_age_one_only(self):
+        # masses are 1 and 1 + 0**1; the age-1 term has slope 1 * 0**0 == 1
+        loss, dbeta = cap_loss_global_grad(np.zeros((1, 2)), 0.5)
+        assert loss == 0.5 + 0.5
+        assert dbeta.tolist() == [[1.0, 0.0]]
+
+    def test_one_beta_gradient_is_sum_of_ages(self):
+        loss, dbeta = cap_loss_global_grad(np.ones((2, 3)), 0.0)
+        assert loss == 2.0 + 4.0 + 6.0
+        assert dbeta.tolist() == [[3.0, 1.0, 0.0]] * 2
+
+    @pytest.mark.parametrize("bad", [-1e-12, 1.0 + 1e-12, np.nan])
+    def test_out_of_range_rejected(self, bad):
+        betas = np.full((2, 3), 0.5)
+        betas[1, 2] = bad
         with pytest.raises(ValueError):
-            total_loss(1.0, 1.0, -0.1)
+            cap_loss_global_grad(betas, 1.0)
 
 
 class TestCheckpoint:

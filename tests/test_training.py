@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from retainkv.backbone import random_backbone, student_forward
-from retainkv.gates import ModelShape, _retained_mass_per_step, init_gate_params
+from retainkv.gates import ModelShape, cap_loss_global_grad, init_gate_params
 from retainkv.training import DivergenceError, loss_and_grads, train_gates
 
 SHAPE = ModelShape(layers=2, heads=2, head_dim=4, gate_hidden=4, seq_len=12, vocab=12)
@@ -36,12 +36,12 @@ class TestTrainGates:
         m_global = 0.3 * SHAPE.seq_len * SHAPE.head_count
         res = train_gates(bb, gates, sequences, lam=1.0, m_global=m_global,
                           lr=0.01, steps=150, batch_size=2, seed=0)
-        worst = 0.0
+        # a zero hinge at 1.1 * m_global means no step's mass exceeds it
         for seq in sequences:
             _, trace = student_forward(bb, res.params, seq)
-            mass = _retained_mass_per_step(trace.betas.reshape(SHAPE.head_count, -1))
-            worst = max(worst, float(mass.max()))
-        assert worst <= 1.1 * m_global
+            over, _ = cap_loss_global_grad(trace.betas.reshape(SHAPE.head_count, -1),
+                                           1.1 * m_global)
+            assert over == 0.0
 
     def test_identical_seeds_give_bit_identical_params(self, setup, tmp_path):
         from retainkv.gates import save_gates
@@ -97,6 +97,17 @@ class TestLossAndGrads:
         assert br.total == pytest.approx(br.quality + 0.7 * br.cap, rel=1e-12)
         assert br.quality == pytest.approx(br.kl + br.nll, rel=1e-12)
         assert br.cap >= 0.0
+
+    def test_zero_cap_total_is_quality(self, setup):
+        bb, gates, sequences = setup
+        br, _ = loss_and_grads(bb, gates, sequences[0], lam=1.0, m_global=np.inf)
+        assert br.cap == 0.0
+        assert br.total == br.quality
+
+    def test_negative_lambda_rejected(self, setup):
+        bb, gates, sequences = setup
+        with pytest.raises(ValueError, match="lambda"):
+            loss_and_grads(bb, gates, sequences[0], lam=-0.1, m_global=1.0)
 
     def test_too_short_sequence_rejected(self, setup):
         bb, gates, _ = setup
