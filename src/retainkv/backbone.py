@@ -60,10 +60,12 @@ def random_backbone(shape: ModelShape, rng: np.random.Generator,
     )
 
 
-def _causal_softmax(scores: Array) -> Array:
-    """Row-wise softmax over columns i <= t; rows are query positions."""
-    T = scores.shape[0]
-    masked = np.where(np.tril(np.ones((T, T), dtype=bool)), scores, -np.inf)
+def _causal_softmax(scores: Array, causal: Array) -> Array:
+    """Row-wise softmax over columns i <= t; rows are query positions.
+
+    `causal` is the [T, T] boolean mask of i <= t.
+    """
+    masked = np.where(causal, scores, -np.inf)
     m = masked.max(axis=1, keepdims=True)
     e = np.exp(masked - m)
     return e / e.sum(axis=1, keepdims=True)
@@ -82,12 +84,9 @@ class ForwardTrace:
     """Student activations cached for the manual backward pass."""
 
     tokens: np.ndarray
-    logits: Array
     betas: Array                 # [L, H, T]
-    x_in: list                   # per layer [T, d_model]
     per_head: list               # [L][H] dict of q, k, v, w, gate intermediates
-    mlp: list                    # per layer dict of x, a
-    h_final: Array
+    mlp_act: list                # per layer [T, d_ff] tanh activations
 
 
 def teacher_forward(bb: Backbone, tokens) -> Array:
@@ -109,15 +108,17 @@ def student_forward(bb: Backbone, gates: GateParams | None, tokens) -> tuple[Arr
     if T > shape.seq_len:
         raise ValueError(f"sequence length {T} exceeds model limit {shape.seq_len}")
     L, H, dh = shape.layers, shape.heads, shape.head_dim
-    ages = np.arange(T)[:, None] - np.arange(T)[None, :]
+    causal = np.tri(T, dtype=bool)  # [t, i] is i <= t
+    if gates is not None:
+        ages = np.subtract.outer(np.arange(T), np.arange(T)).astype(np.float64)
+        aged = ages > 0
 
     h = bb.embed[tokens] + bb.pos[:T]
     betas = np.ones((L, H, T))
-    x_in, per_head_all, mlp_caches = [], [], []
+    per_head_all, mlp_acts = [], []
 
     for l in range(L):
         x = h
-        x_in.append(x)
         attn = np.zeros_like(h)
         # k and v may feed the gate, which runs once for all heads; q waits for
         # its head, as computing it here too raised peak memory ~1 MB at T=489
@@ -131,20 +132,19 @@ def student_forward(bb: Backbone, gates: GateParams | None, tokens) -> tuple[Arr
             cache["q"] = x @ bb.wq[l, hd]
             z = (cache["q"] @ cache["k"].T) / np.sqrt(dh)
             if gates is not None:
-                z = z + np.where(ages > 0, ages * np.log(beta[hd])[None, :], 0.0)
+                z += np.where(aged, ages * np.log(beta[hd])[None, :], 0.0)
                 cache.update({"gin": gin[hd], "h1": h1[hd], "p": p[hd], "beta": beta[hd]})
-            w = _causal_softmax(z)
+            w = _causal_softmax(z, causal)
             cache["w"] = w
             attn += (w @ cache["v"]) @ bb.wo[l, hd]
         per_head_all.append(heads)
         h = h + attn
         a = np.tanh(h @ bb.mlp_w1[l] + bb.mlp_b1[l])
-        mlp_caches.append({"x": h, "a": a})
+        mlp_acts.append(a)
         h = h + a @ bb.mlp_w2[l] + bb.mlp_b2[l]
 
     logits = h @ bb.unembed
-    trace = ForwardTrace(tokens, logits, betas, x_in, per_head_all, mlp_caches, h)
-    return logits, trace
+    return logits, ForwardTrace(tokens, betas, per_head_all, mlp_acts)
 
 
 def student_backward(bb: Backbone, gates: GateParams, trace: ForwardTrace,
@@ -165,9 +165,8 @@ def student_backward(bb: Backbone, gates: GateParams, trace: ForwardTrace,
 
     dh_grad = dlogits @ bb.unembed.T
     for l in reversed(range(L)):
-        mc = trace.mlp[l]
         da = dh_grad @ bb.mlp_w2[l].T
-        dpre = da * (1.0 - mc["a"] ** 2)
+        dpre = da * (1.0 - trace.mlp_act[l] ** 2)
         dh_grad = dh_grad + dpre @ bb.mlp_w1[l].T
 
         dx = dh_grad.copy()  # residual into the layer input

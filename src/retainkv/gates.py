@@ -232,8 +232,8 @@ def cap_loss_global_grad(betas: Array, m_global: float) -> tuple[float, Array]:
     with np.errstate(divide="ignore", invalid="ignore"):
         decay = ages * np.log(b)[:, None, :]
     np.exp(decay, out=decay, where=ages > 0)
-    decay[:, ages < 0] = 0.0
-    decay[:, ages == 0] = 1.0
+    np.copyto(decay, 0.0, where=ages < 0)
+    np.copyto(decay, 1.0, where=ages == 0)
     mass = decay.sum(axis=2).sum(axis=0)
     loss = float(np.maximum(0.0, mass - m_global).sum())
     # beta ** (t - i - 1) is the decay one step earlier

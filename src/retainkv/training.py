@@ -16,6 +16,7 @@ import numpy as np
 
 from .backbone import Backbone, student_backward, student_forward, teacher_forward
 from .gates import GateParams, cap_loss_global_grad, quality_loss
+from .numerics import Array
 
 
 class DivergenceError(RuntimeError):
@@ -48,19 +49,26 @@ class TrainResult:
 
 
 def loss_and_grads(bb: Backbone, gates: GateParams, tokens, lam: float,
-                   m_global: float) -> tuple[LossBreakdown, GateParams]:
+                   m_global: float, teacher_logits: Array | None = None,
+                   ) -> tuple[LossBreakdown, GateParams]:
     """Full objective on one sequence plus analytic gate gradients.
 
     Positions 0..T-2 predict the next token. The capacity hinge is evaluated
     on the betas the student actually produced for this sequence. The total is
-    quality + lam * cap.
+    quality + lam * cap. `teacher_logits`, if given, must be
+    `teacher_forward(bb, tokens)`; the teacher is frozen, so a caller that
+    sees the same sequence again may pass them instead of recomputing them.
     """
     if lam < 0.0:
         raise ValueError("lambda must be >= 0")
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.shape[0] < 2:
         raise ValueError("need at least two tokens to form a prediction")
-    teacher_logits = teacher_forward(bb, tokens)
+    if teacher_logits is None:
+        teacher_logits = teacher_forward(bb, tokens)
+    elif np.shape(teacher_logits) != (tokens.shape[0], bb.shape.vocab):
+        raise ValueError(f"teacher logits of shape {np.shape(teacher_logits)} for "
+                         f"{tokens.shape[0]} tokens and vocab {bb.shape.vocab}")
     student_logits, trace = student_forward(bb, gates, tokens)
     targets = tokens[1:]
     kl, nll, dlogits_used = quality_loss(teacher_logits[:-1], student_logits[:-1], targets)
@@ -88,14 +96,22 @@ def train_gates(bb: Backbone, gates: GateParams, sequences, *, lam: float = 1.0,
 
     `sequences` is a list of token arrays sampled up front so that (seed,
     config) fully determines the run. Gradients within a batch average in
-    list order.
+    list order. Each pool sequence's teacher logits are computed the first
+    time it is drawn and reused for the rest of the call.
     """
-    rng = np.random.default_rng(seed)
-    params = gates.copy()
-    history: list[LossBreakdown] = []
     n = len(sequences)
     if n == 0:
         raise ValueError("no training sequences")
+    if steps < 1 or batch_size < 1:
+        raise ValueError(f"steps ({steps}) and batch_size ({batch_size}) must be >= 1")
+    if not lr > 0.0:
+        raise ValueError(f"lr must be > 0, got {lr}")
+    if not m_global >= 0.0:
+        raise ValueError(f"m_global must be >= 0, got {m_global}")
+    rng = np.random.default_rng(seed)
+    params = gates.copy()
+    history: list[LossBreakdown] = []
+    teacher: dict[int, Array] = {}
     # low first-moment decay: the capacity hinge is a cliff in beta space, and
     # ordinary momentum carries the betas through the release point into
     # irrecoverable sigmoid saturation
@@ -110,8 +126,11 @@ def train_gates(bb: Backbone, gates: GateParams, sequences, *, lam: float = 1.0,
         idx = rng.integers(0, n, size=batch_size)
         batch_grads = params.zeros_like()
         tot = qual = cap = kl = nll = 0.0
-        for i in idx:
-            breakdown, grads = loss_and_grads(bb, params, sequences[int(i)], lam, m_global)
+        for i in map(int, idx):
+            if i not in teacher:
+                teacher[i] = teacher_forward(bb, sequences[i])
+            breakdown, grads = loss_and_grads(bb, params, sequences[i], lam, m_global,
+                                              teacher[i])
             accumulate(batch_grads, grads, 1.0 / batch_size)
             tot += breakdown.total / batch_size
             qual += breakdown.quality / batch_size

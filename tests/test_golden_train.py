@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from retainkv import cli
+from retainkv import cli, training
 
 GOLDEN = Path(__file__).with_name("data") / "golden_train.json"
 SEED = 3
@@ -91,6 +91,30 @@ def test_train_matches_golden(key, golden, tmp_path):
     assert got == want
     caps = [float.fromhex(s["cap"]) for s in got["steps"]]
     assert key[1] != "tight_budget" or min(caps) > 0.0
+
+
+def test_teacher_runs_once_per_drawn_sequence(golden, tmp_path, monkeypatch):
+    """The teacher runs once for each distinct pool sequence drawn, and reusing
+    its logits leaves every output bit unchanged."""
+    teacher_calls, draws = [], []
+    real_teacher, real_loss = training.teacher_forward, training.loss_and_grads
+
+    def count_teacher(bb, tokens):
+        teacher_calls.append(id(tokens))
+        return real_teacher(bb, tokens)
+
+    def record_draw(bb, gates, tokens, *args):
+        draws.append(id(tokens))
+        return real_loss(bb, gates, tokens, *args)
+
+    monkeypatch.setattr(training, "teacher_forward", count_teacher)
+    monkeypatch.setattr(training, "loss_and_grads", record_draw)
+    got = run("default", "tight_budget", tmp_path)
+    # pool sequences stay alive for the whole run, so id() names a pool index
+    assert len(draws) == SMALL_TASK["train"]["steps"] * SMALL_TASK["train"]["batch_size"]
+    assert len(set(draws)) < len(draws)
+    assert sorted(teacher_calls) == sorted(set(draws))
+    assert got == golden["default/tight_budget"]
 
 
 if __name__ == "__main__":

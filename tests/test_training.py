@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from retainkv.backbone import random_backbone, student_forward
+from retainkv.backbone import random_backbone, student_forward, teacher_forward
 from retainkv.gates import ModelShape, cap_loss_global_grad, init_gate_params
 from retainkv.training import DivergenceError, loss_and_grads, train_gates
 
@@ -58,15 +58,26 @@ class TestTrainGates:
 
     def test_divergence_aborts_with_diagnostic(self, setup):
         bb, gates, sequences = setup
-        # force the capacity term past the abort threshold
+        # force the capacity term past the abort threshold: at m_global 0 the
+        # hinge is at least the T * G age-0 terms
         with pytest.raises(DivergenceError, match="learning rate"):
-            train_gates(bb, gates, sequences, lam=1.0, m_global=-1e7,
+            train_gates(bb, gates, sequences, lam=1e7, m_global=0.0,
                         lr=0.01, steps=5, batch_size=2, seed=0)
 
     def test_empty_dataset_rejected(self, setup):
         bb, gates, _ = setup
         with pytest.raises(ValueError):
             train_gates(bb, gates, [], lam=1.0, m_global=1.0, steps=1)
+
+    @pytest.mark.parametrize("bad", [{"steps": 0}, {"batch_size": 0}, {"lr": 0.0},
+                                     {"lr": -1.0}, {"m_global": -5.0}],
+                             ids=lambda b: "{}={}".format(*next(iter(b.items()))))
+    def test_bad_arguments_rejected(self, setup, bad):
+        bb, gates, sequences = setup
+        kwargs = dict(lam=1.0, m_global=1.0, lr=0.01, steps=2, batch_size=2, seed=0)
+        kwargs.update(bad)
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            train_gates(bb, gates, sequences, **kwargs)
 
     def test_loss_rows_schema(self, setup):
         bb, gates, sequences = setup
@@ -113,3 +124,19 @@ class TestLossAndGrads:
         bb, gates, _ = setup
         with pytest.raises(ValueError):
             loss_and_grads(bb, gates, np.array([1]), 1.0, 1.0)
+
+    def test_supplied_teacher_logits_change_nothing(self, setup):
+        bb, gates, sequences = setup
+        seq = sequences[0]
+        want_br, want_grads = loss_and_grads(bb, gates, seq, 0.7, 3.0)
+        got_br, got_grads = loss_and_grads(bb, gates, seq, 0.7, 3.0, teacher_forward(bb, seq))
+        assert [float.hex(v) for v in vars(got_br).values()] == \
+            [float.hex(v) for v in vars(want_br).values()]
+        for name, want in want_grads.tensors().items():
+            assert got_grads.tensors()[name].tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("shape", [(11, 12), (12, 13), (12,)])
+    def test_wrong_teacher_logits_shape_rejected(self, setup, shape):
+        bb, gates, sequences = setup
+        with pytest.raises(ValueError, match="teacher logits"):
+            loss_and_grads(bb, gates, sequences[0], 1.0, 1.0, np.zeros(shape))
