@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import GateParams, ModelShape, _gate_mlp
-from .numerics import Array
+from .numerics import Array, softmax_kernel
 
 
 @dataclass
@@ -58,17 +58,6 @@ def random_backbone(shape: ModelShape, rng: np.random.Generator,
         mlp_b2=np.zeros((L, d)),
         unembed=w(d, shape.vocab, fan=d),
     )
-
-
-def _causal_softmax(scores: Array, causal: Array) -> Array:
-    """Row-wise softmax over columns i <= t; rows are query positions.
-
-    `causal` is the [T, T] boolean mask of i <= t.
-    """
-    masked = np.where(causal, scores, -np.inf)
-    m = masked.max(axis=1, keepdims=True)
-    e = np.exp(masked - m)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def _gate_input(x: Array, k: Array, v: Array, mode: str) -> Array:
@@ -134,7 +123,7 @@ def student_forward(bb: Backbone, gates: GateParams | None, tokens) -> tuple[Arr
             if gates is not None:
                 z += np.where(aged, ages * np.log(beta[hd])[None, :], 0.0)
                 cache.update({"gin": gin[hd], "h1": h1[hd], "p": p[hd], "beta": beta[hd]})
-            w = _causal_softmax(z, causal)
+            w = softmax_kernel(np.where(causal, z, -np.inf))
             cache["w"] = w
             attn += (w @ cache["v"]) @ bb.wo[l, hd]
         per_head_all.append(heads)

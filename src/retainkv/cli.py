@@ -436,7 +436,7 @@ def cmd_eval(cfg: dict, seed: int, out: str, args) -> int:
              "mean_retained": c.mean_retained, "peak_entries": c.peak_entries,
              "seconds": round(c.seconds, 4)} for c in cells]
     write_csv(os.path.join(out, "eval.csv"), rows, EVAL_COLUMNS, "eval")
-    if trace:
+    if trace is not None:
         trows = [{"step": r.step, "layer": r.layer, "head": r.head,
                   "token_birth": r.token_birth, "score": r.score, "action": r.action}
                  for r in trace]

@@ -16,6 +16,7 @@ import numpy as np
 from .backbone import Backbone, _gate_input
 from .eviction import POLICIES, EvictionConfig, EvictionPolicy, TraceRow
 from .gates import GateParams, gate_forward_batch
+from .numerics import softmax_kernel
 from .paged_cache import PagedKVStore
 from .tasks import Sample
 
@@ -123,10 +124,7 @@ def decode_sequence(bb: Backbone, gates: GateParams | None, sample: Sample,
                 store.append(l, hd, k_all[hd], v_all[hd], t, betas[hd])
                 policy.admit(l, hd, t, betas[hd])
                 snap = store.gather(l, hd)
-                z = snap.keys @ q_all[hd] / scale
-                z = z - z.max()
-                e = np.exp(z)
-                w = e / e.sum()
+                w = softmax_kernel(snap.keys @ q_all[hd] / scale)
                 attn += (w @ snap.values) @ bb.wo[l, hd]
                 if recorder is not None:
                     recorder.observe(l, hd, t, snap.births, w)

@@ -52,14 +52,24 @@ def sigmoid(x):
     return out
 
 
+def softmax_kernel(z: Array) -> Array:
+    """Max-subtracted softmax along the last axis, with no input checks.
+
+    The package's one softmax: `softmax`, `softmax_log_space`, the backbone's
+    causal attention and decode all call it. Entries at -inf get weight
+    exactly 0; every row needs at least one finite entry.
+    """
+    m = z.max(-1, keepdims=True)
+    e = np.exp(z - m)
+    return e / e.sum(-1, keepdims=True)
+
+
 def softmax(logits: Array) -> Array:
     """Plain max-subtracted softmax over a 1-D logit vector."""
     z = as_vector(logits, "logits")
     if z.size == 0:
         raise EmptySupportError("softmax of an empty logit vector")
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
+    return softmax_kernel(z)
 
 
 def softmax_log_space(logits: Array, log_weights: Array) -> Array:
@@ -81,12 +91,9 @@ def softmax_log_space(logits: Array, log_weights: Array) -> Array:
     if np.any(np.isnan(lw)) or np.any(lw > 0.0):
         raise ValueError("log_weights must lie in [-inf, 0]")
     combined = z + lw
-    finite = np.isfinite(combined)
-    if not finite.any():
+    if not np.isfinite(combined).any():
         raise EmptySupportError("all entries have zero weight")
-    m = combined[finite].max()
-    w = np.exp(combined - m)  # exp(-inf) == 0.0 exactly
-    return w / w.sum()
+    return softmax_kernel(combined)
 
 
 def geometric_log_weights(betas: Array, ages: Array) -> Array:

@@ -1,13 +1,12 @@
 """Paged KV storage with per-(layer, head) block tables.
 
-Each (layer, head) keeps its live keys, values, births and betas in compacted
-arrays in birth order; that is the only copy of the cache, and `gather`
-returns views of it without copying. Pages account for that storage: entries
-occupy slots of fixed-size pages drawn from a shared pool, and each head owns
-an ordered block table of page ids forming a variable-length logical
-sequence. Eviction tombstones slots in place and returns fully emptied pages
-to a LIFO free list, so page use follows the paged layout exactly; `compact`
-repacks a head's survivors into the minimal number of pages.
+Each (layer, head) keeps its live entries as rows [0, n) of one array set in
+birth order: keys, values, births, betas and slots, the only record of the
+cache; `gather` returns read-only views of it. A slot is `page_id * page_size
++ index in page` in a shared pool of fixed-size pages, and a head's block
+table (its page ids in logical order) is derived from its slot column.
+Eviction moves the survivors down in place and returns emptied pages to a LIFO
+free list; `compact` repacks a head's survivors into the fewest pages.
 """
 
 from __future__ import annotations
@@ -36,99 +35,57 @@ class GatherResult:
         return self.births.shape[0]
 
 
-class _Page:
-    __slots__ = ("occupied", "live", "cursor")
+class _Head:
+    """A head's live entries in birth order: rows [0, n) of its columns."""
 
-    def __init__(self, page_size: int):
-        self.occupied = np.zeros(page_size, dtype=bool)
-        self.live = 0
-        # next append slot; holes left by eviction are never refilled, which
-        # keeps slot order identical to birth order
-        self.cursor = 0
-
-    def reset(self) -> None:
-        self.occupied[:] = False
-        self.live = 0
-        self.cursor = 0
-
-
-class _HeadData:
-    """A head's live entries in birth order: rows [start, stop) of its arrays.
-
-    A row is never rewritten once a view of it may exist: appends go past
-    `stop`, evicting the oldest rows only advances `start`, and any other
-    eviction copies the survivors into new arrays.
-    """
-
-    __slots__ = ("arrays", "readonly", "start", "stop")
+    __slots__ = ("cols", "readonly", "n", "max_birth", "last_slot")
 
     def __init__(self, capacity: int, dim: int):
-        # keys, values, births, betas
-        self.arrays = (np.empty((capacity, dim)), np.empty((capacity, dim)),
-                       np.empty(capacity, dtype=np.int64), np.empty(capacity))
-        self.readonly = tuple(a.view() for a in self.arrays)
+        # keys, values, births, betas, slots
+        self.cols = (np.empty((capacity, dim)), np.empty((capacity, dim)),
+                     np.empty(capacity, dtype=np.int64), np.empty(capacity),
+                     np.empty(capacity, dtype=np.int64))
+        self.readonly = tuple(a.view() for a in self.cols)
         for a in self.readonly:
             a.flags.writeable = False
-        self.start = self.stop = 0
-
-    def views(self) -> tuple[Array, Array, np.ndarray, np.ndarray]:
-        """Read-only views of the live rows."""
-        s, e = self.start, self.stop
-        keys, values, births, betas = self.readonly
-        return keys[s:e], values[s:e], births[s:e], betas[s:e]
-
-    def append(self, key: Array, value: Array, birth: int, beta: float, spare: int) -> None:
-        if self.stop == self.arrays[2].shape[0]:
-            self._rebuild(None, max(spare, self.stop - self.start))
-        i = self.stop
-        keys, values, births, betas = self.arrays
-        keys[i] = key
-        values[i] = value
-        births[i] = birth
-        betas[i] = beta
-        self.stop = i + 1
-
-    def drop(self, births: list[int], spare: int) -> None:
-        """Remove live births (each present once)."""
-        pos = np.searchsorted(self.arrays[2][self.start:self.stop], births)
-        if pos.max() == len(births) - 1:    # exactly the oldest rows
-            self.start += len(births)
-            return
-        keep = np.ones(self.stop - self.start, dtype=bool)
-        keep[pos] = False
-        self._rebuild(keep, spare)
-
-    def _rebuild(self, keep: np.ndarray | None, spare: int) -> None:
-        """Copy the live rows, or those `keep` selects, into new arrays."""
-        live = self.views()
-        n = live[2].shape[0] if keep is None else int(np.count_nonzero(keep))
-        fresh = _HeadData(n + spare, live[0].shape[1])
-        for dst, src in zip(fresh.arrays, live):
-            if keep is None:
-                dst[:n] = src
-            else:
-                src.compress(keep, axis=0, out=dst[:n])
-        self.arrays, self.readonly = fresh.arrays, fresh.readonly
-        self.start, self.stop = 0, n
-
-
-class _BlockTable:
-    __slots__ = ("page_ids", "logical_length", "slot_of_birth", "max_birth")
-
-    def __init__(self):
-        self.page_ids: list[int] = []
-        self.logical_length = 0
-        self.slot_of_birth: dict[int, tuple[int, int]] = {}
+        self.n = 0
         self.max_birth = -1
+        # slot of the latest placed entry while its page is held, else -1;
+        # holes left by eviction are never refilled, so slots follow births
+        self.last_slot = -1
+
+    @property
+    def slots(self) -> np.ndarray:
+        return self.cols[4][:self.n]
+
+    def push(self, key: Array, value: Array, birth: int, beta: float, slot: int) -> None:
+        i = self.n
+        if i == self.cols[2].shape[0]:
+            fresh = _Head(2 * i, key.shape[0])
+            for dst, src in zip(fresh.cols, self.cols):
+                dst[:i] = src
+            self.cols, self.readonly = fresh.cols, fresh.readonly
+        for col, x in zip(self.cols, (key, value, birth, beta, slot)):
+            col[i] = x
+        self.n = i + 1
+
+    def drop(self, rows: list[int]) -> None:
+        """Remove rows (ascending): each run of kept rows moves down over the
+        dropped rows before it, so only rows after the first dropped one move."""
+        for shift, (r, end) in enumerate(zip(rows, rows[1:] + [self.n]), 1):
+            if end > r + 1:
+                for col in self.cols:
+                    col[r + 1 - shift:end - shift] = col[r + 1:end]
+        self.n -= len(rows)
 
 
 class PagedKVStore:
     """Fixed-size pages, per-(layer, head) block tables, per-head logical lengths.
 
-    Single writer per (layer, head). A `gather` snapshot never changes:
-    `append` writes past the end of every view already returned, and `evict`
-    either drops the oldest rows from the live range or rebuilds the survivors
-    into new arrays.
+    Single writer per (layer, head). A `gather` result stays valid across
+    appends (they write past the end of every view already returned, or into
+    new arrays), compactions and evictions of other heads; an `evict` of the
+    same head moves its rows and invalidates it.
     """
 
     def __init__(self, layers: int, heads: int, dim: int,
@@ -140,45 +97,41 @@ class PagedKVStore:
         self.dim = dim
         self.page_size = page_size
         self.max_pages = max_pages
-        self._pages: dict[int, _Page] = {}
+        self._live: list[int] = []      # live entries per page id, one per allocated page
         self._free: list[int] = []      # LIFO reuse for reproducible traces
-        self._next_page_id = 0
-        self._tables = {(l, h): _BlockTable() for l in range(layers) for h in range(heads)}
-        self._data = {key: _HeadData(page_size, dim) for key in self._tables}
+        self._in_use = 0
+        self._heads = {(l, h): _Head(page_size, dim) for l in range(layers) for h in range(heads)}
 
     # -- allocation ---------------------------------------------------------
 
     def _alloc_page(self) -> int:
         if self._free:
             pid = self._free.pop()
-            self._pages[pid].reset()
-            return pid
-        if self.max_pages is not None and len(self._pages) >= self.max_pages:
+        elif self.max_pages is not None and len(self._live) >= self.max_pages:
             raise CacheCapacityError(f"page pool exhausted (max_pages={self.max_pages})")
-        pid = self._next_page_id
-        self._next_page_id += 1
-        self._pages[pid] = _Page(self.page_size)
+        else:
+            pid = len(self._live)
+            self._live.append(0)
+        self._in_use += 1
         return pid
 
-    def _table(self, layer: int, head: int) -> _BlockTable:
+    def _free_page(self, hd: _Head, pid: int) -> None:
+        self._live[pid] = 0
+        self._free.append(pid)
+        self._in_use -= 1
+        if pid == hd.last_slot // self.page_size:
+            hd.last_slot = -1
+
+    def _head(self, layer: int, head: int) -> _Head:
         try:
-            return self._tables[(layer, head)]
+            return self._heads[(layer, head)]
         except KeyError:
             raise IndexError(f"no such (layer, head): ({layer}, {head})") from None
 
-    def _place(self, table: _BlockTable, birth: int) -> None:
-        """Occupy the next slot of the head's tail page, opening a page if full."""
-        if table.page_ids and self._pages[table.page_ids[-1]].cursor < self.page_size:
-            pid = table.page_ids[-1]
-        else:
-            pid = self._alloc_page()
-            table.page_ids.append(pid)
-        page = self._pages[pid]
-        slot = page.cursor
-        page.occupied[slot] = True
-        page.live += 1
-        page.cursor += 1
-        table.slot_of_birth[birth] = (pid, slot)
+    def _block_table(self, hd: _Head) -> list[int]:
+        """The head's page ids in logical order, one per run of its slot column."""
+        pages = hd.slots // self.page_size
+        return pages[np.diff(pages, prepend=-1) != 0].tolist()
 
     # -- operations ---------------------------------------------------------
 
@@ -188,10 +141,10 @@ class PagedKVStore:
         Returns the (page_id, slot) address. Births must be strictly
         increasing per head and may never revive an evicted birth index.
         """
-        table = self._table(layer, head)
+        hd = self._head(layer, head)
         birth = int(birth)
-        if birth <= table.max_birth:
-            raise ValueError(f"birth {birth} not after previous max {table.max_birth}")
+        if birth <= hd.max_birth:
+            raise ValueError(f"birth {birth} not after previous max {hd.max_birth}")
         k = as_vector(key, "key")
         v = as_vector(value, "value")
         if k.shape[0] != self.dim or v.shape[0] != self.dim:
@@ -199,103 +152,107 @@ class PagedKVStore:
         if not (0.0 <= beta <= 1.0):
             raise ValueError("beta must lie in [0, 1]")
 
-        self._place(table, birth)
-        table.logical_length += 1
-        table.max_birth = birth
-        self._data[(layer, head)].append(k, v, birth, beta, self.page_size)
-        return table.slot_of_birth[birth]
+        slot = hd.last_slot + 1     # the tail page's next slot, unless it is full or gone
+        if slot % self.page_size == 0:
+            slot = self._alloc_page() * self.page_size
+        hd.push(k, v, birth, beta, slot)
+        hd.max_birth = birth
+        hd.last_slot = slot
+        self._live[slot // self.page_size] += 1
+        return divmod(slot, self.page_size)
 
     def evict(self, layer: int, head: int, births) -> None:
-        """Tombstone the given birth indices; free pages that become empty."""
-        table = self._table(layer, head)
+        """Remove the given birth indices; free pages that become empty."""
+        hd = self._head(layer, head)
         gone = [int(b) for b in births]
-        seen: set[int] = set()
+        stored = hd.cols[2][:hd.n]
+        present = set(stored.tolist())
         for birth in gone:
-            if birth not in table.slot_of_birth or birth in seen:
+            if birth not in present:     # missing, or named twice
                 raise KeyError(f"birth {birth} not present in ({layer}, {head})")
-            seen.add(birth)
-        for birth in gone:
-            pid, slot = table.slot_of_birth.pop(birth)
-            page = self._pages[pid]
-            page.occupied[slot] = False
-            page.live -= 1
-            table.logical_length -= 1
-            if page.live == 0:
-                table.page_ids.remove(pid)
-                self._free.append(pid)
-        if not gone:
-            return
-        self._data[(layer, head)].drop(gone, self.page_size)
+            present.remove(birth)
+        rows = stored.searchsorted(gone)
+        for slot in hd.slots[rows].tolist():
+            pid = slot // self.page_size
+            self._live[pid] -= 1
+            if self._live[pid] == 0:
+                self._free_page(hd, pid)
+        hd.drop(sorted(rows.tolist()))
 
     def gather(self, layer: int, head: int) -> GatherResult:
         """A head's live entries in logical (birth) order, as read-only views
         of the store's arrays (no copy)."""
-        self._table(layer, head)
-        return GatherResult(*self._data[(layer, head)].views())
+        hd = self._head(layer, head)
+        n = hd.n
+        keys, values, births, betas, _ = hd.readonly
+        return GatherResult(keys[:n], values[:n], births[:n], betas[:n])
 
     def compact(self, layer: int, head: int) -> None:
         """Repack a head's survivors into ceil(n / page_size) pages.
 
         Gather output is unchanged bit-for-bit; only the page layout moves.
         """
-        table = self._table(layer, head)
-        dense = all(self._pages[pid].live == self._pages[pid].cursor for pid in table.page_ids)
-        full_prefix = all(self._pages[pid].live == self.page_size for pid in table.page_ids[:-1])
-        if dense and full_prefix:
+        hd = self._head(layer, head)
+        n, ps = hd.n, self.page_size
+        table = self._block_table(hd)
+        occupancy = [self._live[pid] for pid in table]
+        # packed: every page is full but the tail, which is full up to its cursor
+        if not n or occupancy == [ps] * (len(table) - 1) + [hd.last_slot % ps + 1]:
             return
-        births = sorted(table.slot_of_birth)
-        for pid in table.page_ids:
-            self._free.append(pid)
-        table.page_ids = []
-        table.slot_of_birth = {}
-        for birth in births:
-            self._place(table, birth)
+        for pid in table:
+            self._free_page(hd, pid)
+        for i in range(-(-n // ps)):
+            pid = self._alloc_page()
+            self._live[pid] = min(ps, n - i * ps)
+            hd.slots[i * ps:(i + 1) * ps] = pid * ps + np.arange(self._live[pid])
+        hd.last_slot = int(hd.slots[-1])
 
     # -- accounting ---------------------------------------------------------
 
     def logical_length(self, layer: int, head: int) -> int:
-        return self._table(layer, head).logical_length
+        return self._head(layer, head).n
 
     def total_entries(self) -> int:
-        return sum(t.logical_length for t in self._tables.values())
+        return sum(hd.n for hd in self._heads.values())
 
     def pages_in_use(self) -> int:
-        return sum(len(t.page_ids) for t in self._tables.values())
+        return self._in_use
 
     def occupied_slots(self) -> int:
-        return sum(int(self._pages[pid].occupied.sum())
-                   for t in self._tables.values() for pid in t.page_ids)
+        return sum(self._live)
 
     def check_accounting(self) -> None:
-        """Internal consistency: occupancy matches lengths and the stored
-        entries, no page aliasing."""
-        if self.occupied_slots() != self.total_entries():
-            raise AssertionError("occupied slots disagree with logical lengths")
-        for key, t in self._tables.items():
-            births = self._data[key].views()[2]
-            if births.tolist() != sorted(t.slot_of_birth):
-                raise AssertionError(f"stored entries of {key} disagree with its block table")
+        """Internal consistency: page occupancy recounted from the stored
+        entries matches the page counts, no page aliasing."""
         seen: set[int] = set()
-        for t in self._tables.values():
-            for pid in t.page_ids:
+        for key, hd in self._heads.items():
+            if np.unique(hd.slots).shape[0] != hd.n or np.any(np.diff(hd.cols[2][:hd.n]) <= 0):
+                raise AssertionError(f"stored entries of {key} repeat a slot or a birth")
+            for pid in self._block_table(hd):
                 if pid in seen:
                     raise AssertionError(f"page {pid} appears in two block tables")
                 seen.add(pid)
+        pages = np.concatenate([hd.slots // self.page_size for hd in self._heads.values()])
+        if np.bincount(pages, minlength=len(self._live)).tolist() != self._live:
+            raise AssertionError("page occupancy disagrees with the stored entries")
+        if len(seen) != self._in_use:
+            raise AssertionError("pages in use disagree with the block tables")
         if seen & set(self._free):
             raise AssertionError("free page still referenced by a block table")
 
     def snapshot(self) -> dict:
         """JSON-serializable view of block tables and occupancy, for inspection."""
         tables = {}
-        for (l, h), t in sorted(self._tables.items()):
+        for (l, h), hd in sorted(self._heads.items()):
+            pages = self._block_table(hd)
             tables[f"{l},{h}"] = {
-                "pages": list(t.page_ids),
-                "logical_length": t.logical_length,
-                "occupancy": [self._pages[pid].live for pid in t.page_ids],
+                "pages": pages,
+                "logical_length": hd.n,
+                "occupancy": [self._live[pid] for pid in pages],
             }
         return {
             "page_size": self.page_size,
-            "pages_allocated": len(self._pages),
+            "pages_allocated": len(self._live),
             "free_pages": list(self._free),
             "tables": tables,
         }

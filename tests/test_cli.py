@@ -149,6 +149,15 @@ class TestTrainEvalSurvival:
         fracs = [float(r["fraction"]) for r in sorted(pooled, key=lambda r: int(r["horizon"]))]
         assert all(b <= a for a, b in zip(fracs, fracs[1:]))
 
+    def test_trace_without_scored_rows_is_header_only(self, tmp_path):
+        """`full` and `recency` score nothing, but a trace run still writes the file."""
+        payload = dict(SMALL_TASK, eval=dict(SMALL_TASK["eval"], trace=True))
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "run"
+        assert main(["eval", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
+        text = (out / "eviction_trace.csv").read_text()
+        assert text.splitlines() == ["step,layer,head,token_birth,score,action"]
+
     def test_gated_eval_without_checkpoint_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_TASK)
         payload = dict(SMALL_TASK)

@@ -237,6 +237,36 @@ def test_snapshot_is_json_serializable(rng):
     assert parsed["tables"]["0,0"]["logical_length"] == 10
 
 
+class TestCheckAccounting:
+    """Corrupt one record at a time; the recount from the stored rows catches it."""
+
+    def store(self, rng):
+        store = PagedKVStore(1, 2, 2, page_size=2)
+        for i in range(6):
+            store.append(0, i % 2, rng.normal(size=2), rng.normal(size=2), i, 1.0)
+        store.evict(0, 0, [0, 2])     # frees head 0's first page
+        store.check_accounting()
+        return store
+
+    def test_aliased_page_rejected(self, rng):
+        store = self.store(rng)
+        store._heads[(0, 1)].cols[4][0] = 2 * store.snapshot()["tables"]["0,0"]["pages"][0]
+        with pytest.raises(AssertionError):
+            store.check_accounting()
+
+    def test_referenced_free_page_rejected(self, rng):
+        store = self.store(rng)
+        store._free.append(store.snapshot()["tables"]["0,1"]["pages"][0])
+        with pytest.raises(AssertionError):
+            store.check_accounting()
+
+    def test_miscounted_page_rejected(self, rng):
+        store = self.store(rng)
+        store._live[store.snapshot()["tables"]["0,1"]["pages"][-1]] += 1
+        with pytest.raises(AssertionError):
+            store.check_accounting()
+
+
 class TestZeroCopySnapshots:
     def test_gather_returns_views_of_one_copy(self, rng):
         store = PagedKVStore(1, 1, 4, page_size=4)
@@ -246,30 +276,41 @@ class TestZeroCopySnapshots:
         for f in ("keys", "values", "births", "betas"):
             assert np.shares_memory(getattr(a, f), getattr(b, f)), f
 
-    def test_snapshot_never_changes(self, rng):
-        """Appends write past every returned view; evictions rebuild."""
+    def test_snapshot_valid_until_evict_of_its_head(self, rng):
+        """Appends, array growth included, and evictions or compactions of
+        another head never change a snapshot; nor does compacting its own
+        head. An evict of its own head moves rows in place, and the snapshot
+        taken after it matches a fresh copy."""
+        fields = ("keys", "values", "births", "betas")
         store = PagedKVStore(2, 1, 4, page_size=4)
-        taken = []
-        birth = 0
+        shadow = ShadowStore()
+        held = {0: [], 1: []}
+        birth = grew = 0
         for op in range(400):
             roll = rng.random()
             h = int(rng.integers(0, 2))
             live = store.gather(h, 0).births
             if roll < 0.6 or not len(live):
-                store.append(h, 0, rng.normal(size=4), rng.normal(size=4), birth,
-                             float(rng.random()))
+                k, v, beta = rng.normal(size=4), rng.normal(size=4), float(rng.random())
+                store.append(h, 0, k, v, birth, beta)
+                shadow.append(h, 0, k, v, birth, beta)
                 birth += 1
             elif roll < 0.9:
-                store.evict(h, 0, rng.choice(live, size=min(2, len(live)), replace=False))
+                gone = rng.choice(live, size=min(2, len(live)), replace=False)
+                store.evict(h, 0, gone)
+                shadow.evict(h, 0, gone)
+                held[h] = []
             else:
                 store.compact(h, 0)
+            assert_matches_shadow(store, shadow, h, 0)
             snap = store.gather(h, 0)
-            taken.append((snap, [np.array(getattr(snap, f)) for f in
-                                 ("keys", "values", "births", "betas")]))
+            grew += bool(held[h]) and held[h][-1][0].keys.base is not snap.keys.base
+            held[h].append((snap, [np.array(getattr(snap, f)) for f in fields]))
+            for s, copies in held[0] + held[1]:
+                for f, want in zip(fields, copies):
+                    assert np.array_equal(getattr(s, f), want), f
         store.check_accounting()
-        for snap, copies in taken:
-            for f, want in zip(("keys", "values", "births", "betas"), copies):
-                assert np.array_equal(getattr(snap, f), want), f
+        assert grew
 
     def test_bad_evict_leaves_store_unchanged(self, rng):
         store = PagedKVStore(1, 1, 2, page_size=2)
