@@ -5,8 +5,6 @@ from .backbone import Backbone, random_backbone, student_backward, student_forwa
 from .eviction import (
     EvictionConfig,
     EvictionPolicy,
-    global_score,
-    global_score_infinite,
     score_entries,
     select_retained,
 )
@@ -14,7 +12,6 @@ from .gates import (
     GateParams,
     ModelShape,
     cap_loss_global_grad,
-    gate_forward,
     init_gate_params,
     load_gates,
     quality_loss,

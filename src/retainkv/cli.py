@@ -22,13 +22,12 @@ import numpy as np
 
 from . import theory
 from .backbone import student_forward
-from .eviction import TraceRow
+from .eviction import SCORED, TraceRow
 from .evaluate import POLICIES, SelectionRecorder, decode_sequence, evaluate_policies
 from .gates import GateParams, init_gate_params, load_gates, save_gates
 from .tasks import TaskSpec, build_task_model, default_shape, generate_dataset
 from .theory import (
     PersistenceConfig,
-    StabilityError,
     check_reweighting_identity,
     check_dilution_bound,
     fit_var1,
@@ -57,8 +56,7 @@ DEFAULT_CONFIG = {
                  "horizons": [1, 2, 4, 8, 16, 32, 64]},
     "theory": {"bound_instances": 1000, "identity_instances": 1000,
                "persistence_configs": 5, "persistence_trials": 2000,
-               "n_max": 200, "var_fits": 10, "var_radius": 0.76,
-               "force_unstable": False},
+               "n_max": 200, "var_fits": 10, "var_radius": 0.76},
 }
 
 PRESETS = {
@@ -247,7 +245,8 @@ def _backbone_query_var(cfg: dict, rng: np.random.Generator) -> dict:
             "stable": fit.stable, "residual_rms": fit.residual_rms}
 
 
-def run_theory_suite(cfg: dict, seed: int) -> dict:
+def run_theory_suite(cfg: dict, seed: int) -> tuple[dict, list[dict]]:
+    """The theory report and the rows of `persistence.csv`."""
     tcfg = cfg["theory"]
     master = np.random.SeedSequence(seed)
     rng_bound, rng_ident, rng_pers, rng_var, rng_bb = \
@@ -279,21 +278,7 @@ def run_theory_suite(cfg: dict, seed: int) -> dict:
     pers_vacuous = 0
     pers_details = []
     pers_rows = []
-    assumption_violated = False
     for i in range(tcfg["persistence_configs"]):
-        if tcfg.get("force_unstable") and i == 0:
-            m = 3
-            bad = np.eye(m) * 1.05
-            try:
-                pcfg = PersistenceConfig(
-                    transition=bad, offset=np.zeros(m), noise_scale=1.0,
-                    compat=np.eye(m), token=0, top_k=1)
-                simulate_persistence(pcfg, n_max=10, trials=1000,
-                                     seed=int(rng_pers.integers(2 ** 31)))
-            except StabilityError as exc:
-                assumption_violated = True
-                pers_details.append({"config": i, "assumption_violated": str(exc)})
-            continue
         pcfg = random_persistence_config(rng_pers)
         res = simulate_persistence(pcfg, n_max=tcfg["n_max"],
                                    trials=tcfg["persistence_trials"],
@@ -336,7 +321,6 @@ def run_theory_suite(cfg: dict, seed: int) -> dict:
                  "max_abs_error": ident_err},
         "persistence": {"configs": tcfg["persistence_configs"],
                         "violations": pers_viol, "vacuous": pers_vacuous,
-                        "assumption_violated": assumption_violated,
                         "details": pers_details},
         "var1": {"fits": tcfg["var_fits"], "target_radius": target,
                  "median_fitted_radius": float(np.median(radii)),
@@ -425,7 +409,7 @@ def cmd_eval(cfg: dict, seed: int, out: str, args) -> int:
     spec, bb, (s_data, _, _, s_eval) = _prepare(cfg, seed)
     ecfg = cfg["eval"]
     gates = _load_checkpoint(args.checkpoint, bb)
-    gated = {"global", "per_head"} & set(ecfg["policies"])
+    gated = set(SCORED) & set(ecfg["policies"])
     if gates is None and gated:
         raise ConfigError(f"policies {sorted(gated)} require --checkpoint")
     samples = generate_dataset(spec, ecfg["samples"], np.random.default_rng(s_eval))
@@ -450,22 +434,21 @@ def cmd_eval(cfg: dict, seed: int, out: str, args) -> int:
 def cmd_survival(cfg: dict, seed: int, out: str, args) -> int:
     spec, bb, (s_data, _, _, s_eval) = _prepare(cfg, seed)
     scfg = cfg["survival"]
-    gates = _load_checkpoint(args.checkpoint, bb)
     samples = generate_dataset(spec, scfg["samples"], np.random.default_rng(s_eval))
-    recorder = SelectionRecorder(top_k=scfg["top_k"], tau=scfg["tau"])
-    for sample in samples:
-        decode_sequence(bb, gates, sample, "full", 1.0, recorder=recorder)
+    # one recorder per sample: a record follows one token of one sequence
+    recorders = [SelectionRecorder(top_k=scfg["top_k"], tau=scfg["tau"]) for _ in samples]
+    for sample, rec in zip(samples, recorders):
+        decode_sequence(bb, None, sample, "full", 1.0, recorder=rec)
     horizons = scfg["horizons"]
     rows = []
     shape = bb.shape
-    n_tokens = spec.seq_len
-    for criterion in recorder.criteria():
+    criteria = recorders[0].criteria()
+    for criterion in criteria:
         pooled = []
         for l in range(shape.layers):
             for h in range(shape.heads):
-                events = recorder.events.get((l, h, criterion), {})
-                recs = [theory.SurvivalRecord(b, tuple(events.get(b, ())), criterion, l, h)
-                        for b in range(n_tokens)]
+                recs = [r for rec in recorders
+                        for r in rec.records(criterion, l, h, spec.seq_len)]
                 pooled.extend(recs)
                 frac = survival_curve(recs, horizons)
                 rows.extend({"criterion": criterion, "layer": l, "head": h,
@@ -476,7 +459,7 @@ def cmd_survival(cfg: dict, seed: int, out: str, args) -> int:
                      "horizon": int(hz), "fraction": float(f)}
                     for hz, f in zip(horizons, frac))
     write_csv(os.path.join(out, "survival.csv"), rows, SURVIVAL_COLUMNS, "survival")
-    print(f"survival: wrote {len(rows)} rows over {len(recorder.criteria())} criteria")
+    print(f"survival: wrote {len(rows)} rows over {len(criteria)} criteria")
     return 0
 
 
@@ -492,7 +475,7 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, required=True)
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--preset", default="default", choices=sorted(PRESETS))
-        if name in ("eval", "survival"):
+        if name == "eval":
             p.add_argument("--checkpoint", default=None, help="gate checkpoint path")
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backbone import Backbone, _gate_input
-from .eviction import POLICIES, EvictionConfig, EvictionPolicy, TraceRow
+from .eviction import POLICIES, SCORED, EvictionConfig, EvictionPolicy, TraceRow
 from .gates import GateParams, gate_forward_batch
 from .numerics import softmax_kernel
 from .paged_cache import PagedKVStore
 from .tasks import Sample
+from .theory import SurvivalRecord
 
 
 def make_policy(name: str, total_budget: int, layers: int, heads: int,
@@ -28,15 +29,13 @@ def make_policy(name: str, total_budget: int, layers: int, heads: int,
     `global` ranks against the whole budget; `per_head` and `recency` give
     every (layer, head) an equal share, `total_budget // (layers * heads)`.
     """
-    if name not in POLICIES:
-        raise ValueError(f"unknown policy {name!r}; expected one of {POLICIES}")
     m = total_budget if name == "global" else total_budget // (layers * heads)
     return EvictionPolicy(EvictionConfig(m_global=max(1, m), horizon=horizon, cadence=cadence),
                           trace, policy=name)
 
 
 class SelectionRecorder:
-    """Per-head selection events under top-K and tau-mass criteria."""
+    """Per-head selection events of one sequence under top-K and tau-mass criteria."""
 
     def __init__(self, top_k=(1, 2, 4), tau=(0.99,)):
         self.top_k = tuple(top_k)
@@ -60,6 +59,13 @@ class SelectionRecorder:
             size = min(size, order.shape[0])
             self.mass_set_sizes.append(size)
             self._record(layer, head, f"mass{t}", step, births[order[:size]])
+
+    def records(self, criterion: str, layer: int, head: int,
+                n_tokens: int) -> list[SurvivalRecord]:
+        """One survival record per birth in [0, n_tokens) of one head."""
+        events = self.events.get((layer, head, criterion), {})
+        return [SurvivalRecord(b, tuple(events.get(b, ())), criterion, layer, head)
+                for b in range(n_tokens)]
 
     def _record(self, layer, head, criterion, step, chosen):
         slot = self.events.setdefault((layer, head, criterion), {})
@@ -89,8 +95,11 @@ def decode_sequence(bb: Backbone, gates: GateParams | None, sample: Sample,
     """Teacher-forced incremental pass with live eviction; scores answers.
 
     The budget fraction is relative to the full cache at the end of the
-    sequence, `T * layers * heads` entries in total.
+    sequence, `T * layers * heads` entries in total. Only the policies in
+    `SCORED` run the gates; the others cache every entry with beta 1.
     """
+    if policy_name not in SCORED:
+        gates = None
     shape = bb.shape
     L, H, dh = shape.layers, shape.heads, shape.head_dim
     tokens = sample.tokens

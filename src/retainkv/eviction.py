@@ -16,6 +16,7 @@ import numpy as np
 
 INFINITE = "infinite"
 POLICIES = ("full", "global", "per_head", "recency")
+SCORED = ("global", "per_head")  # the policies that rank by gate scores
 
 
 @dataclass(frozen=True)
@@ -69,18 +70,6 @@ def score_entries(births, betas, now: int, horizon) -> np.ndarray:
         scores = head * -np.expm1(horizon * log_beta) / (1.0 - betas)
     scores[betas == 1.0] = float(horizon)
     return scores
-
-
-def global_score(beta: float, birth: int, now: int, horizon: int) -> float:
-    """`score_entries` for one entry at a finite horizon."""
-    return float(score_entries([birth], [beta], now, int(horizon))[0])
-
-
-def global_score_infinite(beta: float, birth: int, now: int) -> float:
-    """`score_entries` for one entry at the infinite horizon; needs beta < 1."""
-    if beta == 1.0:
-        raise ValueError("infinite-horizon score diverges at beta == 1")
-    return float(score_entries([birth], [beta], now, INFINITE)[0])
 
 
 def select_retained(scores, births, layers, heads, m: int, per_head: bool = False) -> np.ndarray:

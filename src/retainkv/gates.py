@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Array, as_matrix, as_vector, sigmoid
+from .numerics import Array, as_matrix, sigmoid
 
 MAGIC = b"RKVGATE1"
 INIT_READOUT_BIAS = 18.0  # starts every gate at beta ~= 1 so gating is a no-op
@@ -170,11 +170,6 @@ def gate_forward_batch(x: Array, layer: int, head: int | None, params: GateParam
         raise ValueError("x contains non-finite entries")
     beta = _gate_mlp(x, layer, head, params)[2]
     return beta if head is None else beta[0]
-
-
-def gate_forward(x: Array, layer: int, head: int, params: GateParams) -> float:
-    """`gate_forward_batch` for one input vector, in (0, 1)."""
-    return float(gate_forward_batch(as_vector(x, "x")[None, :], layer, head, params)[0])
 
 
 # -- losses -----------------------------------------------------------------

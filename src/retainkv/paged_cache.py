@@ -209,9 +209,6 @@ class PagedKVStore:
 
     # -- accounting ---------------------------------------------------------
 
-    def logical_length(self, layer: int, head: int) -> int:
-        return self._head(layer, head).n
-
     def total_entries(self) -> int:
         return sum(hd.n for hd in self._heads.values())
 

@@ -44,11 +44,7 @@ class TaskSpec:
             raise ValueError(
                 f"vocab {self.vocab} too small for {self.used_vocab} distinct tokens")
 
-    # token id blocks, in order
-    @property
-    def needle_base(self) -> int:
-        return 0
-
+    # token id blocks, in order; the needles start at id 0
     @property
     def key_base(self) -> int:
         return self.n_keys * self.n_values

@@ -181,7 +181,6 @@ class PersistenceConfig:
     top_k: int
     slack: float = 0.0           # region relaxation below the top-K threshold
     block: int = 1               # exit window b_i, in steps
-    exit_prob: float | None = None  # assumed epsilon, when known by construction
 
     def validate(self) -> None:
         a = as_matrix(self.transition, "transition")
@@ -231,9 +230,12 @@ class PersistenceResult:
         return float((self.bound + 3 * self.stderr - self.survival).min())
 
 
+BURN_IN = 200          # steps from the zero state before a chain is read
+SEARCH_STEPS = 20000   # steps searched for in-region start states
+
+
 def estimate_block_exit(cfg: PersistenceConfig, rng: np.random.Generator,
-                        n_starts: int = 1000, n_rollouts: int = 1000,
-                        burn_in: int = 200, search_steps: int = 20000) -> tuple[float, bool]:
+                        n_starts: int = 1000, n_rollouts: int = 1000) -> tuple[float, bool]:
     """Worst-case block-exit probability over sampled in-region states.
 
     The assumption bounds the stay probability uniformly over the region, so
@@ -242,11 +244,11 @@ def estimate_block_exit(cfg: PersistenceConfig, rng: np.random.Generator,
     """
     m = cfg.transition.shape[0]
     state = np.zeros((64, m))
-    for _ in range(burn_in):
+    for _ in range(BURN_IN):
         state = _step(cfg, state, rng)
     starts = []
     steps = 0
-    while sum(s.shape[0] for s in starts) < n_starts and steps < search_steps:
+    while sum(s.shape[0] for s in starts) < n_starts and steps < SEARCH_STEPS:
         state = _step(cfg, state, rng)
         mask = _in_region(cfg, state)
         if mask.any():
@@ -284,7 +286,7 @@ def simulate_persistence(cfg: PersistenceConfig, n_max: int = 200, trials: int =
     eps_hat, unreachable = estimate_block_exit(cfg, rng_exit, n_starts, n_rollouts)
     m = cfg.transition.shape[0]
     states = np.zeros((trials, m))
-    for _ in range(200):
+    for _ in range(BURN_IN):
         states = _step(cfg, states, rng_run)
     alive = np.ones(trials, dtype=bool)
     survival = np.empty(n_max)

@@ -18,7 +18,6 @@ from retainkv.numerics import finite_diff_grad
 from retainkv.tasks import TaskSpec, build_task_model, default_shape, generate_dataset
 from retainkv.theory import (
     DilutionInstance,
-    SurvivalRecord,
     check_reweighting_identity,
     check_dilution_bound,
     random_near_tie_instance,
@@ -304,24 +303,24 @@ def test_criterion_11_survival_curve_sanity():
     rng = np.random.default_rng(111)
     bb = build_task_model(spec, rng)
     samples = generate_dataset(spec, 4, rng)
-    recorder = SelectionRecorder(top_k=(1, 2, 4), tau=(0.99,))
-    for s in samples:
+    # one recorder per sample: a record follows one token of one sequence
+    recorders = [SelectionRecorder(top_k=(1, 2, 4), tau=(0.99,)) for _ in samples]
+    for s, recorder in zip(samples, recorders):
         decode_sequence(bb, None, s, "full", 1.0, recorder=recorder)
     horizons = [1, 2, 4, 8, 16, 32]
     curves = {}
-    for criterion in recorder.criteria():
+    for criterion in recorders[0].criteria():
         records = []
         for l in range(bb.shape.layers):
             for h in range(bb.shape.heads):
-                events = recorder.events.get((l, h, criterion), {})
-                records.extend(SurvivalRecord(b, tuple(events.get(b, ())), criterion, l, h)
-                               for b in range(spec.seq_len))
+                for rec in recorders:
+                    records.extend(rec.records(criterion, l, h, spec.seq_len))
         curves[criterion] = survival_curve(records, horizons)
 
     nonincreasing = all(np.all(np.diff(c) <= 1e-12) for c in curves.values())
     k_monotone = (np.all(curves["top2"] >= curves["top1"] - 1e-12)
                   and np.all(curves["top4"] >= curves["top2"] - 1e-12))
-    min_mass_size = min(recorder.mass_set_sizes)
+    min_mass_size = min(size for rec in recorders for size in rec.mass_set_sizes)
     dominated = all(np.all(curves["mass0.99"] >= curves[f"top{k}"] - 1e-12)
                     for k in (1, 2, 4) if k <= min_mass_size)
     report(11, nonincreasing and k_monotone and dominated and min_mass_size >= 1,

@@ -4,8 +4,11 @@ import json
 import numpy as np
 import pytest
 
+from retainkv import cli
 from retainkv.cli import ConfigError, load_config, main
+from retainkv.evaluate import SelectionRecorder, decode_sequence
 from retainkv.gates import ModelShape, init_gate_params, save_gates
+from retainkv.tasks import generate_dataset
 
 SMALL_TASK = {
     "task": {"context_len": 32, "n_keys": 4, "n_values": 3, "n_queries": 2,
@@ -108,14 +111,18 @@ class TestTheoryCommand:
         for row in curves:
             assert 0.0 <= float(row["fraction"]) <= 1.0
 
-    def test_forced_unstable_reported_not_crashed(self, tmp_path):
+    def test_forced_unstable_reported_not_crashed(self, tmp_path, capsys):
+        """The theory suite has no fault-injection key: `force_unstable` is an
+        unknown config key, reported in one line."""
         payload = dict(SMALL_THEORY)
         payload["theory"] = dict(SMALL_THEORY["theory"], force_unstable=True)
         path = write_config(tmp_path, payload)
         code = main(["theory", "--config", path, "--seed", "0", "--out", str(tmp_path)])
-        assert code == 0
-        report = json.loads((tmp_path / "theory_report.json").read_text())
-        assert report["persistence"]["assumption_violated"] is True
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("config error:") \
+            and "force_unstable" in err, err
+        assert not (tmp_path / "theory_report.json").exists()
 
 
 class TestTrainEvalSurvival:
@@ -148,6 +155,44 @@ class TestTrainEvalSurvival:
         pooled = [r for r in srows if r["criterion"] == "top1" and r["layer"] == "-1"]
         fracs = [float(r["fraction"]) for r in sorted(pooled, key=lambda r: int(r["horizon"]))]
         assert all(b <= a for a, b in zip(fracs, fracs[1:]))
+
+    def test_survival_is_the_mean_of_per_sample_curves(self, tmp_path):
+        """Every token of every sample is one record, so the curves of two
+        samples are the mean of their own. Pooling the samples by position
+        would count a position selected if either sample selected it."""
+        path = write_config(tmp_path, SMALL_TASK)
+        out = tmp_path / "run"
+        assert main(["survival", "--config", path, "--seed", "5", "--out", str(out)]) == 0
+        got = {(r["criterion"], int(r["layer"]), int(r["head"]), int(r["horizon"])):
+               float(r["fraction"]) for r in read_csv(out / "survival.csv")}
+
+        cfg = load_config(path)
+        scfg = cfg["survival"]
+        spec, bb, (_, _, _, s_eval) = cli._prepare(cfg, 5)
+        samples = generate_dataset(spec, scfg["samples"], np.random.default_rng(s_eval))
+        assert len(samples) == 2
+        curves = {}  # (criterion, layer, head) -> one curve per sample
+        for sample in samples:
+            rec = SelectionRecorder(top_k=scfg["top_k"], tau=scfg["tau"])
+            decode_sequence(bb, None, sample, "full", 1.0, recorder=rec)
+            for (l, h, criterion), events in rec.events.items():
+                reach = np.full(spec.seq_len, -1)
+                for birth, steps in events.items():
+                    reach[birth] = max(steps) - birth
+                curves.setdefault((criterion, l, h), []).append(
+                    [np.mean(reach >= hz) for hz in scfg["horizons"]])
+        heads, n_criteria = bb.shape.layers * bb.shape.heads, len(rec.criteria())
+        assert len(curves) == heads * n_criteria
+        pooled = {}
+        for (criterion, l, h), per_sample in curves.items():
+            want = np.mean(per_sample, axis=0)
+            pooled.setdefault(criterion, []).append(want)
+            for hz, w in zip(scfg["horizons"], want):
+                assert got[(criterion, l, h, hz)] == pytest.approx(w, abs=1e-12)
+        for criterion, per_head in pooled.items():
+            for hz, w in zip(scfg["horizons"], np.mean(per_head, axis=0)):
+                assert got[(criterion, -1, -1, hz)] == pytest.approx(w, abs=1e-12)
+        assert len(got) == n_criteria * (heads + 1) * len(scfg["horizons"])
 
     def test_trace_without_scored_rows_is_header_only(self, tmp_path):
         """`full` and `recency` score nothing, but a trace run still writes the file."""
@@ -233,15 +278,12 @@ class TestBadCheckpoint:
     CASES = ("missing", "corrupt", "bad_header", "truncated", "trailing",
              "layers", "heads", "d_in")
 
-    @pytest.mark.parametrize("command", ["eval", "survival"])
+    @pytest.mark.parametrize("command", ["eval"])
     @pytest.mark.parametrize("case", CASES)
     def test_exit_code_two_with_one_line(self, tmp_path, capsys, monkeypatch, command, case):
-        import retainkv.cli as cli
-
         def no_decoding(*args, **kwargs):
             raise AssertionError("decoding started")
 
-        monkeypatch.setattr(cli, "decode_sequence", no_decoding)
         monkeypatch.setattr(cli, "evaluate_policies", no_decoding)
         cfg = write_config(tmp_path, SMALL_TASK)
         ckpt = _bad_checkpoint(tmp_path, case)
@@ -258,5 +300,18 @@ class TestBadCheckpoint:
         assert main(["eval", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "a"),
                      "--checkpoint", str(ckpt)]) == 0
         kv = _checkpoint(tmp_path / "kv.ckpt", d_in=32, gate_input="kv")
-        assert main(["survival", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "b"),
+        scored = write_config(tmp_path, dict(SMALL_TASK, eval=dict(SMALL_TASK["eval"],
+                                                                   policies=["global"])),
+                              "global.json")
+        assert main(["eval", "--config", scored, "--seed", "1", "--out", str(tmp_path / "b"),
                      "--checkpoint", str(kv)]) == 0
+
+    def test_survival_takes_no_checkpoint(self, tmp_path, capsys):
+        """`survival` decodes the full cache, which reads no gate score."""
+        cfg = write_config(tmp_path, SMALL_TASK)
+        ckpt = _checkpoint(tmp_path / "gates.ckpt")
+        with pytest.raises(SystemExit) as exc:
+            main(["survival", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "a"),
+                  "--checkpoint", str(ckpt)])
+        assert exc.value.code == 2
+        assert "--checkpoint" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from retainkv import evaluate
 from retainkv.eviction import TraceRow
 from retainkv.evaluate import (
     SelectionRecorder,
@@ -8,7 +9,8 @@ from retainkv.evaluate import (
     evaluate_policies,
     make_policy,
 )
-from retainkv.tasks import TaskSpec, build_task_model, generate_dataset
+from retainkv.gates import init_gate_params
+from retainkv.tasks import TaskSpec, build_task_model, default_shape, generate_dataset
 
 SPEC = TaskSpec(context_len=40, n_keys=4, n_values=3, n_queries=2,
                 n_distractor_vocab=8, vocab=40)
@@ -50,6 +52,27 @@ class TestDecodeSequence:
         b = decode_sequence(bb, None, samples[1], "global", 0.3)
         assert np.array_equal(a.predictions, b.predictions)
         assert a.mean_retained == b.mean_retained
+
+    def test_unscored_policies_never_run_the_gate(self, world, monkeypatch):
+        """`full` and `recency` read no beta: with a checkpoint they skip the
+        gate and decode exactly as without one."""
+        bb, samples = world
+        gates = init_gate_params(default_shape(SPEC, 8), bb.shape.d_model,
+                                 np.random.default_rng(3))
+
+        def no_gate(*args, **kwargs):
+            raise AssertionError("the gate ran")
+
+        monkeypatch.setattr(evaluate, "gate_forward_batch", no_gate)
+        with pytest.raises(AssertionError, match="the gate ran"):
+            decode_sequence(bb, gates, samples[0], "global", 0.25)
+        for policy in ("full", "recency"):
+            for s in samples[:2]:
+                want = decode_sequence(bb, None, s, policy, 0.25)
+                got = decode_sequence(bb, gates, s, policy, 0.25)
+                assert np.array_equal(got.predictions, want.predictions)
+                assert (got.correct, got.mean_retained, got.peak_entries, got.peak_pages) == \
+                    (want.correct, want.mean_retained, want.peak_entries, want.peak_pages)
 
     def test_trace_collection(self, world):
         bb, samples = world

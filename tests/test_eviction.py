@@ -11,11 +11,14 @@ from retainkv.eviction import (
     EvictionConfig,
     EvictionPolicy,
     TraceRow,
-    global_score,
-    global_score_infinite,
     score_entries,
     select_retained,
 )
+
+
+def score(beta, birth, now, horizon):
+    """`score_entries` for one entry."""
+    return float(score_entries([birth], [beta], now, horizon)[0])
 
 
 def direct_sum(beta, birth, now, horizon):
@@ -41,47 +44,46 @@ def math_closed_form(beta, birth, now, horizon):
 
 class TestGlobalScore:
     def test_beta_one_is_horizon(self):
-        assert global_score(1.0, birth=3, now=10, horizon=7) == 7.0
+        assert score(1.0, birth=3, now=10, horizon=7) == 7.0
 
     def test_horizon_one_is_myopic(self):
         for beta in (0.2, 0.5, 0.9):
-            assert global_score(beta, 2, 5, 1) == pytest.approx(beta ** 4, rel=1e-14)
+            assert score(beta, 2, 5, 1) == pytest.approx(beta ** 4, rel=1e-14)
 
     def test_worked_example(self):
-        assert global_score(0.5, birth=4, now=4, horizon=2) == pytest.approx(0.75, abs=1e-15)
+        assert score(0.5, birth=4, now=4, horizon=2) == pytest.approx(0.75, abs=1e-15)
 
     def test_matches_direct_sum_on_grid(self):
         betas = [0.0, 1e-6, 0.5, 1.0 - 1e-6, 1.0]
         for beta in betas:
             for age in range(0, 65, 8):
                 for horizon in range(1, 65, 7):
-                    got = global_score(beta, 0, age, horizon)
+                    got = score(beta, 0, age, horizon)
                     want = direct_sum(beta, 0, age, horizon)
                     assert got == pytest.approx(want, rel=1e-10, abs=1e-300)
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
-            global_score(1.5, 0, 0, 1)
+            score(1.5, 0, 0, 1)
         with pytest.raises(ValueError):
-            global_score(0.5, 5, 3, 1)
+            score(0.5, 5, 3, 1)
         with pytest.raises(ValueError):
-            global_score(0.5, 0, 0, 0)
+            score(0.5, 0, 0, 0)
 
 
 class TestGlobalScoreInfinite:
     def test_half(self):
-        assert global_score_infinite(0.5, birth=0, now=0) == pytest.approx(1.0)
+        assert score(0.5, birth=0, now=0, horizon=INFINITE) == pytest.approx(1.0)
 
     def test_zero(self):
-        assert global_score_infinite(0.0, 0, 5) == 0.0
+        assert score(0.0, 0, 5, INFINITE) == 0.0
 
     def test_point_nine_age_three(self):
         # exponent now+1-birth = 3 -> 0.9**3 / 0.1
-        assert global_score_infinite(0.9, birth=2, now=4) == pytest.approx(7.29, rel=1e-12)
+        assert score(0.9, birth=2, now=4, horizon=INFINITE) == pytest.approx(7.29, rel=1e-12)
 
     def test_beta_one_diverges(self):
-        with pytest.raises(ValueError):
-            global_score_infinite(1.0, 0, 0)
+        assert score(1.0, 0, 0, INFINITE) == math.inf
 
 
 class TestScoreEntries:
@@ -98,7 +100,7 @@ class TestScoreEntries:
     def test_infinite_horizon_beta_one_is_inf(self):
         vec = score_entries([0, 1], [1.0, 0.5], now=5, horizon=INFINITE)
         assert math.isinf(vec[0])
-        assert vec[1] == pytest.approx(global_score_infinite(0.5, 1, 5), rel=1e-12)
+        assert vec[1] == pytest.approx(math_closed_form(0.5, 1, 5, INFINITE), rel=1e-12)
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
@@ -189,13 +191,13 @@ class TestHorizonBehavior:
         # equal myopic scores: beta 0.5 at age exponent 2 vs beta 0.25 at exponent 1
         a = dict(beta=0.5, birth=0, now=1)
         b = dict(beta=0.25, birth=0, now=0)
-        s_a1 = global_score(a["beta"], a["birth"], a["now"], 1)
-        s_b1 = global_score(b["beta"], b["birth"], b["now"], 1)
+        s_a1 = score(a["beta"], a["birth"], a["now"], 1)
+        s_b1 = score(b["beta"], b["birth"], b["now"], 1)
         assert s_a1 == pytest.approx(s_b1, abs=1e-15)
         flipped = False
         for horizon in range(2, 50):
-            if global_score(a["beta"], a["birth"], a["now"], horizon) > \
-               global_score(b["beta"], b["birth"], b["now"], horizon):
+            if score(a["beta"], a["birth"], a["now"], horizon) > \
+               score(b["beta"], b["birth"], b["now"], horizon):
                 flipped = True
                 break
         assert flipped

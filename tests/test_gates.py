@@ -7,7 +7,6 @@ from retainkv.gates import (
     GateParams,
     ModelShape,
     cap_loss_global_grad,
-    gate_forward,
     gate_forward_batch,
     init_gate_params,
     load_gates,
@@ -36,13 +35,13 @@ class TestGateForward:
     def test_zero_readout_gives_sigmoid_of_bias(self, params):
         params.wg[:] = 0.0
         for x in (np.zeros(8), np.ones(8), np.linspace(-3, 3, 8)):
-            beta = gate_forward(x, 0, 0, params)
+            beta = gate_forward_batch(x[None, :], 0, 0, params)[0]
             assert beta == pytest.approx(0.999999984770020487, abs=1e-15)
 
     def test_large_negative_bias_clamps_to_zero(self, params):
         params.wg[:] = 0.0
         params.bg -= 800.0
-        assert gate_forward(np.ones(8), 1, 1, params) == 0.0
+        assert gate_forward_batch(np.ones(8)[None, :], 1, 1, params)[0] == 0.0
 
     def test_matches_independent_reimplementation(self, rng, params):
         def oracle(x, l, h):
@@ -56,13 +55,15 @@ class TestGateForward:
         for _ in range(20):
             x = rng.normal(size=8)
             l, h = int(rng.integers(0, 2)), int(rng.integers(0, 2))
-            assert gate_forward(x, l, h, params) == pytest.approx(oracle(x, l, h), rel=1e-12)
+            got = gate_forward_batch(x[None, :], l, h, params)[0]
+            assert got == pytest.approx(oracle(x, l, h), rel=1e-12)
 
     def test_batch_matches_scalar(self, rng, params):
         xs = rng.normal(size=(5, 8))
         batch = gate_forward_batch(xs, 1, 0, params)
         for i in range(5):
-            assert batch[i] == pytest.approx(gate_forward(xs[i], 1, 0, params), rel=1e-14)
+            one = gate_forward_batch(xs[i][None, :], 1, 0, params)[0]
+            assert batch[i] == pytest.approx(one, rel=1e-14)
 
     def test_heads_differ_only_through_projection(self, rng, params):
         x = rng.normal(size=8)
@@ -70,7 +71,8 @@ class TestGateForward:
         params.b1[0, 1] = params.b1[0, 0]
         params.w2[0, 1] = params.w2[0, 0]
         params.b2[0, 1] = params.b2[0, 0]
-        assert gate_forward(x, 0, 0, params) == gate_forward(x, 0, 1, params)
+        assert (gate_forward_batch(x[None, :], 0, 0, params)[0]
+                == gate_forward_batch(x[None, :], 0, 1, params)[0])
 
     def test_init_invariant_all_betas_above_point999(self, rng, params):
         xs = rng.normal(size=(64, 8))

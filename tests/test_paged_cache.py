@@ -53,14 +53,14 @@ class TestAppend:
             store.append(0, 0, rng.normal(size=4), rng.normal(size=4), i, 0.5)
         snap = store.snapshot()["tables"]["0,0"]
         assert snap["occupancy"] == [16, 4]
-        assert store.logical_length(0, 0) == 20
+        assert len(store.gather(0, 0)) == 20
 
     def test_interleaved_heads_are_independent(self, rng):
         store = PagedKVStore(1, 2, 4, page_size=4)
         for i in range(10):
             store.append(0, i % 2, rng.normal(size=4), rng.normal(size=4), i, 1.0)
-        assert store.logical_length(0, 0) == 5
-        assert store.logical_length(0, 1) == 5
+        assert len(store.gather(0, 0)) == 5
+        assert len(store.gather(0, 1)) == 5
         assert set(store.gather(0, 0).births) == {0, 2, 4, 6, 8}
 
     def test_many_appends_match_shadow(self, rng):
@@ -95,7 +95,7 @@ class TestEvict:
         for i in range(10):
             store.append(0, 0, rng.normal(size=4), rng.normal(size=4), i, 1.0)
         store.evict(0, 0, range(10))
-        assert store.logical_length(0, 0) == 0
+        assert len(store.gather(0, 0)) == 0
         assert store.pages_in_use() == 0
         assert len(store.gather(0, 0)) == 0
 
@@ -205,7 +205,7 @@ class TestShadowEquivalence:
         bound = 0
         for l in range(2):
             for h in range(2):
-                n = store.logical_length(l, h)
+                n = len(store.gather(l, h))
                 bound += -(-n // store.page_size)
         assert store.pages_in_use() <= bound
 

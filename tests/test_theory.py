@@ -147,8 +147,7 @@ class TestPersistence:
         # iid standard normal state; region r >= 0; exact per-step exit 1/2
         return PersistenceConfig(
             transition=np.zeros((1, 1)), offset=np.zeros(1), noise_scale=1.0,
-            compat=np.array([[1.0], [-1.0]]), token=0, top_k=1, slack=0.0, block=1,
-            exit_prob=0.5)
+            compat=np.array([[1.0], [-1.0]]), token=0, top_k=1, slack=0.0, block=1)
 
     def test_bernoulli_survival_is_half_per_step(self):
         res = simulate_persistence(self.bernoulli_config(), n_max=10, trials=20000, seed=5)
