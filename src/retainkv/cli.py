@@ -106,6 +106,8 @@ def _check_value(name: str, val, default) -> None:
             raise ConfigError(f"{name} must be a non-empty list, got {val!r}")
         for item in val:
             _check_value(name, item, default[0])
+        if len(set(val)) != len(val):
+            raise ConfigError(f"{name} must not repeat an item, got {val!r}")
     elif isinstance(default, (bool, str)):
         if type(val) is not type(default):
             raise ConfigError(f"{name} must be a {type(default).__name__}, got {val!r}")

@@ -22,16 +22,17 @@ from .tasks import Sample
 from .theory import SurvivalRecord
 
 
-def make_policy(name: str, total_budget: int, layers: int, heads: int,
+def make_policy(name: str, total_budget: int, store: PagedKVStore,
                 horizon=2, cadence: int = 1, trace=None) -> EvictionPolicy:
-    """The eviction engine for one policy at a total budget of entries.
+    """The eviction engine for one policy over `store` at a total budget of entries.
 
     `global` ranks against the whole budget; `per_head` and `recency` give
-    every (layer, head) an equal share, `total_budget // (layers * heads)`.
+    every (layer, head) of the store an equal share,
+    `total_budget // (layers * heads)`.
     """
-    m = total_budget if name == "global" else total_budget // (layers * heads)
+    m = total_budget if name == "global" else total_budget // (store.layers * store.heads)
     return EvictionPolicy(EvictionConfig(m_global=max(1, m), horizon=horizon, cadence=cadence),
-                          trace, policy=name)
+                          store, trace, policy=name)
 
 
 class SelectionRecorder:
@@ -106,7 +107,7 @@ def decode_sequence(bb: Backbone, gates: GateParams | None, sample: Sample,
     T = tokens.shape[0]
     total_budget = max(1, int(np.ceil(budget_fraction * T * L * H)))
     store = PagedKVStore(L, H, dh, page_size=page_size)
-    policy = make_policy(policy_name, total_budget, L, H, horizon, cadence, trace)
+    policy = make_policy(policy_name, total_budget, store, horizon, cadence, trace)
 
     predictions = np.zeros(T, dtype=np.int64)
     retained_after = []
@@ -131,7 +132,6 @@ def decode_sequence(bb: Backbone, gates: GateParams | None, sample: Sample,
             attn = np.zeros_like(h)
             for hd in range(H):
                 store.append(l, hd, k_all[hd], v_all[hd], t, betas[hd])
-                policy.admit(l, hd, t, betas[hd])
                 snap = store.gather(l, hd)
                 w = softmax_kernel(snap.keys @ q_all[hd] / scale)
                 attn += (w @ snap.values) @ bb.wo[l, hd]
@@ -144,8 +144,7 @@ def decode_sequence(bb: Backbone, gates: GateParams | None, sample: Sample,
         predictions[t] = int(np.argmax(logits))
         peak_entries = max(peak_entries, store.total_entries())
         peak_pages = max(peak_pages, store.pages_in_use())
-        for (l, hd), births in policy.step(t).items():
-            store.evict(l, hd, births)
+        policy.step(t)
         retained_after.append(store.total_entries())
 
     correct = int(np.sum(predictions[sample.query_positions] == sample.answers))

@@ -1,4 +1,4 @@
-"""Global future-utility scoring and one array-based eviction engine.
+"""Global future-utility scoring and one eviction engine over the paged store.
 
 Every cached token (layer, head, birth) is scored by the geometric sum of its
 retention weight over a lookahead horizon; one global ranking then keeps the
@@ -11,8 +11,11 @@ newest births, and the full cache never evicts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
+
+from .paged_cache import PagedKVStore
 
 INFINITE = "infinite"
 POLICIES = ("full", "global", "per_head", "recency")
@@ -105,10 +108,12 @@ class TraceRow:
 
 
 class EvictionPolicy:
-    """Stateful monotone eviction: once out, a token never re-enters.
+    """Monotone eviction over a paged store: once out, a token never re-enters.
 
-    Live entries are parallel arrays (layer, head, birth, beta) in admission
-    order. `policy` chooses what a compression keeps:
+    The store is the only record of the cache; the policy keeps no entry of
+    its own. Each compression ranks the store's live rows, in (layer, head,
+    birth) order, and evicts the losers from the store. `policy` chooses what
+    a compression keeps:
 
     * "global": the `m_global` best entries overall (`select_retained`).
     * "per_head": the same ranking, `m_global` entries in each (layer, head).
@@ -116,48 +121,25 @@ class EvictionPolicy:
       is scored and it compresses at every step, whatever the cadence.
     * "full": everything; it never compresses.
 
-    Tokens admitted since the last compression stay resident until the next
+    Entries appended since the last compression stay resident until the next
     one; "global" and "per_head" compress every `cadence` steps and trace a
-    row per scored entry, group by group for "per_head".
+    row per scored entry, in (birth, layer, head) order for "global" and
+    (layer, head, birth) order for "per_head".
     """
 
-    def __init__(self, cfg: EvictionConfig, trace: list[TraceRow] | None = None,
-                 policy: str = "global"):
+    def __init__(self, cfg: EvictionConfig, store: PagedKVStore,
+                 trace: list[TraceRow] | None = None, policy: str = "global"):
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
         self.cfg = cfg
+        self.store = store
         self.policy = policy
         self.trace = trace
-        self._admitted: set[tuple[int, int, int]] = set()
-        self._n = 0
-        self._layer = np.empty(64, dtype=np.int64)
-        self._head = np.empty(64, dtype=np.int64)
-        self._birth = np.empty(64, dtype=np.int64)
-        self._beta = np.empty(64, dtype=np.float64)
-
-    def admit(self, layer: int, head: int, birth: int, beta: float) -> None:
-        key = (layer, head, birth)
-        if key in self._admitted:
-            raise ValueError(f"token {key} was already admitted")
-        self._admitted.add(key)
-        n = self._n
-        if n == self._birth.shape[0]:
-            self._layer, self._head, self._birth, self._beta = (
-                np.concatenate([a, np.empty_like(a)])
-                for a in (self._layer, self._head, self._birth, self._beta))
-        self._layer[n] = layer
-        self._head[n] = head
-        self._birth[n] = birth
-        self._beta[n] = beta
-        self._n = n + 1
-
-    def alive(self, layer: int, head: int) -> list[int]:
-        n = self._n
-        mine = (self._layer[:n] == layer) & (self._head[:n] == head)
-        return sorted(self._birth[:n][mine].tolist())
+        self._groups = [(l, h) for l in range(store.layers) for h in range(store.heads)]
+        self._layer_of, self._head_of = np.array(self._groups).T
 
     def total_alive(self) -> int:
-        return self._n
+        return self.store.total_entries()
 
     def step(self, now: int) -> dict[tuple[int, int], list[int]]:
         """Run one policy step; returns births evicted per (layer, head).
@@ -172,38 +154,39 @@ class EvictionPolicy:
         return self.compress(now)
 
     def compress(self, now: int) -> dict[tuple[int, int], list[int]]:
-        n = self._n
-        if n == 0 or self.policy == "full":
+        """Evict the losers of one ranking from the store; returns them per
+        (layer, head), in (layer, head) order."""
+        if self.policy == "full":
             return {}
-        layer, head, birth = self._layer[:n], self._head[:n], self._birth[:n]
+        store, m, groups = self.store, self.cfg.m_global, self._groups
+        snaps = [store.gather(l, h) for l, h in groups]
         if self.policy == "recency":
-            keep = birth > now - self.cfg.m_global
+            gone = [s.births[:s.births.searchsorted(now - m, side="right")].tolist()
+                    for s in snaps]
         else:
-            scores = score_entries(birth, self._beta[:n], now, self.cfg.horizon)
-            keep = np.zeros(n, dtype=bool)
-            keep[select_retained(scores, birth, layer, head, self.cfg.m_global,
+            sizes = [len(s) for s in snaps]
+            births = np.concatenate([s.births for s in snaps])
+            betas = np.concatenate([s.betas for s in snaps])
+            layer = self._layer_of.repeat(sizes)
+            head = self._head_of.repeat(sizes)
+            scores = score_entries(births, betas, now, self.cfg.horizon)
+            keep = np.zeros(births.shape[0], dtype=bool)
+            keep[select_retained(scores, births, layer, head, m,
                                  per_head=self.policy == "per_head")] = True
             if self.trace is not None:
-                self._record(now, scores, keep)
-        if keep.all():
-            return {}
-        gone = np.flatnonzero(~keep)
-        evicted: dict[tuple[int, int], list[int]] = {}
-        for l, h, b in zip(layer[gone].tolist(), head[gone].tolist(), birth[gone].tolist()):
-            evicted.setdefault((l, h), []).append(b)
-        kept = np.flatnonzero(keep)
-        for a in (self._layer, self._head, self._birth, self._beta):
-            a[:kept.size] = a[kept]
-        self._n = kept.size
+                rows = (np.arange(births.shape[0]) if self.policy == "per_head"
+                        else np.lexsort((head, layer, births)))
+                self.trace.extend(
+                    TraceRow(now, l, h, b, s, "retain" if k else "evict")
+                    for l, h, b, s, k in zip(layer[rows].tolist(), head[rows].tolist(),
+                                             births[rows].tolist(), scores[rows].tolist(),
+                                             keep[rows].tolist()))
+            # losers in (layer, head, birth) order, cut at each group's end
+            rows = np.flatnonzero(~keep)
+            cuts = rows.searchsorted(list(accumulate(sizes))).tolist()
+            lost = births[rows].tolist()
+            gone = [lost[lo:hi] for lo, hi in zip([0, *cuts], cuts)]
+        evicted = {g: b for g, b in zip(groups, gone) if b}
+        for (l, h), b in evicted.items():
+            store.evict(l, h, b)
         return evicted
-
-    def _record(self, now: int, scores: np.ndarray, keep: np.ndarray) -> None:
-        n = self._n
-        rows = np.arange(n)
-        if self.policy == "per_head":
-            rows = np.lexsort((self._head[:n], self._layer[:n]))  # stable: admission order inside
-        self.trace.extend(
-            TraceRow(now, l, h, b, s, "retain" if k else "evict")
-            for l, h, b, s, k in zip(self._layer[rows].tolist(), self._head[rows].tolist(),
-                                     self._birth[rows].tolist(), scores[rows].tolist(),
-                                     keep[rows].tolist()))

@@ -75,7 +75,6 @@ class GateParams:
     bg: Array  # [] tied, [L, H] untied
     tied: bool = True
     gate_input: str = "embedding"  # "embedding" | "kv"
-    activation: str = "tanh"
     seed: int | None = None
 
     @property
@@ -106,13 +105,13 @@ class GateParams:
     def copy(self) -> "GateParams":
         return GateParams(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy(),
                           self.wg.copy(), self.bg.copy(), self.tied, self.gate_input,
-                          self.activation, self.seed)
+                          self.seed)
 
     def zeros_like(self) -> "GateParams":
         return GateParams(np.zeros_like(self.w1), np.zeros_like(self.b1),
                           np.zeros_like(self.w2), np.zeros_like(self.b2),
                           np.zeros_like(self.wg), np.zeros_like(self.bg),
-                          self.tied, self.gate_input, self.activation, self.seed)
+                          self.tied, self.gate_input, self.seed)
 
 
 def init_gate_params(shape: ModelShape, d_in: int, rng: np.random.Generator,
@@ -131,7 +130,7 @@ def init_gate_params(shape: ModelShape, d_in: int, rng: np.random.Generator,
         wg = rng.normal(0.0, init_scale / np.sqrt(dg), size=(L, H, dg))
         bg = np.full((L, H), INIT_READOUT_BIAS)
     return GateParams(w1, b1, w2, b2, wg, np.asarray(bg, dtype=np.float64),
-                      tied, gate_input, "tanh", seed)
+                      tied, gate_input, seed)
 
 
 def _gate_mlp(x: Array, layer: int, head: int | None,
@@ -267,7 +266,7 @@ def save_gates(path, params: GateParams) -> None:
         "heads": params.heads,
         "d_in": params.d_in,
         "d_gate": params.d_gate,
-        "activation": params.activation,
+        "activation": "tanh",
         "tied": params.tied,
         "gate_input": params.gate_input,
         "seed": params.seed,
@@ -295,8 +294,9 @@ def load_gates(path) -> GateParams:
     """Read a checkpoint written by `save_gates`.
 
     Raises OSError if the file cannot be read and ValueError if its contents
-    are not exactly one well-formed checkpoint: bad magic, version or header,
-    truncated arrays, or trailing bytes.
+    are not exactly one well-formed checkpoint: bad magic, version or header
+    (an activation other than tanh included), truncated arrays, or trailing
+    bytes.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -319,6 +319,9 @@ def load_gates(path) -> GateParams:
                "seed"} - set(header)
     if missing:
         raise ValueError(f"checkpoint header lacks {sorted(missing)}")
+    if header["activation"] != "tanh":
+        raise ValueError(f"unsupported gate activation {header['activation']!r}; "
+                         "the gates are tanh")
     L, H = header["layers"], header["heads"]
     d_in, dg = header["d_in"], header["d_gate"]
     tied = header["tied"]
@@ -348,4 +351,4 @@ def load_gates(path) -> GateParams:
         pairs = rest.reshape(L, H, dg + 1)
         wg, bg = pairs[..., :dg].copy(), pairs[..., dg].copy()
     return GateParams(w1, b1.copy(), w2, b2.copy(), wg, np.asarray(bg, dtype=np.float64), tied,
-                      header["gate_input"], header["activation"], header["seed"])
+                      header["gate_input"], header["seed"])

@@ -7,6 +7,13 @@ def rng():
     return np.random.default_rng(0)
 
 
+def admit(store, layer: int, head: int, birth: int, beta: float) -> None:
+    """Append one entry with a zero key and value: eviction reads only births
+    and betas."""
+    zero = np.zeros(store.dim)
+    store.append(layer, head, zero, zero, birth, beta)
+
+
 def pytest_addoption(parser):
     parser.addoption("--skip-slow", action="store_true",
                      help="skip the long training-based acceptance criteria")

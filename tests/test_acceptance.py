@@ -15,6 +15,7 @@ from retainkv.eviction import EvictionConfig, EvictionPolicy, score_entries, sel
 from retainkv.evaluate import SelectionRecorder, decode_sequence, evaluate_policies
 from retainkv.gates import ModelShape, flatten_params, init_gate_params, unflatten_params
 from retainkv.numerics import finite_diff_grad
+from retainkv.paged_cache import PagedKVStore
 from retainkv.tasks import TaskSpec, build_task_model, default_shape, generate_dataset
 from retainkv.theory import (
     DilutionInstance,
@@ -26,6 +27,8 @@ from retainkv.theory import (
 )
 from retainkv.cli import random_persistence_config
 from retainkv.training import loss_and_grads, train_gates
+
+from conftest import admit
 
 
 def report(num, ok, detail=""):
@@ -165,7 +168,8 @@ def test_criterion_07_eviction_matches_brute_force_and_stays_monotone():
         if got.tolist() != want:
             mismatch += 1
 
-    policy = EvictionPolicy(EvictionConfig(m_global=50, horizon=2))
+    store = PagedKVStore(2, 2, 1)
+    policy = EvictionPolicy(EvictionConfig(m_global=50, horizon=2), store)
     budget_ok = True
     monotone_ok = True
     evicted_seen: set = set()
@@ -173,10 +177,11 @@ def test_criterion_07_eviction_matches_brute_force_and_stays_monotone():
     for t in range(1000):
         for l in range(2):
             for h in range(2):
-                policy.admit(l, h, t, float(r2.random()))
+                admit(store, l, h, t, float(r2.random()))
         out = {(l, h, b) for (l, h), births in policy.step(t).items() for b in births}
         budget_ok &= policy.total_alive() <= 50
-        alive = {(l, h, b) for l in range(2) for h in range(2) for b in policy.alive(l, h)}
+        alive = {(l, h, b) for l in range(2) for h in range(2)
+                 for b in store.gather(l, h).births.tolist()}
         monotone_ok &= evicted_seen.isdisjoint(alive) and evicted_seen.isdisjoint(out)
         evicted_seen |= out
     report(7, mismatch == 0 and budget_ok and monotone_ok,

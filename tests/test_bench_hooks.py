@@ -15,7 +15,9 @@ from pathlib import Path
 import pytest
 
 from retainkv.evaluate import DecodeResult, make_policy
-from retainkv.paged_cache import GatherResult
+from retainkv.paged_cache import GatherResult, PagedKVStore
+
+from conftest import admit
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -44,11 +46,28 @@ def test_method_targets_resolve(tracing):
 def test_policy_factory_resolves(tracing):
     mod_name, attr = tracing.POLICY_FACTORY
     assert getattr(importlib.import_module(mod_name), attr) is make_policy
-    policy = make_policy("global", 8, 2, 2)
-    for attr, _ in tracing.POLICY_METHODS:
-        assert callable(getattr(policy, attr, None)), attr
+    policy = make_policy("global", 8, PagedKVStore(2, 2, 4))
+    # the factory wrapper skips a method the policy lacks; decode calls `step`
+    wrapped = {attr for attr, _ in tracing.POLICY_METHODS if callable(getattr(policy, attr, None))}
+    assert "step" in wrapped
     # the compress counter asks the policy for its live entries
     assert policy.total_alive() == 0
+
+
+def test_compress_counter_sees_survivors_only():
+    """The scored count is `total_alive()` after `compress` plus the evicted
+    entries, so `total_alive()` must already exclude what it evicted."""
+    store = PagedKVStore(2, 2, 4)
+    policy = make_policy("global", 8, store)
+    for t in range(5):
+        for l in range(2):
+            for h in range(2):
+                admit(store, l, h, t, 0.5)
+    scored = store.total_entries()
+    evicted = sum(len(b) for b in policy.compress(4).values())
+    assert evicted > 0
+    assert policy.total_alive() == store.total_entries() == 8
+    assert policy.total_alive() + evicted == scored
 
 
 def test_counters_find_their_arguments():

@@ -79,6 +79,9 @@ class TestBadConfigValue:
         "zero_batch": ("train", {"train": {"batch_size": 0}}, "train.batch_size"),
         "zero_samples": ("eval", {"eval": {"samples": 0}}, "eval.samples"),
         "negative_budget": ("eval", {"eval": {"budgets": [-0.5]}}, "eval.budgets"),
+        "repeated_budget": ("eval", {"eval": {"budgets": [0.25, 0.25]}}, "eval.budgets"),
+        "repeated_policy": ("eval", {"eval": {"policies": ["full", "full"]}}, "eval.policies"),
+        "repeated_top_k": ("survival", {"survival": {"top_k": [2, 2]}}, "survival.top_k"),
         "string_context": ("train", {"task": {"context_len": "abc"}}, "task.context_len"),
         "section_not_object": ("train", {"train": "x"}, "[train] must be a JSON object"),
     }
@@ -269,6 +272,10 @@ def _bad_checkpoint(tmp_path, case):
         return _checkpoint(path, heads=4)
     if case == "d_in":
         return _checkpoint(path, d_in=16, gate_input="kv")
+    if case == "activation":
+        blob = _checkpoint(path).read_bytes()
+        path.write_bytes(blob.replace(b'"activation": "tanh"', b'"activation": "relu"'))
+        return path
     raise AssertionError(case)
 
 
@@ -276,7 +283,7 @@ class TestBadCheckpoint:
     """Exit 2 with one line on stderr, checked before any decoding."""
 
     CASES = ("missing", "corrupt", "bad_header", "truncated", "trailing",
-             "layers", "heads", "d_in")
+             "layers", "heads", "d_in", "activation")
 
     @pytest.mark.parametrize("command", ["eval"])
     @pytest.mark.parametrize("case", CASES)

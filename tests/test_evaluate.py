@@ -10,7 +10,10 @@ from retainkv.evaluate import (
     make_policy,
 )
 from retainkv.gates import init_gate_params
+from retainkv.paged_cache import PagedKVStore
 from retainkv.tasks import TaskSpec, build_task_model, default_shape, generate_dataset
+
+from conftest import admit
 
 SPEC = TaskSpec(context_len=40, n_keys=4, n_values=3, n_queries=2,
                 n_distractor_vocab=8, vocab=40)
@@ -87,32 +90,34 @@ class TestDecodeSequence:
 class TestPolicies:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
-            make_policy("entropy", 10, 2, 2)
+            make_policy("entropy", 10, PagedKVStore(2, 2, 1))
 
     def test_recency_keeps_sliding_window(self):
-        policy = make_policy("recency", total_budget=8, layers=2, heads=2)
+        store = PagedKVStore(2, 2, 1)
+        policy = make_policy("recency", total_budget=8, store=store)
         for t in range(20):
             for l in range(2):
                 for h in range(2):
-                    policy.admit(l, h, t, 1.0)
+                    admit(store, l, h, t, 1.0)
             policy.step(t)
         # window of 2 per head
         for l in range(2):
             for h in range(2):
-                assert policy.alive(l, h) == [18, 19]
+                assert store.gather(l, h).births.tolist() == [18, 19]
         assert policy.total_alive() == 8
 
     def test_per_head_budget_is_local(self):
-        policy = make_policy("per_head", total_budget=8, layers=2, heads=2)
+        store = PagedKVStore(2, 2, 1)
+        policy = make_policy("per_head", total_budget=8, store=store)
         for t in range(10):
             for l in range(2):
                 for h in range(2):
-                    policy.admit(l, h, t, 0.9 if h == 0 else 0.1)
+                    admit(store, l, h, t, 0.9 if h == 0 else 0.1)
             policy.step(t)
         # each head keeps exactly its local budget of 2, scores notwithstanding
         for l in range(2):
             for h in range(2):
-                assert policy.alive(l, h) == [8, 9]
+                assert store.gather(l, h).births.tolist() == [8, 9]
 
 
 class TestEvaluatePolicies:

@@ -14,6 +14,9 @@ from retainkv.eviction import (
     score_entries,
     select_retained,
 )
+from retainkv.paged_cache import PagedKVStore
+
+from conftest import admit
 
 
 def score(beta, birth, now, horizon):
@@ -149,10 +152,10 @@ class TestEvictGlobal:
         assert retain(entries, 2) == [(0, 0, 9), (0, 1, 4)]
 
     def test_duplicate_entries_rejected(self):
-        policy = EvictionPolicy(EvictionConfig(m_global=1))
-        policy.admit(0, 0, 1, 0.5)
+        store = PagedKVStore(1, 1, 1)
+        admit(store, 0, 0, 1, 0.5)
         with pytest.raises(ValueError):
-            policy.admit(0, 0, 1, 0.5)
+            admit(store, 0, 0, 1, 0.5)
 
     def test_matches_brute_force(self, rng):
         for trial in range(30):
@@ -203,31 +206,38 @@ class TestHorizonBehavior:
         assert flipped
 
 
-def alive_keys(policy, layers=2, heads=2):
-    return {(l, h, b) for l in range(layers) for h in range(heads) for b in policy.alive(l, h)}
+def alive(store, layer, head):
+    return store.gather(layer, head).births.tolist()
+
+
+def alive_keys(store):
+    return {(l, h, b) for l in range(store.layers) for h in range(store.heads)
+            for b in alive(store, l, h)}
 
 
 class TestPolicy:
     def test_huge_budget_never_evicts(self):
-        policy = EvictionPolicy(EvictionConfig(m_global=10**9))
+        store = PagedKVStore(1, 1, 1)
+        policy = EvictionPolicy(EvictionConfig(m_global=10**9), store)
         for t in range(100):
-            policy.admit(0, 0, t, 0.1)
+            admit(store, 0, 0, t, 0.1)
             assert policy.step(t) == {}
         assert policy.total_alive() == 100
 
     def test_budget_respected_and_monotone(self, rng):
         """At each step every (layer, head) caches the new token's entry."""
         cfg = EvictionConfig(m_global=40, horizon=2, cadence=1)
-        policy = EvictionPolicy(cfg)
+        store = PagedKVStore(2, 2, 1)
+        policy = EvictionPolicy(cfg, store)
         evicted: set = set()
         prev_alive: set = set()
         for t in range(1000):
             for l in range(2):
                 for h in range(2):
-                    policy.admit(l, h, t, float(rng.random()))
+                    admit(store, l, h, t, float(rng.random()))
             out = {(l, h, b) for (l, h), births in policy.step(t).items() for b in births}
             assert policy.total_alive() <= cfg.m_global
-            alive_now = alive_keys(policy)
+            alive_now = alive_keys(store)
             assert len(alive_now) == policy.total_alive()
             assert evicted.isdisjoint(out)               # evicted once, never again
             assert out <= prev_alive | {(l, h, t) for l in range(2) for h in range(2)}
@@ -238,47 +248,51 @@ class TestPolicy:
     def test_deterministic_rerun(self, rng):
         def run(seed):
             r = np.random.default_rng(seed)
-            policy = EvictionPolicy(EvictionConfig(m_global=20, horizon=3))
+            store = PagedKVStore(2, 2, 1)
+            policy = EvictionPolicy(EvictionConfig(m_global=20, horizon=3), store)
             snapshots = []
             for t in range(200):
                 for l in range(2):
                     for h in range(2):
-                        policy.admit(l, h, t, float(r.random()))
+                        admit(store, l, h, t, float(r.random()))
                 policy.step(t)
-                snapshots.append(tuple(sorted(alive_keys(policy))))
+                snapshots.append(tuple(sorted(alive_keys(store))))
             return snapshots
 
         assert run(7) == run(7)
 
     def test_two_head_dynamic_allocation(self):
         """Head A's tokens always score higher; head B shrinks to its newest."""
-        policy = EvictionPolicy(EvictionConfig(m_global=8, horizon=2))
+        store = PagedKVStore(1, 2, 1)
+        policy = EvictionPolicy(EvictionConfig(m_global=8, horizon=2), store)
         for t in range(40):
-            policy.admit(0, 0, t, 0.95)   # persistent head
-            policy.admit(0, 1, t, 0.05)   # transient head
+            admit(store, 0, 0, t, 0.95)   # persistent head
+            admit(store, 0, 1, t, 0.05)   # transient head
             policy.step(t)
-        a = policy.alive(0, 0)
-        b = policy.alive(0, 1)
+        a = alive(store, 0, 0)
+        b = alive(store, 0, 1)
         assert len(a) + len(b) <= 8
         assert len(a) > len(b)
         assert all(x >= 39 for x in b)  # head B keeps only its newest token
 
     def test_trace_rows_recorded(self):
         trace: list[TraceRow] = []
-        policy = EvictionPolicy(EvictionConfig(m_global=1), trace)
-        policy.admit(0, 0, 0, 0.9)
-        policy.admit(0, 1, 0, 0.1)
+        store = PagedKVStore(1, 2, 1)
+        policy = EvictionPolicy(EvictionConfig(m_global=1), store, trace)
+        admit(store, 0, 0, 0, 0.9)
+        admit(store, 0, 1, 0, 0.1)
         policy.step(0)
         actions = {(r.head, r.action) for r in trace}
         assert actions == {(0, "retain"), (1, "evict")}
 
     def test_readmission_rejected(self):
-        policy = EvictionPolicy(EvictionConfig(m_global=1))
-        policy.admit(0, 0, 0, 0.5)
-        policy.admit(0, 1, 0, 0.9)
-        policy.step(0)
+        store = PagedKVStore(1, 2, 1)
+        policy = EvictionPolicy(EvictionConfig(m_global=1), store)
+        admit(store, 0, 0, 0, 0.5)
+        admit(store, 0, 1, 0, 0.9)
+        assert policy.step(0) == {(0, 0): [0]}
         with pytest.raises(ValueError):
-            policy.admit(0, 0, 0, 0.5)
+            admit(store, 0, 0, 0, 0.5)
 
 
 def test_config_validation():
@@ -296,7 +310,10 @@ BETA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)   # coarse, so equal scores really occur
 
 
 class BruteForcePolicy:
-    """Reference semantics: a python list of live entries, ranked by sorted()."""
+    """Reference semantics: a python list of live entries, ranked by sorted().
+
+    Trace rows come in (birth, layer, head) order for "global" and in
+    (layer, head, birth) order for "per_head"."""
 
     def __init__(self, policy, m, horizon, cadence):
         self.policy, self.m, self.horizon, self.cadence = policy, m, horizon, cadence
@@ -321,9 +338,9 @@ class BruteForcePolicy:
                 keep = set()
                 for g in {e[:2] for e in self.alive}:
                     keep |= set([i for i in ranked if self.alive[i][:2] == g][:self.m])
-            rows = range(len(self.alive))
-            if self.policy == "per_head":
-                rows = sorted(rows, key=lambda i: (self.alive[i][:2], i))
+            order = (lambda e: e[:3]) if self.policy == "per_head" else (
+                lambda e: (e[2], e[0], e[1]))
+            rows = sorted(range(len(self.alive)), key=lambda i: order(self.alive[i]))
             self.trace += [(now, *self.alive[i][:3], scores[i],
                             "retain" if i in keep else "evict") for i in rows]
         evicted = {}
@@ -353,43 +370,45 @@ class TestEngineMatchesBruteForce:
     def test_random_interleavings(self, script):
         policy_name, m, horizon, cadence, ops = script
         trace: list[TraceRow] = []
+        store = PagedKVStore(2, 3, 1)
         policy = EvictionPolicy(EvictionConfig(m_global=m, horizon=horizon, cadence=cadence),
-                                trace, policy=policy_name)
+                                store, trace, policy=policy_name)
         oracle = BruteForcePolicy(policy_name, m, horizon, cadence)
         now = 0
-        admitted, evicted = set(), set()
+        latest, evicted = {}, set()   # latest: largest birth appended per (layer, head)
         for op in ops:
             if op[0] == "admit":
                 _, l, h, back, beta = op
                 key = (l, h, max(0, now - back))
-                if key in admitted:
+                if key[2] <= latest.get((l, h), -1):
                     with pytest.raises(ValueError):
-                        policy.admit(*key, beta)
+                        admit(store, *key, beta)
                     continue
-                admitted.add(key)
-                policy.admit(*key, beta)
+                latest[(l, h)] = key[2]
+                admit(store, *key, beta)
                 oracle.alive.append((*key, beta))
                 continue
             got = policy.step(now)
             want = oracle.step(now)
-            assert list(got.items()) == list(want.items())
+            # key order only decides which page ids the store's free list reuses
+            assert got == want
             out = {(l, h, b) for (l, h), births in got.items() for b in births}
             assert evicted.isdisjoint(out)
             evicted |= out
-            alive = alive_keys(policy, 2, 3)
-            assert alive == {e[:3] for e in oracle.alive}
-            assert alive.isdisjoint(evicted)
-            assert policy.total_alive() == len(alive)
+            alive_now = alive_keys(store)
+            assert alive_now == {e[:3] for e in oracle.alive}
+            assert alive_now.isdisjoint(evicted)
+            assert policy.total_alive() == len(alive_now)
             compressed = policy_name == "recency" or (
                 policy_name != "full" and (now + 1) % cadence == 0)
             if compressed and policy_name == "global":
-                assert len(alive) <= m
+                assert len(alive_now) <= m
             if compressed and policy_name in ("per_head", "recency"):
                 for l in range(2):
                     for h in range(3):
-                        assert len(policy.alive(l, h)) <= m
+                        assert len(alive(store, l, h)) <= m
             if compressed and policy_name == "recency":
-                assert all(b > now - m for _, _, b in alive)
+                assert all(b > now - m for _, _, b in alive_now)
             now += 1
         assert [(r.step, r.layer, r.head, r.token_birth, r.score, r.action)
                 for r in trace] == oracle.trace
