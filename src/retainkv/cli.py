@@ -84,7 +84,7 @@ def _merge(base: dict, override: dict) -> dict:
 
 
 # Allowed values of float keys and of float list items; every int key and int
-# list item must be >= 1.
+# list item must be >= 1, or >= its entry in INT_MINIMUMS.
 FLOAT_RANGES = {
     "train.lr": ("> 0", lambda v: v > 0),
     "train.lambda_cap": (">= 0", lambda v: v >= 0),
@@ -93,6 +93,7 @@ FLOAT_RANGES = {
     "survival.tau": ("in (0, 1]", lambda v: 0 < v <= 1),
     "theory.var_radius": ("in (0, 1)", lambda v: 0 < v < 1),
 }
+INT_MINIMUMS = {"theory.persistence_trials": theory.MIN_TRIALS}
 GATE_INPUTS = ("embedding", "kv")
 
 
@@ -114,8 +115,9 @@ def _check_value(name: str, val, default) -> None:
         if name == "train.gate_input" and val not in GATE_INPUTS:
             raise ConfigError(f"{name} must be one of {list(GATE_INPUTS)}, got {val!r}")
     elif isinstance(default, int):
-        if type(val) is not int or val < 1:
-            raise ConfigError(f"{name} must be an integer >= 1, got {val!r}")
+        low = INT_MINIMUMS.get(name, 1)
+        if type(val) is not int or val < low:
+            raise ConfigError(f"{name} must be an integer >= {low}, got {val!r}")
     elif type(val) not in (int, float) or not np.isfinite(val):
         raise ConfigError(f"{name} must be a finite number, got {val!r}")
     elif name in FLOAT_RANGES and not FLOAT_RANGES[name][1](val):

@@ -158,15 +158,11 @@ class EvictionPolicy:
         (layer, head), in (layer, head) order."""
         if self.policy == "full":
             return {}
-        store, m, groups = self.store, self.cfg.m_global, self._groups
-        snaps = [store.gather(l, h) for l, h in groups]
+        store, m = self.store, self.cfg.m_global
+        sizes, births, betas = store.live_entries()
         if self.policy == "recency":
-            gone = [s.births[:s.births.searchsorted(now - m, side="right")].tolist()
-                    for s in snaps]
+            keep = births > now - m
         else:
-            sizes = [len(s) for s in snaps]
-            births = np.concatenate([s.births for s in snaps])
-            betas = np.concatenate([s.betas for s in snaps])
             layer = self._layer_of.repeat(sizes)
             head = self._head_of.repeat(sizes)
             scores = score_entries(births, betas, now, self.cfg.horizon)
@@ -181,12 +177,12 @@ class EvictionPolicy:
                     for l, h, b, s, k in zip(layer[rows].tolist(), head[rows].tolist(),
                                              births[rows].tolist(), scores[rows].tolist(),
                                              keep[rows].tolist()))
-            # losers in (layer, head, birth) order, cut at each group's end
-            rows = np.flatnonzero(~keep)
-            cuts = rows.searchsorted(list(accumulate(sizes))).tolist()
-            lost = births[rows].tolist()
-            gone = [lost[lo:hi] for lo, hi in zip([0, *cuts], cuts)]
-        evicted = {g: b for g, b in zip(groups, gone) if b}
+        # losers in (layer, head, birth) order, cut at each group's end
+        rows = np.flatnonzero(~keep)
+        cuts = rows.searchsorted(list(accumulate(sizes))).tolist()
+        lost = births[rows].tolist()
+        gone = [lost[lo:hi] for lo, hi in zip([0, *cuts], cuts)]
+        evicted = {g: b for g, b in zip(self._groups, gone) if b}
         for (l, h), b in evicted.items():
             store.evict(l, h, b)
         return evicted

@@ -187,6 +187,14 @@ class PagedKVStore:
         keys, values, births, betas, _ = hd.readonly
         return GatherResult(keys[:n], values[:n], births[:n], betas[:n])
 
+    def live_entries(self) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """Every head's live entry count in (layer, head) order, and the births
+        and betas of all live entries in (layer, head, birth) order (copies)."""
+        heads = self._heads.values()     # built in (layer, head) order
+        return ([hd.n for hd in heads],
+                np.concatenate([hd.cols[2][:hd.n] for hd in heads]),
+                np.concatenate([hd.cols[3][:hd.n] for hd in heads]))
+
     def compact(self, layer: int, head: int) -> None:
         """Repack a head's survivors into ceil(n / page_size) pages.
 

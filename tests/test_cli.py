@@ -83,6 +83,8 @@ class TestBadConfigValue:
         "repeated_policy": ("eval", {"eval": {"policies": ["full", "full"]}}, "eval.policies"),
         "repeated_top_k": ("survival", {"survival": {"top_k": [2, 2]}}, "survival.top_k"),
         "string_context": ("train", {"task": {"context_len": "abc"}}, "task.context_len"),
+        "few_persistence_trials": ("theory", {"theory": {"persistence_trials": 500}},
+                                   "theory.persistence_trials must be an integer >= 1000"),
         "section_not_object": ("train", {"train": "x"}, "[train] must be a JSON object"),
     }
 

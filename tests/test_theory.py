@@ -1,6 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from retainkv import theory
 from retainkv.attention import UsefulSet
 from retainkv.theory import (
     DilutionInstance,
@@ -183,6 +188,114 @@ class TestPersistence:
         eps, _ = estimate_block_exit(self.bernoulli_config(), rng,
                                      n_starts=400, n_rollouts=400)
         assert eps == pytest.approx(0.5, abs=0.1)
+
+
+def region_by_partition(cfg, states):
+    """The top-K region test by a partition: the oracle for `_in_region`."""
+    scores = states @ cfg.compat.T
+    own = scores[:, cfg.token]
+    col = scores.shape[1] - cfg.top_k
+    kth = np.partition(scores, col, axis=1)[:, col]
+    return own >= kth - cfg.slack
+
+
+def block_exit_whole_array(cfg, rng, n_starts, n_rollouts):
+    """`estimate_block_exit` with every rollout row stepped and tested at once."""
+    def step(states):
+        noise = rng.standard_normal(states.shape)
+        return states @ cfg.transition.T + cfg.offset + cfg.noise_scale * noise
+
+    state = np.zeros((64, cfg.transition.shape[0]))
+    for _ in range(theory.BURN_IN):
+        state = step(state)
+    starts = []
+    steps = 0
+    while sum(s.shape[0] for s in starts) < n_starts and steps < theory.SEARCH_STEPS:
+        state = step(state)
+        mask = region_by_partition(cfg, state)
+        if mask.any():
+            starts.append(state[mask])
+        steps += 1
+    if not starts:
+        return 0.0, True
+    pool = np.concatenate(starts)[:n_starts]
+    expanded = np.repeat(pool, n_rollouts, axis=0)
+    alive = np.ones(expanded.shape[0], dtype=bool)
+    for _ in range(cfg.block):
+        expanded = step(expanded)
+        alive &= region_by_partition(cfg, expanded)
+    stay = alive.reshape(pool.shape[0], n_rollouts).mean(axis=1)
+    return float(1.0 - stay.max()), False
+
+
+@st.composite
+def region_cases(draw):
+    """A config and states: normal, integer-valued (exact score ties, and ties
+    at the threshold under an integer slack), or with repeated compat rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows, m, n = draw(st.integers(1, 30)), draw(st.integers(1, 3)), draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["normal", "integer", "repeated_compat"]))
+    if kind == "integer":
+        states = rng.integers(-3, 4, size=(rows, m)).astype(np.float64)
+        compat = rng.integers(-2, 3, size=(n, m)).astype(np.float64)
+    else:
+        states = rng.normal(size=(rows, m))
+        compat = rng.normal(size=(n, m))
+        if kind == "repeated_compat":
+            compat = compat[rng.integers(0, draw(st.integers(1, n)), size=n)]
+    slack = draw(st.one_of(st.just(0.0), st.integers(0, 3).map(float),
+                           st.floats(0.0, 3.0, allow_nan=False)))
+    cfg = PersistenceConfig(
+        transition=np.zeros((m, m)), offset=np.zeros(m), noise_scale=1.0, compat=compat,
+        token=draw(st.integers(0, n - 1)), top_k=draw(st.integers(1, n)), slack=slack)
+    return cfg, states
+
+
+class TestRegionKernel:
+    @settings(max_examples=400, deadline=None)
+    @given(region_cases())
+    def test_count_matches_partition(self, case):
+        cfg, states = case
+        np.testing.assert_array_equal(theory._in_region(cfg, states),
+                                      region_by_partition(cfg, states))
+
+    def test_ties_are_inside(self):
+        # own score 1 ties the best score; -1 ties the threshold 1 - slack 2
+        cfg = PersistenceConfig(
+            transition=np.zeros((1, 1)), offset=np.zeros(1), noise_scale=1.0,
+            compat=np.array([[1.0], [1.0], [-1.0]]), token=0, top_k=1)
+        states = np.array([[1.0], [-1.0]])
+        np.testing.assert_array_equal(theory._in_region(cfg, states), [True, False])
+        relaxed = dataclasses.replace(cfg, token=2, slack=2.0)
+        np.testing.assert_array_equal(theory._in_region(relaxed, states), [True, True])
+
+
+class TestChunkedBlockExit:
+    """Row chunks reproduce the whole-array estimate and RNG stream exactly."""
+
+    CHUNK = 16
+
+    @staticmethod
+    def config(seed, block):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(3, 3))
+        compat = rng.normal(size=(8, 3))
+        return PersistenceConfig(
+            transition=a * 0.6 / spectral_radius(a), offset=0.2 * rng.normal(size=3),
+            noise_scale=0.9, compat=compat / np.linalg.norm(compat, axis=1, keepdims=True),
+            token=int(rng.integers(0, 8)), top_k=2, slack=0.2, block=block)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("block", (1, 2))
+    @pytest.mark.parametrize("n_starts,n_rollouts", ((1, 3 * CHUNK + 1), (3, 11), (1, 5)))
+    def test_matches_whole_array(self, monkeypatch, seed, block, n_starts, n_rollouts):
+        monkeypatch.setattr(theory, "CHUNK_ROWS", self.CHUNK)
+        cfg = self.config(seed, block)
+        rng_chunked, rng_whole = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = estimate_block_exit(cfg, rng_chunked, n_starts=n_starts, n_rollouts=n_rollouts)
+        want = block_exit_whole_array(cfg, rng_whole, n_starts, n_rollouts)
+        assert got == want
+        assert rng_chunked.bit_generator.state == rng_whole.bit_generator.state
 
 
 class TestVar1Fit:
