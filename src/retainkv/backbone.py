@@ -79,8 +79,11 @@ class ForwardTrace:
 
 
 def teacher_forward(bb: Backbone, tokens) -> Array:
-    """Full-cache forward: standard causal attention, no gating. Returns logits."""
-    logits, _ = student_forward(bb, None, tokens)
+    """Full-cache forward: standard causal attention, no gating. Returns logits.
+
+    Keeps no trace, so no head's [T, T] weights outlive its attention output.
+    """
+    logits, _ = _forward(bb, None, tokens, keep_trace=False)
     return logits
 
 
@@ -91,13 +94,18 @@ def student_forward(bb: Backbone, gates: GateParams | None, tokens) -> tuple[Arr
     on the causal attention logits; betas come from the gate applied to that
     layer's input hidden state (or to [k || v] in the ablation variant).
     """
+    return _forward(bb, gates, tokens, keep_trace=True)
+
+
+def _forward(bb: Backbone, gates: GateParams | None, tokens,
+             keep_trace: bool) -> tuple[Array, ForwardTrace | None]:
     tokens = np.asarray(tokens, dtype=np.int64)
     T = tokens.shape[0]
     shape = bb.shape
     if T > shape.seq_len:
         raise ValueError(f"sequence length {T} exceeds model limit {shape.seq_len}")
     L, H, dh = shape.layers, shape.heads, shape.head_dim
-    causal = np.tri(T, dtype=bool)  # [t, i] is i <= t
+    future = ~np.tri(T, dtype=bool)  # [t, i] is i > t
     if gates is not None:
         ages = np.subtract.outer(np.arange(T), np.arange(T)).astype(np.float64)
         aged = ages > 0
@@ -111,28 +119,39 @@ def student_forward(bb: Backbone, gates: GateParams | None, tokens) -> tuple[Arr
         attn = np.zeros_like(h)
         # k and v may feed the gate, which runs once for all heads; q waits for
         # its head, as computing it here too raised peak memory ~1 MB at T=489
-        heads = [{"k": x @ bb.wk[l, hd], "v": x @ bb.wv[l, hd]} for hd in range(H)]
+        ks = [x @ bb.wk[l, hd] for hd in range(H)]
+        vs = [x @ bb.wv[l, hd] for hd in range(H)]
         if gates is not None:
-            gin = [_gate_input(x, c["k"], c["v"], gates.gate_input) for c in heads]
+            gin = [_gate_input(x, ks[hd], vs[hd], gates.gate_input) for hd in range(H)]
             shared = gates.gate_input == "embedding"
             h1, p, beta = _gate_mlp(x if shared else np.stack(gin), l, None, gates)
             betas[l] = beta
-        for hd, cache in enumerate(heads):
-            cache["q"] = x @ bb.wq[l, hd]
-            z = (cache["q"] @ cache["k"].T) / np.sqrt(dh)
+        heads = []
+        for hd in range(H):
+            q = x @ bb.wq[l, hd]
+            z = q @ ks[hd].T
+            z /= np.sqrt(dh)
             if gates is not None:
                 z += np.where(aged, ages * np.log(beta[hd])[None, :], 0.0)
-                cache.update({"gin": gin[hd], "h1": h1[hd], "p": p[hd], "beta": beta[hd]})
-            w = softmax_kernel(np.where(causal, z, -np.inf))
-            cache["w"] = w
-            attn += (w @ cache["v"]) @ bb.wo[l, hd]
-        per_head_all.append(heads)
+            np.copyto(z, -np.inf, where=future)
+            w = softmax_kernel(z)
+            attn += (w @ vs[hd]) @ bb.wo[l, hd]
+            if keep_trace:
+                cache = {"q": q, "k": ks[hd], "v": vs[hd], "w": w}
+                if gates is not None:
+                    cache.update({"gin": gin[hd], "h1": h1[hd], "p": p[hd], "beta": beta[hd]})
+                heads.append(cache)
+            del z, w  # free them before the next head builds its own [T, T] logits
         h = h + attn
         a = np.tanh(h @ bb.mlp_w1[l] + bb.mlp_b1[l])
-        mlp_acts.append(a)
+        if keep_trace:
+            per_head_all.append(heads)
+            mlp_acts.append(a)
         h = h + a @ bb.mlp_w2[l] + bb.mlp_b2[l]
 
     logits = h @ bb.unembed
+    if not keep_trace:
+        return logits, None
     return logits, ForwardTrace(tokens, betas, per_head_all, mlp_acts)
 
 

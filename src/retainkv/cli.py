@@ -310,9 +310,11 @@ def run_theory_suite(cfg: dict, seed: int) -> tuple[dict, list[dict]]:
         a *= target / spectral_radius(a)
         b = 0.1 * rng_var.normal(size=m)
         steps = 1500
+        # one draw gives the same stream as `steps` draws of size m
+        noise = 0.1 * rng_var.normal(size=(steps, m))
         states = np.zeros((steps + 1, m))
         for t in range(steps):
-            states[t + 1] = a @ states[t] + b + 0.1 * rng_var.normal(size=m)
+            states[t + 1] = a @ states[t] + b + noise[t]
         radii.append(fit_var1([states]).spectral_radius)
     walk = np.cumsum(rng_var.normal(size=(1000, 3)), axis=0)
     walk_fit = fit_var1([walk])

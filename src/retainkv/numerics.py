@@ -57,11 +57,15 @@ def softmax_kernel(z: Array) -> Array:
 
     The package's one softmax: `softmax`, `softmax_log_space`, the backbone's
     causal attention and decode all call it. Entries at -inf get weight
-    exactly 0; every row needs at least one finite entry.
+    exactly 0; every row needs at least one finite entry. It allocates one
+    array of z's shape and never writes into `z`, which may alias a caller's
+    array; the in-place exp and divide give the same bits as
+    ``np.exp(z - m) / sum``.
     """
-    m = z.max(-1, keepdims=True)
-    e = np.exp(z - m)
-    return e / e.sum(-1, keepdims=True)
+    e = z - z.max(-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(-1, keepdims=True)
+    return e
 
 
 def softmax(logits: Array) -> Array:

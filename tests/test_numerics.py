@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from retainkv.numerics import (
     EmptySupportError,
@@ -9,6 +10,7 @@ from retainkv.numerics import (
     geometric_log_weights,
     sigmoid,
     softmax,
+    softmax_kernel,
     softmax_log_space,
 )
 
@@ -76,6 +78,37 @@ class TestSoftmaxLogSpace:
         w = softmax_log_space(logits, np.zeros(len(logits)))
         assert abs(w.sum() - 1.0) < 1e-12
         assert np.all(w >= 0.0)
+
+
+@st.composite
+def logit_rows(draw):
+    """1-D or 2-D logits with some entries at -inf, at least one finite per row."""
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=12))
+    z = draw(hnp.arrays(np.float64, shape, elements=st.floats(-800, 800)))
+    masked = draw(hnp.arrays(np.bool_, shape))
+    masked[..., draw(st.integers(0, shape[-1] - 1))] = False
+    z[masked] = NEG_INF
+    return z
+
+
+class TestSoftmaxKernel:
+    @given(logit_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_three_array_formula_bit_for_bit(self, z):
+        e = np.exp(z - z.max(-1, keepdims=True))
+        expected = e / e.sum(-1, keepdims=True)
+        before = z.tobytes()
+        got = softmax_kernel(z)
+        assert z.tobytes() == before
+        assert got.shape == z.shape
+        assert got.tobytes() == expected.tobytes()
+
+    def test_checked_softmax_leaves_caller_array_alone(self):
+        # as_vector returns the caller's own float64 array, not a copy
+        z = np.array([1.0, -2.0, 0.5])
+        before = z.copy()
+        softmax(z)
+        assert np.array_equal(z, before)
 
 
 class TestGeometricLogWeights:
