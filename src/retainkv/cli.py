@@ -21,7 +21,6 @@ import tempfile
 import numpy as np
 
 from . import theory
-from .backbone import student_forward
 from .eviction import SCORED, TraceRow
 from .evaluate import POLICIES, SelectionRecorder, decode_sequence, evaluate_policies
 from .gates import GateParams, init_gate_params, load_gates, save_gates
@@ -232,14 +231,10 @@ def _backbone_query_var(cfg: dict, rng: np.random.Generator) -> dict:
     """Fit query-state dynamics of the toy model: PCA projection, then VAR(1)."""
     spec = TaskSpec(**cfg["task"])
     bb = build_task_model(spec, rng)
-    trajs = []
-    pooled = []
-    for sample in generate_dataset(spec, 8, rng):
-        _, trace = student_forward(bb, None, sample.tokens)
-        q = trace.per_head[0][0]["q"]
-        pooled.append(q)
-        trajs.append(q)
-    states = np.concatenate(pooled)
+    # layer 0, head 0's queries: the same expression as in the forward pass
+    trajs = [(bb.embed[s.tokens] + bb.pos[:len(s.tokens)]) @ bb.wq[0, 0]
+             for s in generate_dataset(spec, 8, rng)]
+    states = np.concatenate(trajs)
     _, _, spectrum = pca_project(states, states.shape[1])
     effective_rank = int(np.sum(spectrum > 1e-10 * spectrum.sum()))
     k = max(1, min(8, effective_rank))

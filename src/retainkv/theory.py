@@ -243,6 +243,18 @@ CHUNK_ROWS = 1 << 15   # rollout rows stepped and tested at a time
 MIN_TRIALS = 1000      # survival chains needed for a usable standard error
 
 
+def _chunk_draws(rng: np.random.Generator, rows: int, m: int):
+    """Standard normal noise for `rows` rows of width m, as (lo, hi, noise).
+
+    Chunks of CHUNK_ROWS rows are drawn in row order into one reused buffer,
+    so the stream is that of one whole [rows, m] draw.
+    """
+    noise = np.empty((min(CHUNK_ROWS, rows), m))
+    for lo in range(0, rows, CHUNK_ROWS):
+        hi = min(lo + CHUNK_ROWS, rows)
+        yield lo, hi, rng.standard_normal(out=noise[:hi - lo])
+
+
 def estimate_block_exit(cfg: PersistenceConfig, rng: np.random.Generator,
                         n_starts: int = 1000, n_rollouts: int = 1000) -> tuple[float, bool]:
     """Worst-case block-exit probability over sampled in-region states.
@@ -267,16 +279,33 @@ def estimate_block_exit(cfg: PersistenceConfig, rng: np.random.Generator,
     if not starts:
         return 0.0, True
     pool = np.concatenate(starts)[:n_starts]
-    states = np.repeat(pool, n_rollouts, axis=0)
-    alive = np.ones(states.shape[0], dtype=bool)
-    noise = np.empty((min(CHUNK_ROWS, states.shape[0]), m))
-    for _ in range(cfg.block):
-        # chunks draw their noise in row order: the stream of one whole draw
-        for lo in range(0, states.shape[0], CHUNK_ROWS):
-            chunk = states[lo:lo + CHUNK_ROWS]
-            draw = rng.standard_normal(out=noise[:chunk.shape[0]])
-            chunk[...] = _step(cfg, chunk, draw)
-            alive[lo:lo + CHUNK_ROWS] &= _in_region(cfg, chunk)
+    rows = pool.shape[0] * n_rollouts
+    # all rollouts of a start share the noise-free part of their first step;
+    # adding the scaled noise to it is `_step`'s sum, term for term
+    base = pool @ cfg.transition.T + cfg.offset
+    alive = np.empty(rows, dtype=bool)
+    live = []  # per chunk: the states of its live rows, in row order
+    for lo, hi, draw in _chunk_draws(rng, rows, m):
+        # rows lo..hi-1 are rollouts of starts first..last-1
+        first, last = lo // n_rollouts, (hi - 1) // n_rollouts + 1
+        counts = np.full(last - first, n_rollouts)
+        counts[0] -= lo - first * n_rollouts
+        counts[-1] -= last * n_rollouts - hi
+        chunk = np.repeat(base[first:last], counts, axis=0)
+        draw *= cfg.noise_scale
+        chunk += draw
+        alive[lo:hi] = _in_region(cfg, chunk)
+        if cfg.block > 1:
+            live.append(chunk[alive[lo:hi]])
+    # later steps move only the live rows; every row still draws its noise
+    for _ in range(1, cfg.block):
+        for k, (lo, hi, draw) in enumerate(_chunk_draws(rng, rows, m)):
+            if len(live[k]):
+                rows_k = np.flatnonzero(alive[lo:hi])
+                states = _step(cfg, live[k], draw[rows_k])
+                inside = _in_region(cfg, states)
+                alive[lo + rows_k] = inside
+                live[k] = states[inside]
     stay = alive.reshape(pool.shape[0], n_rollouts).mean(axis=1)
     return float(1.0 - stay.max()), False
 
@@ -304,11 +333,13 @@ def simulate_persistence(cfg: PersistenceConfig, n_max: int = 200, trials: int =
     for _ in range(BURN_IN):
         states = _step(cfg, states, rng_run.standard_normal(states.shape))
     alive = np.ones(trials, dtype=bool)
-    survival = np.empty(n_max)
+    survival = np.zeros(n_max)
     for n in range(n_max):
         states = _step(cfg, states, rng_run.standard_normal(states.shape))
         alive &= _in_region(cfg, states)
         survival[n] = alive.mean()
+        if not alive.any():
+            break  # every later survival is 0; rng_run is read nowhere else
     stderr = np.sqrt(survival * (1.0 - survival) / trials)
 
     vacuous = eps_hat <= 0.0

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,6 +190,57 @@ class TestPersistence:
                                      n_starts=400, n_rollouts=400)
         assert eps == pytest.approx(0.5, abs=0.1)
 
+    def test_early_stop_matches_all_steps_when_chains_exit(self):
+        # every chain exits within 10 of the 60 steps
+        args = (self.bernoulli_config(), 60, 1000, 3, 50, 40)
+        want = persistence_all_steps(*args)
+        assert want[0][30] == 0.0
+        assert_same_persistence(simulate_persistence(*args), want)
+
+    def test_early_stop_matches_all_steps_when_chains_survive(self):
+        # the large-slack config of test_vacuous_region_skips_bound
+        cfg = PersistenceConfig(
+            transition=np.eye(1) * 0.5, offset=np.zeros(1), noise_scale=0.1,
+            compat=np.array([[1.0], [-1.0]]), token=0, top_k=1, slack=100.0, block=1)
+        args = (cfg, 20, 1000, 0, 50, 40)
+        want = persistence_all_steps(*args)
+        assert want[0][-1] == 1.0
+        assert_same_persistence(simulate_persistence(*args), want)
+
+
+def persistence_all_steps(cfg, n_max, trials, seed, n_starts, n_rollouts):
+    """`simulate_persistence` with its survival loop run for all n_max steps.
+
+    Returns (survival, stderr, bound, epsilon_hat, holds).
+    """
+    master = np.random.SeedSequence(seed)
+    rng_exit, rng_run = [np.random.default_rng(s) for s in master.spawn(2)]
+    eps_hat, _ = estimate_block_exit(cfg, rng_exit, n_starts, n_rollouts)
+    states = np.zeros((trials, cfg.transition.shape[0]))
+    for _ in range(theory.BURN_IN):
+        states = theory._step(cfg, states, rng_run.standard_normal(states.shape))
+    alive = np.ones(trials, dtype=bool)
+    survival = np.empty(n_max)
+    for n in range(n_max):
+        states = theory._step(cfg, states, rng_run.standard_normal(states.shape))
+        alive &= theory._in_region(cfg, states)
+        survival[n] = alive.mean()
+    stderr = np.sqrt(survival * (1.0 - survival) / trials)
+    if eps_hat <= 0.0:
+        return survival, stderr, np.ones(n_max), eps_hat, True
+    beta = (1.0 - eps_hat) ** (1.0 / cfg.block)
+    bound = 1.0 / (1.0 - eps_hat) * beta ** np.arange(1, n_max + 1)
+    return survival, stderr, bound, eps_hat, bool(np.all(survival <= bound + 3.0 * stderr))
+
+
+def assert_same_persistence(res, want):
+    survival, stderr, bound, eps_hat, holds = want
+    assert np.array_equal(res.survival, survival)
+    assert np.array_equal(res.stderr, stderr)
+    assert np.array_equal(res.bound, bound)
+    assert res.epsilon_hat == eps_hat
+    assert res.holds == holds
+
 
 def region_by_partition(cfg, states):
     """The top-K region test by a partition: the oracle for `_in_region`."""
@@ -199,8 +251,11 @@ def region_by_partition(cfg, states):
     return own >= kth - cfg.slack
 
 
-def block_exit_whole_array(cfg, rng, n_starts, n_rollouts):
-    """`estimate_block_exit` with every rollout row stepped and tested at once."""
+def block_exit_whole_array(cfg, rng, n_starts, n_rollouts, alive_after=None):
+    """`estimate_block_exit` with every rollout row stepped and tested at once.
+
+    Appends a copy of the rows' alive mask after each step to `alive_after`.
+    """
     def step(states):
         noise = rng.standard_normal(states.shape)
         return states @ cfg.transition.T + cfg.offset + cfg.noise_scale * noise
@@ -224,6 +279,8 @@ def block_exit_whole_array(cfg, rng, n_starts, n_rollouts):
     for _ in range(cfg.block):
         expanded = step(expanded)
         alive &= region_by_partition(cfg, expanded)
+        if alive_after is not None:
+            alive_after.append(alive.copy())
     stay = alive.reshape(pool.shape[0], n_rollouts).mean(axis=1)
     return float(1.0 - stay.max()), False
 
@@ -285,17 +342,60 @@ class TestChunkedBlockExit:
             noise_scale=0.9, compat=compat / np.linalg.norm(compat, axis=1, keepdims=True),
             token=int(rng.integers(0, 8)), top_k=2, slack=0.2, block=block)
 
+    @staticmethod
+    def check(cfg, seed, n_starts, n_rollouts):
+        """Assert both estimates and RNG states agree; return the alive masks."""
+        rng_chunked, rng_whole = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = estimate_block_exit(cfg, rng_chunked, n_starts=n_starts, n_rollouts=n_rollouts)
+        alive_after = []
+        want = block_exit_whole_array(cfg, rng_whole, n_starts, n_rollouts, alive_after)
+        assert got == want
+        assert rng_chunked.bit_generator.state == rng_whole.bit_generator.state
+        return got, alive_after
+
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("block", (1, 2))
+    @pytest.mark.parametrize("block", (1, 2, 3))
     @pytest.mark.parametrize("n_starts,n_rollouts", ((1, 3 * CHUNK + 1), (3, 11), (1, 5)))
     def test_matches_whole_array(self, monkeypatch, seed, block, n_starts, n_rollouts):
         monkeypatch.setattr(theory, "CHUNK_ROWS", self.CHUNK)
-        cfg = self.config(seed, block)
-        rng_chunked, rng_whole = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = estimate_block_exit(cfg, rng_chunked, n_starts=n_starts, n_rollouts=n_rollouts)
-        want = block_exit_whole_array(cfg, rng_whole, n_starts, n_rollouts)
-        assert got == want
-        assert rng_chunked.bit_generator.state == rng_whole.bit_generator.state
+        self.check(self.config(seed, block), seed, n_starts, n_rollouts)
+
+    @pytest.mark.parametrize("block", (1, 2, 3))
+    def test_every_rollout_exits_at_first_step(self, monkeypatch, block):
+        # r' = -0.99 r + 1.99 oscillates about 1 with a decaying amplitude; the
+        # region r <= 0.9 holds only on the low swings, each followed by r > 1.09
+        monkeypatch.setattr(theory, "CHUNK_ROWS", self.CHUNK)
+        cfg = PersistenceConfig(
+            transition=np.array([[-0.99]]), offset=np.array([1.99]), noise_scale=1e-3,
+            compat=np.array([[0.0], [1.0]]), token=0, top_k=1, slack=0.9, block=block)
+        (eps, unreachable), alive_after = self.check(cfg, 0, 5, 2 * self.CHUNK + 3)
+        assert (eps, unreachable) == (1.0, False)
+        assert not alive_after[0].any()
+
+    def test_some_chunks_dead_others_live(self, monkeypatch):
+        chunk = 4
+        monkeypatch.setattr(theory, "CHUNK_ROWS", chunk)
+        cfg = dataclasses.replace(TestPersistence().bernoulli_config(), block=3)
+        _, alive_after = self.check(cfg, 1, 2, 30)
+        for alive in alive_after[:2]:
+            live_chunks = [alive[lo:lo + chunk].any() for lo in range(0, alive.size, chunk)]
+            assert any(live_chunks) and not all(live_chunks)
+
+    def test_default_rollouts_peak_memory(self):
+        # 1000 starts x 1000 rollouts; a [10**6, 3] array of states is 24 MB
+        rng = np.random.default_rng(7)
+        compat = rng.normal(size=(13, 3))
+        cfg = PersistenceConfig(
+            transition=np.diag([0.5, -0.3, 0.2]), offset=np.zeros(3), noise_scale=1.0,
+            compat=compat, token=0, top_k=4, slack=0.1, block=1)
+        tracemalloc.start()
+        try:
+            eps, unreachable = estimate_block_exit(cfg, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not unreachable and 0.0 < eps < 1.0
+        assert peak < 10e6, f"estimate_block_exit peaked at {peak / 1e6:.1f} MB"
 
 
 class TestVar1Fit:
