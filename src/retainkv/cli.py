@@ -244,6 +244,30 @@ def _backbone_query_var(cfg: dict, rng: np.random.Generator) -> dict:
             "stable": fit.stable, "residual_rms": fit.residual_rms}
 
 
+def _var1_paths(rng: np.random.Generator, fits: int, radius: float) -> np.ndarray:
+    """`fits` VAR(1) paths of 1500 steps in 4 dimensions from the zero state,
+    as [fits, 1501, 4].
+
+    Each fit draws a transition scaled to spectral radius `radius`, an
+    offset and its noise, in that order. The paths then run in lockstep as
+    stacked rows, which gives each fit the bits of its own `a @ x + b + e`.
+    """
+    m, steps = 4, 1500
+    a = np.empty((fits, m, m))
+    b = np.empty((fits, m))
+    noise = np.empty((fits, steps, m))
+    for f in range(fits):
+        a[f] = rng.normal(size=(m, m))
+        a[f] *= radius / spectral_radius(a[f])
+        b[f] = 0.1 * rng.normal(size=m)
+        # one draw gives the same stream as `steps` draws of size m
+        noise[f] = 0.1 * rng.normal(size=(steps, m))
+    states = np.zeros((fits, steps + 1, m))
+    for t in range(steps):
+        states[:, t + 1] = (a @ states[:, t, :, None])[..., 0] + b + noise[:, t]
+    return states
+
+
 def run_theory_suite(cfg: dict, seed: int) -> tuple[dict, list[dict]]:
     """The theory report and the rows of `persistence.csv`."""
     tcfg = cfg["theory"]
@@ -297,20 +321,9 @@ def run_theory_suite(cfg: dict, seed: int) -> tuple[dict, list[dict]]:
             pers_rows.append({"config": i, "horizon": n + 1, "criterion": "bound",
                               "fraction": float(min(1.0, res.bound[n]))})
 
-    radii = []
     target = tcfg["var_radius"]
-    for _ in range(tcfg["var_fits"]):
-        m = 4
-        a = rng_var.normal(size=(m, m))
-        a *= target / spectral_radius(a)
-        b = 0.1 * rng_var.normal(size=m)
-        steps = 1500
-        # one draw gives the same stream as `steps` draws of size m
-        noise = 0.1 * rng_var.normal(size=(steps, m))
-        states = np.zeros((steps + 1, m))
-        for t in range(steps):
-            states[t + 1] = a @ states[t] + b + noise[t]
-        radii.append(fit_var1([states]).spectral_radius)
+    radii = [fit_var1([states]).spectral_radius
+             for states in _var1_paths(rng_var, tcfg["var_fits"], target)]
     walk = np.cumsum(rng_var.normal(size=(1000, 3)), axis=0)
     walk_fit = fit_var1([walk])
 

@@ -237,22 +237,35 @@ class PersistenceResult:
         return float((self.bound + 3 * self.stderr - self.survival).min())
 
 
-BURN_IN = 200          # steps from the zero state before a chain is read
 SEARCH_STEPS = 20000   # steps searched for in-region start states
 CHUNK_ROWS = 1 << 15   # rollout rows stepped and tested at a time
 MIN_TRIALS = 1000      # survival chains needed for a usable standard error
 
 
-def _chunk_draws(rng: np.random.Generator, rows: int, m: int):
-    """Standard normal noise for `rows` rows of width m, as (lo, hi, noise).
+def _stationary_law(cfg: PersistenceConfig) -> tuple[Array, Array]:
+    """Mean and covariance of the chain's stationary law N(mu, Sigma).
 
-    Chunks of CHUNK_ROWS rows are drawn in row order into one reused buffer,
-    so the stream is that of one whole [rows, m] draw.
+    mu = (I - A)^-1 b, and Sigma solves Sigma = A Sigma A^T + s^2 I, from
+    vec(Sigma) = (I - A kron A)^-1 vec(s^2 I) with row-major vec. Both
+    inverses exist because the spectral radius of A is below 1.
     """
-    noise = np.empty((min(CHUNK_ROWS, rows), m))
-    for lo in range(0, rows, CHUNK_ROWS):
-        hi = min(lo + CHUNK_ROWS, rows)
-        yield lo, hi, rng.standard_normal(out=noise[:hi - lo])
+    a = cfg.transition
+    m = a.shape[0]
+    mu = np.linalg.solve(np.eye(m) - a, cfg.offset)
+    vec = np.linalg.solve(np.eye(m * m) - np.kron(a, a),
+                          (cfg.noise_scale ** 2 * np.eye(m)).ravel())
+    return mu, vec.reshape(m, m)
+
+
+def _stationary(cfg: PersistenceConfig, rng: np.random.Generator, rows: int) -> Array:
+    """`rows` independent states drawn from the chain's stationary law.
+
+    Without noise the law is a point mass at mu, and no normals are drawn.
+    """
+    mu, cov = _stationary_law(cfg)
+    if cfg.noise_scale == 0.0:
+        return np.tile(mu, (rows, 1))
+    return mu + rng.standard_normal((rows, mu.shape[0])) @ np.linalg.cholesky(cov).T
 
 
 def estimate_block_exit(cfg: PersistenceConfig, rng: np.random.Generator,
@@ -264,9 +277,7 @@ def estimate_block_exit(cfg: PersistenceConfig, rng: np.random.Generator,
     probability. Returns (epsilon_hat, region_unreachable).
     """
     m = cfg.transition.shape[0]
-    state = np.zeros((64, m))
-    for _ in range(BURN_IN):
-        state = _step(cfg, state, rng.standard_normal(state.shape))
+    state = _stationary(cfg, rng, 64)
     starts = []
     found = steps = 0
     while found < n_starts and steps < SEARCH_STEPS:
@@ -285,24 +296,29 @@ def estimate_block_exit(cfg: PersistenceConfig, rng: np.random.Generator,
     base = pool @ cfg.transition.T + cfg.offset
     alive = np.empty(rows, dtype=bool)
     live = []  # per chunk: the states of its live rows, in row order
-    for lo, hi, draw in _chunk_draws(rng, rows, m):
+    # chunks draw in row order into one reused buffer: one [rows, m] draw
+    noise = np.empty((min(CHUNK_ROWS, rows), m))
+    for lo in range(0, rows, CHUNK_ROWS):
+        hi = min(lo + CHUNK_ROWS, rows)
         # rows lo..hi-1 are rollouts of starts first..last-1
         first, last = lo // n_rollouts, (hi - 1) // n_rollouts + 1
         counts = np.full(last - first, n_rollouts)
         counts[0] -= lo - first * n_rollouts
         counts[-1] -= last * n_rollouts - hi
         chunk = np.repeat(base[first:last], counts, axis=0)
+        draw = rng.standard_normal(out=noise[:hi - lo])
         draw *= cfg.noise_scale
         chunk += draw
         alive[lo:hi] = _in_region(cfg, chunk)
         if cfg.block > 1:
             live.append(chunk[alive[lo:hi]])
-    # later steps move only the live rows; every row still draws its noise
+    # later steps draw noise for, move and test only the rows still alive;
+    # in row order these draws are one draw per step, whatever the chunking
     for _ in range(1, cfg.block):
-        for k, (lo, hi, draw) in enumerate(_chunk_draws(rng, rows, m)):
+        for k, lo in enumerate(range(0, rows, CHUNK_ROWS)):
             if len(live[k]):
-                rows_k = np.flatnonzero(alive[lo:hi])
-                states = _step(cfg, live[k], draw[rows_k])
+                rows_k = np.flatnonzero(alive[lo:lo + CHUNK_ROWS])
+                states = _step(cfg, live[k], rng.standard_normal(live[k].shape))
                 inside = _in_region(cfg, states)
                 alive[lo + rows_k] = inside
                 live[k] = states[inside]
@@ -328,10 +344,7 @@ def simulate_persistence(cfg: PersistenceConfig, n_max: int = 200, trials: int =
     rng_exit, rng_run = [np.random.default_rng(s) for s in master.spawn(2)]
 
     eps_hat, unreachable = estimate_block_exit(cfg, rng_exit, n_starts, n_rollouts)
-    m = cfg.transition.shape[0]
-    states = np.zeros((trials, m))
-    for _ in range(BURN_IN):
-        states = _step(cfg, states, rng_run.standard_normal(states.shape))
+    states = _stationary(cfg, rng_run, trials)
     alive = np.ones(trials, dtype=bool)
     survival = np.zeros(n_max)
     for n in range(n_max):

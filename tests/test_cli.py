@@ -9,6 +9,7 @@ from retainkv.cli import ConfigError, load_config, main
 from retainkv.evaluate import SelectionRecorder, decode_sequence
 from retainkv.gates import ModelShape, init_gate_params, save_gates
 from retainkv.tasks import generate_dataset
+from retainkv.theory import spectral_radius
 
 SMALL_TASK = {
     "task": {"context_len": 32, "n_keys": 4, "n_values": 3, "n_queries": 2,
@@ -128,6 +129,30 @@ class TestTheoryCommand:
         assert err.count("\n") == 1 and err.startswith("config error:") \
             and "force_unstable" in err, err
         assert not (tmp_path / "theory_report.json").exists()
+
+
+def var1_paths_per_fit(rng, fits, radius):
+    """`cli._var1_paths` one fit and one step at a time."""
+    paths = []
+    for _ in range(fits):
+        m, steps = 4, 1500
+        a = rng.normal(size=(m, m))
+        a *= radius / spectral_radius(a)
+        b = 0.1 * rng.normal(size=m)
+        noise = 0.1 * rng.normal(size=(steps, m))
+        states = np.zeros((steps + 1, m))
+        for t in range(steps):
+            states[t + 1] = a @ states[t] + b + noise[t]
+        paths.append(states)
+    return np.stack(paths)
+
+
+@pytest.mark.parametrize("fits", (1, 10))
+def test_lockstep_var1_paths_match_per_fit_loop(fits):
+    rng_lockstep, rng_loop = np.random.default_rng(fits), np.random.default_rng(fits)
+    got = cli._var1_paths(rng_lockstep, fits, 0.76)
+    assert np.array_equal(got, var1_paths_per_fit(rng_loop, fits, 0.76))
+    assert rng_lockstep.bit_generator.state == rng_loop.bit_generator.state
 
 
 class TestTrainEvalSurvival:

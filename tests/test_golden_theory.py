@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from retainkv import cli
+from retainkv import cli, theory
 
 GOLDEN = Path(__file__).with_name("data") / "golden_theory.json"
 SEEDS = (0, 1)
@@ -67,6 +67,13 @@ def test_configs_cover_block_two_and_relaxed_top_k():
 def test_theory_suite_matches_golden(seed):
     golden = json.loads(GOLDEN.read_text())
     assert digest(seed) == golden[str(seed)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_digest_does_not_depend_on_chunk_rows(monkeypatch, seed):
+    default = digest(seed)
+    monkeypatch.setattr(theory, "CHUNK_ROWS", 1000)
+    assert digest(seed) == default
 
 
 if __name__ == "__main__":

@@ -208,6 +208,50 @@ class TestPersistence:
         assert_same_persistence(simulate_persistence(*args), want)
 
 
+class TestStationaryLaw:
+    @staticmethod
+    def configs():
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(2, 2))
+        return [
+            TestPersistence().bernoulli_config(),
+            PersistenceConfig(
+                transition=a * 0.85 / spectral_radius(a), offset=np.array([0.3, -0.2]),
+                noise_scale=1.2, compat=np.eye(2), token=0, top_k=1),
+            TestChunkedBlockExit.config(0, 1),
+        ]
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_solves_the_fixed_point_equations(self, case):
+        cfg = self.configs()[case]
+        a, s = cfg.transition, cfg.noise_scale
+        mu, cov = theory._stationary_law(cfg)
+        assert np.abs(mu - a @ mu - cfg.offset).max() <= 1e-12
+        assert np.abs(cov - a @ cov @ a.T - s ** 2 * np.eye(a.shape[0])).max() <= 1e-12
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_draws_have_the_stationary_moments(self, case):
+        cfg = self.configs()[case]
+        mu, cov = theory._stationary_law(cfg)
+        n = 200_000
+        x = theory._stationary(cfg, np.random.default_rng(case), n)
+        assert x.shape == (n, mu.shape[0])
+        var = np.diag(cov)
+        assert np.all(np.abs(x.mean(axis=0) - mu) <= 5 * np.sqrt(var / n))
+        # the standard error of a sample covariance of jointly normal entries
+        se = np.sqrt((np.outer(var, var) + cov ** 2) / n)
+        assert np.all(np.abs(np.cov(x, rowvar=False).reshape(cov.shape) - cov) <= 5 * se)
+
+    def test_zero_noise_is_the_fixed_point(self):
+        cfg = dataclasses.replace(TestChunkedBlockExit.config(0, 1), noise_scale=0.0)
+        mu, _ = theory._stationary_law(cfg)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        x = theory._stationary(cfg, rng, 5)
+        assert np.array_equal(x, np.tile(mu, (5, 1)))
+        assert rng.bit_generator.state == before
+
+
 def persistence_all_steps(cfg, n_max, trials, seed, n_starts, n_rollouts):
     """`simulate_persistence` with its survival loop run for all n_max steps.
 
@@ -216,9 +260,7 @@ def persistence_all_steps(cfg, n_max, trials, seed, n_starts, n_rollouts):
     master = np.random.SeedSequence(seed)
     rng_exit, rng_run = [np.random.default_rng(s) for s in master.spawn(2)]
     eps_hat, _ = estimate_block_exit(cfg, rng_exit, n_starts, n_rollouts)
-    states = np.zeros((trials, cfg.transition.shape[0]))
-    for _ in range(theory.BURN_IN):
-        states = theory._step(cfg, states, rng_run.standard_normal(states.shape))
+    states = theory._stationary(cfg, rng_run, trials)
     alive = np.ones(trials, dtype=bool)
     survival = np.empty(n_max)
     for n in range(n_max):
@@ -251,33 +293,38 @@ def region_by_partition(cfg, states):
     return own >= kth - cfg.slack
 
 
-def block_exit_whole_array(cfg, rng, n_starts, n_rollouts, alive_after=None):
-    """`estimate_block_exit` with every rollout row stepped and tested at once.
-
-    Appends a copy of the rows' alive mask after each step to `alive_after`.
-    """
-    def step(states):
-        noise = rng.standard_normal(states.shape)
-        return states @ cfg.transition.T + cfg.offset + cfg.noise_scale * noise
-
-    state = np.zeros((64, cfg.transition.shape[0]))
-    for _ in range(theory.BURN_IN):
-        state = step(state)
+def search_starts(cfg, rng, n_starts):
+    """The in-region start states of `estimate_block_exit`, or None if none is
+    found; region membership by partition."""
+    state = theory._stationary(cfg, rng, 64)
     starts = []
     steps = 0
     while sum(s.shape[0] for s in starts) < n_starts and steps < theory.SEARCH_STEPS:
-        state = step(state)
+        state = theory._step(cfg, state, rng.standard_normal(state.shape))
         mask = region_by_partition(cfg, state)
         if mask.any():
             starts.append(state[mask])
         steps += 1
-    if not starts:
+    return np.concatenate(starts)[:n_starts] if starts else None
+
+
+def block_exit_whole_array(cfg, rng, n_starts, n_rollouts, alive_after=None):
+    """`estimate_block_exit` with every rollout row stepped and tested at once.
+
+    The first step draws noise for every row; each later step draws it, in
+    row order, only for the rows alive before it, and moves dead rows by
+    the noise-free step. Appends a copy of the rows' alive mask after each
+    step to `alive_after`.
+    """
+    pool = search_starts(cfg, rng, n_starts)
+    if pool is None:
         return 0.0, True
-    pool = np.concatenate(starts)[:n_starts]
     expanded = np.repeat(pool, n_rollouts, axis=0)
     alive = np.ones(expanded.shape[0], dtype=bool)
     for _ in range(cfg.block):
-        expanded = step(expanded)
+        noise = np.zeros(expanded.shape)
+        noise[alive] = rng.standard_normal((int(alive.sum()), expanded.shape[1]))
+        expanded = theory._step(cfg, expanded, noise)
         alive &= region_by_partition(cfg, expanded)
         if alive_after is not None:
             alive_after.append(alive.copy())
@@ -362,24 +409,42 @@ class TestChunkedBlockExit:
 
     @pytest.mark.parametrize("block", (1, 2, 3))
     def test_every_rollout_exits_at_first_step(self, monkeypatch, block):
-        # r' = -0.99 r + 1.99 oscillates about 1 with a decaying amplitude; the
-        # region r <= 0.9 holds only on the low swings, each followed by r > 1.09
+        # r' = -0.99 r + 1.99 + 1e-3 e oscillates about 1 with stationary sd
+        # 0.0071; the region r <= 0.993 holds on about 16% of swings, and from
+        # it r' <= 0.993 needs e < -13.9
         monkeypatch.setattr(theory, "CHUNK_ROWS", self.CHUNK)
         cfg = PersistenceConfig(
             transition=np.array([[-0.99]]), offset=np.array([1.99]), noise_scale=1e-3,
-            compat=np.array([[0.0], [1.0]]), token=0, top_k=1, slack=0.9, block=block)
+            compat=np.array([[0.0], [1.0]]), token=0, top_k=1, slack=0.993, block=block)
         (eps, unreachable), alive_after = self.check(cfg, 0, 5, 2 * self.CHUNK + 3)
         assert (eps, unreachable) == (1.0, False)
         assert not alive_after[0].any()
 
     def test_some_chunks_dead_others_live(self, monkeypatch):
-        chunk = 4
+        # each of the 30 two-row chunks is dead after step 1 with chance 1/4
+        # and after step 2 with chance 9/16
+        chunk = 2
         monkeypatch.setattr(theory, "CHUNK_ROWS", chunk)
         cfg = dataclasses.replace(TestPersistence().bernoulli_config(), block=3)
         _, alive_after = self.check(cfg, 1, 2, 30)
         for alive in alive_after[:2]:
             live_chunks = [alive[lo:lo + chunk].any() for lo in range(0, alive.size, chunk)]
             assert any(live_chunks) and not all(live_chunks)
+
+    @pytest.mark.parametrize("block", (1, 2, 3))
+    def test_draws_only_for_live_rows(self, monkeypatch, block):
+        # after the start and search draws, one normal per row of width m for
+        # every rollout at the first step and every live rollout at later ones
+        monkeypatch.setattr(theory, "CHUNK_ROWS", self.CHUNK)
+        cfg, n_starts, n_rollouts = self.config(1, block), 3, 11
+        _, alive_after = self.check(cfg, 1, n_starts, n_rollouts)
+        rng = np.random.default_rng(1)
+        estimate_block_exit(cfg, rng, n_starts=n_starts, n_rollouts=n_rollouts)
+        want = np.random.default_rng(1)
+        pool = search_starts(cfg, want, n_starts)
+        live = sum(int(alive.sum()) for alive in alive_after[:-1])
+        want.standard_normal((pool.shape[0] * n_rollouts + live) * cfg.transition.shape[0])
+        assert rng.bit_generator.state == want.bit_generator.state
 
     def test_default_rollouts_peak_memory(self):
         # 1000 starts x 1000 rollouts; a [10**6, 3] array of states is 24 MB
