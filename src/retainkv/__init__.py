@@ -1,6 +1,5 @@
 """Retention-gated attention with a single global KV budget over a paged cache."""
 
-from .attention import HeadCache, UsefulSet, attend_evicted, attend_full, attend_retained, dilution
 from .backbone import Backbone, random_backbone, student_backward, student_forward, teacher_forward
 from .eviction import (
     EvictionConfig,
@@ -27,6 +26,7 @@ from .theory import (
     SurvivalRecord,
     check_reweighting_identity,
     check_dilution_bound,
+    dilution,
     dilution_lower_bound,
     fit_var1,
     retention_dilution,

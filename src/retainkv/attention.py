@@ -1,14 +1,15 @@
-"""Single-head attention over a token cache: full, hard-evicted, and retention-gated.
+"""Reference oracles: single-head attention over a token cache, full,
+hard-evicted, and retention-gated.
 
-All three variants share one weighting kernel (`softmax_log_space`); they differ
-only in the log-domain multiplier attached to each cached token. The dilution
-metric applies to whichever weight vector it is handed, so the same function
-measures full, gated, and evicted attention.
+No module of the package imports this one; tests check decode and the paged
+store against it. All three variants share one weighting kernel
+(`softmax_log_space`); they differ only in the log-domain multiplier attached
+to each cached token.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -50,17 +51,6 @@ class HeadCache:
 
     def __len__(self) -> int:
         return self.keys.shape[0]
-
-
-@dataclass(frozen=True)
-class UsefulSet:
-    """Cache positions considered useful for the next prediction."""
-
-    indices: frozenset = field(default_factory=frozenset)
-
-    @classmethod
-    def of(cls, indices: Iterable[int]) -> "UsefulSet":
-        return cls(frozenset(int(i) for i in indices))
 
 
 def _logits(q: Array, cache: HeadCache) -> Array:
@@ -115,21 +105,3 @@ def attend_evicted(q: Array, cache: HeadCache, retained: Iterable[int]) -> tuple
     lw[sorted(idx)] = 0.0
     weights = softmax_log_space(z, lw)
     return weights @ cache.values, weights
-
-
-def dilution(weights: Array, useful: UsefulSet) -> float:
-    """Fraction of attention mass assigned outside the useful set.
-
-    Accepts any probability vector, so it measures full, gated, or evicted
-    attention uniformly. An empty useful set is allowed and yields 1.
-    """
-    w = as_vector(weights, "weights")
-    if abs(float(w.sum()) - 1.0) > 1e-9 or np.any(w < -1e-12):
-        raise ValueError("weights must form a probability vector")
-    for i in useful.indices:
-        if i < 0 or i >= w.shape[0]:
-            raise IndexError(f"useful index {i} out of range for {w.shape[0]} weights")
-    if not useful.indices:
-        return 1.0
-    mass = float(w[sorted(useful.indices)].sum())
-    return float(min(1.0, max(0.0, 1.0 - mass)))

@@ -3,10 +3,10 @@
 Subcommands `theory`, `train`, `eval`, `survival` each take a JSON config
 (`--config`), a mandatory `--seed`, and an output directory (`--out`).
 Exit codes: 0 success, 1 assertion or theory violation, 2 bad input: a bad
-config, or a missing, corrupt or mismatched `--checkpoint`, each reported in
-one line. Outputs are plain CSV/JSON for external plotting; aside from
-wall-clock timing columns, (config, seed) determines every output byte. No
-environment variable is read.
+config, an `--out` that cannot be made a directory, or a missing, corrupt or
+mismatched `--checkpoint`, each reported in one line. Outputs are plain
+CSV/JSON for external plotting; aside from wall-clock timing columns,
+(config, seed) determines every output byte. No environment variable is read.
 """
 
 from __future__ import annotations
@@ -235,11 +235,10 @@ def _backbone_query_var(cfg: dict, rng: np.random.Generator) -> dict:
     trajs = [(bb.embed[s.tokens] + bb.pos[:len(s.tokens)]) @ bb.wq[0, 0]
              for s in generate_dataset(spec, 8, rng)]
     states = np.concatenate(trajs)
-    _, _, spectrum = pca_project(states, states.shape[1])
+    _, comps, spectrum = pca_project(states, states.shape[1])
     effective_rank = int(np.sum(spectrum > 1e-10 * spectrum.sum()))
     k = max(1, min(8, effective_rank))
-    _, comps, _ = pca_project(states, k)
-    fit = fit_var1([(t - states.mean(axis=0)) @ comps.T for t in trajs])
+    fit = fit_var1([(t - states.mean(axis=0)) @ comps[:k].T for t in trajs])
     return {"pca_dims": k, "spectral_radius": fit.spectral_radius,
             "stable": fit.stable, "residual_rms": fit.residual_rms}
 
@@ -289,7 +288,8 @@ def run_theory_suite(cfg: dict, seed: int) -> tuple[dict, list[dict]]:
         n = int(rng_ident.integers(2, 65))
         z = rng_ident.normal(0.0, 2.0, size=n)
         n_useful = int(rng_ident.integers(1, n))
-        useful = theory.UsefulSet.of(rng_ident.choice(n, size=n_useful, replace=False))
+        useful = np.zeros(n, dtype=bool)
+        useful[rng_ident.choice(n, size=n_useful, replace=False)] = True
         r = rng_ident.random(n)
         res = check_reweighting_identity(z, useful, r)
         err = abs(res.direct - res.formula)
@@ -498,7 +498,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(f"output error: cannot create directory {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
     try:
         return args.fn(cfg, args.seed, args.out, args)
     except ConfigError as exc:

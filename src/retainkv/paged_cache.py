@@ -99,7 +99,6 @@ class PagedKVStore:
         self.max_pages = max_pages
         self._live: list[int] = []      # live entries per page id, one per allocated page
         self._free: list[int] = []      # LIFO reuse for reproducible traces
-        self._in_use = 0
         self._heads = {(l, h): _Head(page_size, dim) for l in range(layers) for h in range(heads)}
 
     # -- allocation ---------------------------------------------------------
@@ -112,13 +111,11 @@ class PagedKVStore:
         else:
             pid = len(self._live)
             self._live.append(0)
-        self._in_use += 1
         return pid
 
     def _free_page(self, hd: _Head, pid: int) -> None:
         self._live[pid] = 0
         self._free.append(pid)
-        self._in_use -= 1
         if pid == hd.last_slot // self.page_size:
             hd.last_slot = -1
 
@@ -221,7 +218,7 @@ class PagedKVStore:
         return sum(hd.n for hd in self._heads.values())
 
     def pages_in_use(self) -> int:
-        return self._in_use
+        return len(self._live) - len(self._free)
 
     def occupied_slots(self) -> int:
         return sum(self._live)
@@ -240,7 +237,7 @@ class PagedKVStore:
         pages = np.concatenate([hd.slots // self.page_size for hd in self._heads.values()])
         if np.bincount(pages, minlength=len(self._live)).tolist() != self._live:
             raise AssertionError("page occupancy disagrees with the stored entries")
-        if len(seen) != self._in_use:
+        if len(seen) != self.pages_in_use():
             raise AssertionError("pages in use disagree with the block tables")
         if seen & set(self._free):
             raise AssertionError("free page still referenced by a block table")

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import UsefulSet, dilution
 from .numerics import Array, as_matrix, as_vector, softmax, softmax_log_space
 
 
@@ -33,27 +32,52 @@ class StabilityError(ValueError):
 # -- dilution bounds ----------------------------------------------------------
 
 
+def _mask(mask, shape: tuple, name: str) -> np.ndarray:
+    """`mask` as a boolean array, which must have the given shape."""
+    m = np.asarray(mask)
+    if m.dtype != np.bool_ or m.shape != shape:
+        raise ValueError(f"{name} must be a boolean mask of shape {shape}")
+    return m
+
+
+def dilution(weights: Array, useful: Array) -> float:
+    """Fraction of attention mass assigned outside the useful set.
+
+    `useful` is a boolean mask shaped like the weights. Accepts any
+    probability vector, so it measures full, gated, or evicted attention
+    uniformly. An empty useful set is allowed and yields 1.
+    """
+    w = as_vector(weights, "weights")
+    # count_nonzero answers "any?" faster than any() on short arrays
+    if abs(float(w.sum()) - 1.0) > 1e-9 or np.count_nonzero(w < -1e-12):
+        raise ValueError("weights must form a probability vector")
+    mass = float(w[_mask(useful, w.shape, "useful")].sum())
+    return float(min(1.0, max(0.0, 1.0 - mass)))
+
+
 @dataclass(frozen=True)
 class DilutionInstance:
-    """Logits with a useful set and a certified near-tie distractor subset."""
+    """Logits with a useful set and a certified near-tie distractor subset,
+    both as boolean masks shaped like the logits."""
 
     logits: Array
-    useful: UsefulSet
+    useful: Array
     near_tie_margin: float      # Delta >= 0
-    near_tie_set: frozenset     # distractor indices within Delta of the best useful logit
+    near_tie: Array             # distractors within Delta of the best useful logit
 
     def validate(self) -> None:
         z = as_vector(self.logits, "logits")
-        if not self.useful.indices:
+        u = _mask(self.useful, z.shape, "useful")
+        t = _mask(self.near_tie, z.shape, "near_tie")
+        if not np.count_nonzero(u):
             raise ValueError("useful set must be nonempty")
         if self.near_tie_margin < 0:
             raise ValueError("near-tie margin must be >= 0")
-        if self.near_tie_set & self.useful.indices:
+        if np.count_nonzero(t & u):
             raise ValueError("near-tie set must be disjoint from the useful set")
-        m = max(z[i] for i in self.useful.indices)
-        for d in self.near_tie_set:
-            if z[d] < m - self.near_tie_margin - 1e-12:
-                raise ValueError(f"index {d} is not within the near-tie margin")
+        far = t & (z < z[u].max() - self.near_tie_margin - 1e-12)
+        if np.count_nonzero(far):
+            raise ValueError(f"index {np.flatnonzero(far)[0]} is not within the near-tie margin")
 
 
 def dilution_lower_bound(margin: float, n_distractors: int, n_useful: int) -> float:
@@ -82,8 +106,8 @@ def check_dilution_bound(instance: DilutionInstance) -> DilutionBoundCheck:
     weights = softmax(instance.logits)
     delta = dilution(weights, instance.useful)
     bound = dilution_lower_bound(instance.near_tie_margin,
-                                 len(instance.near_tie_set),
-                                 len(instance.useful.indices))
+                                 int(np.count_nonzero(instance.near_tie)),
+                                 int(np.count_nonzero(instance.useful)))
     return DilutionBoundCheck(delta, bound, delta >= bound - 1e-12)
 
 
@@ -97,12 +121,10 @@ def random_near_tie_instance(rng: np.random.Generator, max_tokens: int = 64) -> 
     tie = m - margin + margin * rng.random(n_tie) + rng.random(n_tie)
     low = m - margin - 0.01 - np.abs(rng.normal(0.0, 2.0, size=n_low))
     logits = np.concatenate([useful, tie, low])
-    return DilutionInstance(
-        logits=logits,
-        useful=UsefulSet.of(range(n_useful)),
-        near_tie_margin=margin,
-        near_tie_set=frozenset(range(n_useful, n_useful + n_tie)),
-    )
+    masks = np.zeros((2, logits.shape[0]), dtype=bool)  # useful, near-tie
+    masks[0, :n_useful] = True
+    masks[1, n_useful:n_useful + n_tie] = True
+    return DilutionInstance(logits, masks[0], margin, masks[1])
 
 
 def retention_dilution(delta: float, rho_useful: float, rho_distractor: float) -> float:
@@ -130,11 +152,12 @@ class ReweightingCheck:
     rho_distractor: float
 
 
-def check_reweighting_identity(logits: Array, useful: UsefulSet, retention: Array) -> ReweightingCheck:
+def check_reweighting_identity(logits: Array, useful: Array, retention: Array) -> ReweightingCheck:
     """Reweighted dilution measured directly vs the exact transformation formula.
 
-    Both sides are assembled from positive stable-softmax sums, so they agree
-    to float64 roundoff; the identity itself is exact.
+    `useful` is a boolean mask shaped like the logits; every other token is a
+    distractor. Both sides are assembled from positive stable-softmax sums, so
+    they agree to float64 roundoff; the identity itself is exact.
     """
     z = as_vector(logits, "logits")
     r = as_vector(retention, "retention")
@@ -142,24 +165,24 @@ def check_reweighting_identity(logits: Array, useful: UsefulSet, retention: Arra
         raise ValueError("retention weights must match logits")
     if np.any(r < 0.0) or np.any(r > 1.0):
         raise ValueError("retention weights must lie in [0, 1]")
-    u_idx = sorted(useful.indices)
-    d_idx = sorted(set(range(z.shape[0])) - useful.indices)
-    if not u_idx:
+    u = _mask(useful, z.shape, "useful")
+    d = ~u
+    if not np.count_nonzero(u):
         raise ValueError("useful set must be nonempty")
 
     alpha = softmax(z)
-    useful_mass = float(alpha[u_idx].sum())
-    delta = float(alpha[d_idx].sum()) if d_idx else 0.0
+    useful_mass = float(alpha[u].sum())
+    delta = float(alpha[d].sum())
 
-    rho_u = float(softmax(z[u_idx]) @ r[u_idx])
-    rho_d = float(softmax(z[d_idx]) @ r[d_idx]) if d_idx else 0.0
+    rho_u = float(softmax(z[u]) @ r[u])
+    rho_d = float(softmax(z[d]) @ r[d]) if np.count_nonzero(d) else 0.0
     if rho_u <= 0.0:
         raise ValueError("no useful token is retained")
 
     with np.errstate(divide="ignore"):
         log_r = np.where(r > 0.0, np.log(np.where(r > 0.0, r, 1.0)), -np.inf)
     weights_r = softmax_log_space(z, log_r)
-    direct = float(weights_r[d_idx].sum()) if d_idx else 0.0
+    direct = float(weights_r[d].sum())
 
     a = (rho_d / rho_u) * delta
     formula = a / (useful_mass + a) if (useful_mass + a) > 0.0 else 0.0

@@ -14,6 +14,13 @@ def admit(store, layer: int, head: int, birth: int, beta: float) -> None:
     store.append(layer, head, zero, zero, birth, beta)
 
 
+def mask_of(n: int, indices) -> np.ndarray:
+    """Boolean mask of length n, True at `indices`."""
+    m = np.zeros(n, dtype=bool)
+    m[list(indices)] = True
+    return m
+
+
 def pytest_addoption(parser):
     parser.addoption("--skip-slow", action="store_true",
                      help="skip the long training-based acceptance criteria")

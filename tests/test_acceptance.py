@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from retainkv.attention import HeadCache, UsefulSet, attend_full
+from retainkv.attention import HeadCache, attend_full
 from retainkv.backbone import random_backbone, student_forward
 from retainkv.eviction import EvictionConfig, EvictionPolicy, score_entries, select_retained
 from retainkv.evaluate import SelectionRecorder, decode_sequence, evaluate_policies
@@ -28,7 +28,7 @@ from retainkv.theory import (
 from retainkv.cli import random_persistence_config
 from retainkv.training import loss_and_grads, train_gates
 
-from conftest import admit
+from conftest import admit, mask_of
 
 
 def report(num, ok, detail=""):
@@ -46,7 +46,7 @@ def test_criterion_01_reweighting_exact_identity():
     for _ in range(1000):
         n = int(rng.integers(2, 65))
         z = rng.normal(0, 2, size=n)
-        useful = UsefulSet.of(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
+        useful = mask_of(n, rng.choice(n, size=int(rng.integers(1, n)), replace=False))
         r = rng.random(n)
         res = check_reweighting_identity(z, useful, r)
         worst = max(worst, abs(res.direct - res.formula))
@@ -63,8 +63,8 @@ def test_criterion_02_dilution_bound_and_distractor_sweep():
     deltas = []
     for n in (10, 100, 1000, 10000):
         logits = np.concatenate([np.zeros(2), np.full(n, -1.0)])
-        inst = DilutionInstance(logits, UsefulSet.of([0, 1]), 1.0,
-                                frozenset(range(2, 2 + n)))
+        inst = DilutionInstance(logits, mask_of(2 + n, [0, 1]), 1.0,
+                                mask_of(2 + n, range(2, 2 + n)))
         res = check_dilution_bound(inst)
         violations += not res.holds
         deltas.append(res.delta)

@@ -3,15 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from retainkv.attention import (
-    HeadCache,
-    UsefulSet,
-    attend_evicted,
-    attend_full,
-    attend_retained,
-    dilution,
-)
+from retainkv.attention import HeadCache, attend_evicted, attend_full, attend_retained
 from retainkv.numerics import EmptySupportError
+from retainkv.theory import dilution
+
+from conftest import mask_of
 
 
 def make_cache(rng, n, d=4, betas=None):
@@ -161,13 +157,13 @@ class TestAttendEvicted:
 
 class TestDilution:
     def test_all_useful_is_zero(self):
-        assert dilution(np.full(4, 0.25), UsefulSet.of(range(4))) == 0.0
+        assert dilution(np.full(4, 0.25), mask_of(4, range(4))) == 0.0
 
     def test_uniform_fraction(self):
-        assert dilution(np.full(10, 0.1), UsefulSet.of(range(3))) == pytest.approx(0.7)
+        assert dilution(np.full(10, 0.1), mask_of(10, range(3))) == pytest.approx(0.7)
 
     def test_empty_useful_set_is_one(self):
-        assert dilution(np.full(5, 0.2), UsefulSet.of([])) == 1.0
+        assert dilution(np.full(5, 0.2), mask_of(5, [])) == 1.0
 
     def test_near_tie_instance_matches_complement_oracle(self, rng):
         # near-tie construction: useful and distractor logits within 0.05 nats
@@ -177,17 +173,33 @@ class TestDilution:
         cache = HeadCache(keys=keys, values=rng.normal(size=(n, 4)),
                           birth_steps=np.arange(n), betas=np.ones(n))
         _, w = attend_full(np.zeros(4) + 0.01, cache)
-        useful = UsefulSet.of([0, 5])
-        oracle = sum(w[i] for i in range(n) if i not in useful.indices)
-        assert dilution(w, useful) == pytest.approx(oracle, abs=1e-12)
+        useful = [0, 5]
+        oracle = sum(w[i] for i in range(n) if i not in useful)
+        assert dilution(w, mask_of(n, useful)) == pytest.approx(oracle, abs=1e-12)
 
-    def test_out_of_range_index_raises(self):
-        with pytest.raises(IndexError):
-            dilution(np.full(3, 1 / 3), UsefulSet.of([5]))
+    def test_matches_sorted_index_oracle_bit_for_bit(self, rng):
+        for trial in range(300):
+            n = int(rng.integers(1, 65))
+            w = rng.random(n)
+            w /= w.sum()
+            useful = rng.random(n) < rng.random()
+            if trial % 3 == 0:
+                useful[:] = trial % 2 == 0  # all-True and all-False masks
+            idx = set(np.flatnonzero(useful).tolist())
+            # the dilution of an index list, clamped to [0, 1] as `dilution` does
+            oracle = min(1.0, max(0.0, 1.0 - float(w[sorted(idx)].sum())))
+            assert dilution(w, useful) == oracle
+
+    def test_non_boolean_or_misshaped_mask_raises(self):
+        w = np.full(3, 1 / 3)
+        for bad in (np.array([0, 2]), np.array([1, 0, 1]), np.array([1.0, 0.0, 0.0]),
+                    np.ones(2, dtype=bool), np.ones((3, 1), dtype=bool)):
+            with pytest.raises(ValueError, match="useful must be a boolean mask"):
+                dilution(w, bad)
 
     def test_not_a_distribution_raises(self):
         with pytest.raises(ValueError):
-            dilution(np.array([0.5, 0.2]), UsefulSet.of([0]))
+            dilution(np.array([0.5, 0.2]), mask_of(2, [0]))
 
     def test_removing_distractor_never_increases_dilution(self, rng):
         for _ in range(40):
@@ -202,7 +214,7 @@ class TestDilution:
             _, w_before = attend_evicted(q, cache, retained)
             drop = distractors[int(rng.integers(0, len(distractors)))]
             _, w_after = attend_evicted(q, cache, [i for i in retained if i != drop])
-            u = UsefulSet.of(useful)
+            u = mask_of(n, useful)
             assert dilution(w_after, u) <= dilution(w_before, u) + 1e-12
 
 

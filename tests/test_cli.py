@@ -131,6 +131,22 @@ class TestTheoryCommand:
         assert not (tmp_path / "theory_report.json").exists()
 
 
+class TestBadOut:
+    """An `--out` that cannot be made a directory exits 2 with one line."""
+
+    @pytest.mark.parametrize("sub", ("", "sub"))
+    def test_out_under_a_file_exits_two(self, tmp_path, capsys, sub):
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        out = blocker / sub if sub else blocker
+        code = main(["theory", "--seed", "0", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("output error: ") and err.count("\n") == 1, err
+        assert str(out) in err and "Traceback" not in err
+        assert blocker.read_text() == "x"
+
+
 def var1_paths_per_fit(rng, fits, radius):
     """`cli._var1_paths` one fit and one step at a time."""
     paths = []

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from retainkv import theory
-from retainkv.attention import UsefulSet
 from retainkv.theory import (
     DilutionInstance,
     PersistenceConfig,
@@ -25,6 +24,8 @@ from retainkv.theory import (
     spectral_radius,
     survival_curve,
 )
+
+from conftest import mask_of
 
 
 class TestDilutionLowerBound:
@@ -48,15 +49,16 @@ class TestDilutionBoundCheck:
         # distractors exactly tied with the best useful logit
         n_useful, n_tie = 2, 6
         logits = np.zeros(n_useful + n_tie)
-        inst = DilutionInstance(logits, UsefulSet.of(range(n_useful)), 0.0,
-                                frozenset(range(n_useful, n_useful + n_tie)))
+        n = n_useful + n_tie
+        inst = DilutionInstance(logits, mask_of(n, range(n_useful)), 0.0,
+                                mask_of(n, range(n_useful, n)))
         res = check_dilution_bound(inst)
         assert res.delta == pytest.approx(n_tie / (n_useful + n_tie), abs=1e-12)
         assert res.holds
 
     def test_dominant_useful_with_empty_tie_set(self):
         logits = np.array([20.0, 19.5, 0.0, -1.0])
-        inst = DilutionInstance(logits, UsefulSet.of([0, 1]), 0.5, frozenset())
+        inst = DilutionInstance(logits, mask_of(4, [0, 1]), 0.5, mask_of(4, []))
         res = check_dilution_bound(inst)
         assert res.bound == 0.0
         assert res.holds
@@ -67,20 +69,29 @@ class TestDilutionBoundCheck:
 
     def test_invalid_instances_rejected(self):
         with pytest.raises(ValueError):
-            DilutionInstance(np.zeros(3), UsefulSet.of([0]), 0.0,
-                             frozenset([0])).validate()
+            DilutionInstance(np.zeros(3), mask_of(3, [0]), 0.0,
+                             mask_of(3, [0])).validate()
         with pytest.raises(ValueError):
             # index 2 sits far below the claimed margin
-            DilutionInstance(np.array([0.0, 0.0, -9.0]), UsefulSet.of([0]), 0.5,
-                             frozenset([2])).validate()
+            DilutionInstance(np.array([0.0, 0.0, -9.0]), mask_of(3, [0]), 0.5,
+                             mask_of(3, [2])).validate()
+
+    def test_non_boolean_or_misshaped_masks_rejected(self):
+        logits = np.zeros(3)
+        good = mask_of(3, [0])
+        for bad in (np.array([0]), np.array([1, 0, 0]), np.ones(2, dtype=bool)):
+            with pytest.raises(ValueError, match="useful must be a boolean mask"):
+                DilutionInstance(logits, bad, 0.0, mask_of(3, [1])).validate()
+            with pytest.raises(ValueError, match="near_tie must be a boolean mask"):
+                DilutionInstance(logits, good, 0.0, bad).validate()
 
     def test_distractor_count_drives_dilution_to_one(self):
         # margin fixed at 1, two useful tokens, growing near-tie pool
         deltas = []
         for n in (10, 100, 1000, 10000):
             logits = np.concatenate([np.zeros(2), np.full(n, -1.0)])
-            inst = DilutionInstance(logits, UsefulSet.of([0, 1]), 1.0,
-                                    frozenset(range(2, 2 + n)))
+            inst = DilutionInstance(logits, mask_of(2 + n, [0, 1]), 1.0,
+                                    mask_of(2 + n, range(2, 2 + n)))
             res = check_dilution_bound(inst)
             assert res.holds
             deltas.append(res.delta)
@@ -115,13 +126,13 @@ class TestRetentionDilution:
 class TestReweightingIdentity:
     def test_all_ones_reproduces_plain_dilution(self, rng):
         z = rng.normal(size=10)
-        useful = UsefulSet.of([1, 4])
+        useful = mask_of(10, [1, 4])
         res = check_reweighting_identity(z, useful, np.ones(10))
         assert res.direct == pytest.approx(res.delta, abs=1e-15)
 
     def test_indicator_of_useful_gives_zero(self, rng):
         z = rng.normal(size=8)
-        useful = UsefulSet.of([0, 3])
+        useful = mask_of(8, [0, 3])
         r = np.zeros(8)
         r[[0, 3]] = 1.0
         res = check_reweighting_identity(z, useful, r)
@@ -133,15 +144,26 @@ class TestReweightingIdentity:
         for _ in range(1000):
             n = int(rng.integers(2, 65))
             z = rng.normal(0, 2, size=n)
-            useful = UsefulSet.of(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
+            useful = mask_of(n, rng.choice(n, size=int(rng.integers(1, n)), replace=False))
             r = rng.random(n)
             res = check_reweighting_identity(z, useful, r)
             worst = max(worst, abs(res.direct - res.formula))
         assert worst < 1e-12
 
+    def test_non_boolean_or_misshaped_mask_rejected(self, rng):
+        z = rng.normal(size=6)
+        for bad in (np.array([0, 3]), np.array([1, 0, 0, 1, 0, 0]), np.ones(5, dtype=bool)):
+            with pytest.raises(ValueError, match="useful must be a boolean mask"):
+                check_reweighting_identity(z, bad, np.ones(6))
+
+    def test_every_token_useful(self, rng):
+        z = rng.normal(size=5)
+        res = check_reweighting_identity(z, np.ones(5, dtype=bool), rng.random(5))
+        assert (res.direct, res.formula, res.delta, res.rho_distractor) == (0.0, 0.0, 0.0, 0.0)
+
     def test_cross_check_against_retention_dilution_formula(self, rng):
         z = rng.normal(size=12)
-        useful = UsefulSet.of([0, 1, 2])
+        useful = mask_of(12, [0, 1, 2])
         r = rng.random(12)
         res = check_reweighting_identity(z, useful, r)
         assert res.formula == pytest.approx(
