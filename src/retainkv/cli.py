@@ -3,15 +3,16 @@
 Subcommands `theory`, `train`, `eval`, `survival` each take a JSON config
 (`--config`), a mandatory `--seed`, and an output directory (`--out`).
 Exit codes: 0 success, 1 assertion or theory violation, 2 bad input: a bad
-config, an `--out` that cannot be made a directory, or a missing, corrupt or
-mismatched `--checkpoint`, each reported in one line. Outputs are plain
-CSV/JSON for external plotting; aside from wall-clock timing columns,
-(config, seed) determines every output byte. No environment variable is read.
+config, a negative `--seed`, an `--out` that cannot be made a directory, or a
+missing, corrupt or mismatched `--checkpoint`, each reported in one line.
+Outputs are plain CSV/JSON for external plotting; aside from wall-clock
+timing columns, (config, seed) determines every output byte. No environment variable is read.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -176,32 +177,33 @@ def _check_rows(rows: list[dict], columns: tuple, name: str) -> None:
                 raise AssertionError(f"{name} row has non-finite {key}")
 
 
-def write_csv(path: str, rows: list[dict], columns: tuple, name: str) -> None:
-    _check_rows(rows, columns, name)
+@contextlib.contextmanager
+def _atomic(path: str):
+    """A text file beside `path` that replaces it on success; on any failure
+    it is removed and `path` is left as it was."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(columns))
-            writer.writeheader()
-            writer.writerows(rows)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_csv(path: str, rows: list[dict], columns: tuple, name: str) -> None:
+    _check_rows(rows, columns, name)
+    with _atomic(path) as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(columns))
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def write_json(path: str, payload: dict) -> None:
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with _atomic(path) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 # -- theory suite ---------------------------------------------------------------
@@ -493,6 +495,10 @@ def main(argv=None) -> int:
             p.add_argument("--checkpoint", default=None, help="gate checkpoint path")
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
+    if args.seed < 0:
+        print(f"seed error: --seed must be a non-negative integer, got {args.seed}",
+              file=sys.stderr)
+        return 2
     try:
         cfg = load_config(args.config, args.preset)
     except ConfigError as exc:

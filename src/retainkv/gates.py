@@ -272,22 +272,17 @@ def save_gates(path, params: GateParams) -> None:
         "seed": params.seed,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    # layer-major (layer, head) blocks of w1, b1, w2, b2, then the readout
+    # (wg, bg), once if tied, else per (layer, head): the layout `load_gates` reads
+    L, H = params.layers, params.heads
+    heads = np.concatenate([params.w1.reshape(L, H, -1), params.b1,
+                            params.w2.reshape(L, H, -1), params.b2], axis=2)
+    readout = np.concatenate([params.wg, np.asarray(params.bg)[..., None]], axis=-1)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for l in range(params.layers):
-            for h in range(params.heads):
-                for arr in (params.w1[l, h], params.b1[l, h], params.w2[l, h], params.b2[l, h]):
-                    fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        if params.tied:
-            fh.write(np.ascontiguousarray(params.wg, dtype="<f8").tobytes())
-            fh.write(np.float64(params.bg).astype("<f8").tobytes())
-        else:
-            for l in range(params.layers):
-                for h in range(params.heads):
-                    fh.write(np.ascontiguousarray(params.wg[l, h], dtype="<f8").tobytes())
-                    fh.write(np.float64(params.bg[l, h]).astype("<f8").tobytes())
+        fh.write(np.concatenate([heads.ravel(), readout.ravel()]).astype("<f8").tobytes())
 
 
 def load_gates(path) -> GateParams:

@@ -195,7 +195,7 @@ def test_criterion_08_paged_cache_matches_shadow_store():
     store = PagedKVStore(2, 2, 4, page_size=8)
     shadow: dict = {(l, h): [] for l in range(2) for h in range(2)}
     birth = 0
-    identical = True
+    identical = pages_ok = True
     for op in range(10_000):
         l, h = int(rng.integers(0, 2)), int(rng.integers(0, 2))
         roll = rng.random()
@@ -212,8 +212,11 @@ def test_criterion_08_paged_cache_matches_shadow_store():
             gone = {rows[i][0] for i in take}
             store.evict(l, h, sorted(gone))
             shadow[(l, h)] = [r for r in rows if r[0] not in gone]
-        else:
-            store.compact(l, h)
+        else:   # every head holds exactly the pages its rows fill
+            held = [-(-len(r) // 8) for r in shadow.values()]
+            tables = store.snapshot()["tables"].values()
+            pages_ok &= [len(t["pages"]) for t in tables] == held
+            pages_ok &= store.pages_in_use() == sum(held)
         if op % 500 == 0:
             store.check_accounting()
     attn_err = 0.0
@@ -234,8 +237,9 @@ def test_criterion_08_paged_cache_matches_shadow_store():
             flat_out, flat_w = attend_full(q, HeadCache(keys, values, births, ones))
             attn_err = max(attn_err, float(np.abs(paged_w - flat_w).max()),
                            float(np.abs(paged_out - flat_out).max()))
-    report(8, identical and attn_err < 1e-12,
-           f"10k ops bit-identical to shadow, attention diff {attn_err:.2e}")
+    report(8, identical and attn_err < 1e-12 and pages_ok,
+           f"10k ops bit-identical to shadow, attention diff {attn_err:.2e}, "
+           f"pages follow rows: {pages_ok}")
 
 
 @pytest.fixture(scope="module")

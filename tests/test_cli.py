@@ -147,6 +147,28 @@ class TestBadOut:
         assert blocker.read_text() == "x"
 
 
+@pytest.mark.parametrize("command", ["theory", "train", "eval", "survival"])
+def test_negative_seed_exits_two_before_making_out(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    code = main([command, "--seed", "-1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("seed error: ") and err.count("\n") == 1, err
+    assert "-1" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+class TestAtomicWrite:
+    def test_failed_write_leaves_target_and_no_temp_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        cli.write_json(str(path), {"a": 1})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            cli.write_json(str(path), {"a": object()})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
 def var1_paths_per_fit(rng, fits, radius):
     """`cli._var1_paths` one fit and one step at a time."""
     paths = []

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -279,6 +280,27 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:keep])
         with pytest.raises(ValueError):
             load_gates(path)
+
+    def test_pinned_checkpoint_bytes_reproduced(self, tmp_path):
+        pinned = Path(__file__).parents[1] / "bench" / "gates_seed0.ckpt"
+        path = tmp_path / "gates.ckpt"
+        save_gates(path, load_gates(pinned))
+        assert path.read_bytes() == pinned.read_bytes()
+
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_payload_is_per_head_blocks_then_readout(self, tmp_path, rng, tied):
+        params = init_gate_params(SHAPE, d_in=8, rng=rng, tied=tied)
+        path = tmp_path / "gates.ckpt"
+        save_gates(path, params)
+        blocks = [a for l in range(SHAPE.layers) for h in range(SHAPE.heads)
+                  for a in (params.w1[l, h], params.b1[l, h], params.w2[l, h], params.b2[l, h])]
+        if tied:
+            blocks += [params.wg, params.bg]
+        else:
+            blocks += [a for l in range(SHAPE.layers) for h in range(SHAPE.heads)
+                       for a in (params.wg[l, h], params.bg[l, h])]
+        payload = b"".join(np.asarray(a, dtype="<f8").tobytes() for a in blocks)
+        assert path.read_bytes().endswith(payload)
 
     def test_reloaded_tensors_are_contiguous_copies(self, tmp_path, rng):
         params = init_gate_params(SHAPE, d_in=8, rng=rng, tied=False)

@@ -7,10 +7,12 @@ tied embedding-input gates, untied kv-input gates, and no gates (every beta is
 1, so every ranking is decided by the tie rule). It also holds one selection
 recorder run and the `retainkv eval` table.
 
-Predictions, accuracy counts, mean retained, peak entries, peak pages and the
-trace's (step, layer, head, token_birth, action) columns must match bit for
-bit. Trace scores are compared with rel=1e-12 instead: numpy's vectorised
-exp/log may differ from the `math` module's in the last bit.
+Predictions, accuracy counts, mean retained and peak entries (one `outputs`
+digest per case), each sample's peak pages (a plain list, so a change of page
+accounting shows apart from the decode outputs) and the trace's (step, layer,
+head, token_birth, action) columns must match bit for bit. Trace scores are
+compared with rel=1e-12 instead: numpy's vectorised exp/log may differ from
+the `math` module's in the last bit.
 
 Regenerate only when an output change is intended and explained:
 
@@ -47,6 +49,7 @@ HORIZONS = (2, "infinite")
 CADENCES = (1, 3)
 GATE_KINDS = ("tied_embedding", "untied_kv", "none")
 SCORE_HEAD = 16   # leading trace scores stored verbatim per case
+PAGE_SIZE = 16    # decode_sequence's default
 
 
 def _world():
@@ -85,11 +88,13 @@ def _sha(*parts) -> str:
 def _case(bb, gates, samples, policy, budget, horizon, cadence) -> dict:
     trace = []
     outs = []
+    pages = []
     for sample in samples:
         r = decode_sequence(bb, gates, sample, policy, budget, horizon=horizon,
                             cadence=cadence, trace=trace)
         outs.append((r.predictions, r.correct, r.total, repr(r.mean_retained),
-                     r.peak_entries, r.peak_pages))
+                     r.peak_entries))
+        pages.append(r.peak_pages)
     cols = [np.array([getattr(row, f) for row in trace], dtype=np.int64)
             for f in ("step", "layer", "head", "token_birth")]
     actions = np.array([row.action == "evict" for row in trace], dtype=bool)
@@ -98,6 +103,7 @@ def _case(bb, gates, samples, policy, budget, horizon, cadence) -> dict:
     weights = np.random.default_rng(0).uniform(0.5, 1.5, size=scores.shape[0])
     return {
         "outputs": _sha(*[x for o in outs for x in o]),
+        "peak_pages": pages,
         "rows": len(trace),
         "trace": _sha(*cols, actions),
         "infinite_scores": _sha(np.flatnonzero(~finite)),
@@ -173,12 +179,25 @@ def test_decode_matches_golden(key, golden, world):
     want = golden["cases"]["/".join(map(str, key))]
     got = _case(bb, gates[key[0]], samples, *key[1:])
     assert got["outputs"] == want["outputs"]
+    assert got["peak_pages"] == want["peak_pages"]
     assert got["rows"] == want["rows"]
     assert got["trace"] == want["trace"]
     assert got["infinite_scores"] == want["infinite_scores"]
     assert got["score_sum"] == pytest.approx(want["score_sum"], rel=1e-12)
     assert got["score_weighted_sum"] == pytest.approx(want["score_weighted_sum"], rel=1e-12)
     assert got["score_head"] == pytest.approx(want["score_head"], rel=1e-12)
+
+
+@pytest.mark.parametrize("key", list(_case_keys()), ids=lambda k: "/".join(map(str, k)))
+def test_peak_pages_hold_only_the_peak_rows(key, world):
+    """Each head holds ceil(n / page_size) pages, so the peak page count
+    covers the peak entries with less than one page per head to spare."""
+    bb, samples, gates = world
+    spare = bb.shape.layers * bb.shape.heads * PAGE_SIZE
+    for sample in samples:
+        r = decode_sequence(bb, gates[key[0]], sample, *key[1:3], horizon=key[3],
+                            cadence=key[4], page_size=PAGE_SIZE)
+        assert r.peak_entries <= r.peak_pages * PAGE_SIZE < r.peak_entries + spare
 
 
 def test_survival_recorder_matches_golden(golden):

@@ -109,7 +109,28 @@ class TestEvict:
         store.evict(0, 0, range(0, 32, 2))
         shadow.evict(0, 0, range(0, 32, 2))
         assert_matches_shadow(store, shadow, 0, 0)
-        assert store.pages_in_use() == 2  # fragmentation allowed before compact
+        assert store.pages_in_use() == 1  # the 16 survivors moved down into one page
+
+    def test_three_thirds_become_one_page(self, rng):
+        store = PagedKVStore(1, 1, 4, page_size=3)
+        for i in range(9):
+            store.append(0, 0, rng.normal(size=4), rng.normal(size=4), i, 1.0)
+        pages = store.snapshot()["tables"]["0,0"]["pages"]
+        store.evict(0, 0, [0, 1, 3, 4, 6, 7])
+        assert store.pages_in_use() == 1
+        assert store.snapshot()["tables"]["0,0"]["pages"] == pages[:1]
+        assert store.snapshot()["free_pages"] == [pages[2], pages[1]]  # pages[1] pops first
+        assert list(store.gather(0, 0).births) == [2, 5, 8]
+
+    def test_freed_tail_pages_are_reused_in_order(self, rng):
+        store = PagedKVStore(1, 2, 2, page_size=2)
+        for i in range(6):
+            store.append(0, 0, [i, i], [i, i], i, 1.0)
+        store.evict(0, 0, [0, 1, 2, 3])
+        assert store.pages_in_use() == 1
+        assert [store.append(0, 1, [0, 0], [0, 0], b, 1.0) for b in range(4)] == \
+            [(1, 0), (1, 1), (2, 0), (2, 1)]
+        store.check_accounting()
 
     def test_unknown_birth_raises(self, rng):
         store = PagedKVStore(1, 1, 2)
@@ -128,37 +149,13 @@ class TestEvict:
         assert list(store.gather(0, 0).births) == [0, 3, 4]
 
 
-class TestCompact:
-    def test_fully_occupied_is_noop(self, rng):
-        store = PagedKVStore(1, 1, 4, page_size=4)
-        for i in range(8):
-            store.append(0, 0, rng.normal(size=4), rng.normal(size=4), i, 1.0)
-        before = store.snapshot()
-        store.compact(0, 0)
-        assert store.snapshot() == before
-
-    def test_three_thirds_become_one_page(self, rng):
-        store = PagedKVStore(1, 1, 4, page_size=3)
-        for i in range(9):
-            store.append(0, 0, rng.normal(size=4), rng.normal(size=4), i, 1.0)
-        store.evict(0, 0, [0, 1, 3, 4, 6, 7])
-        assert store.pages_in_use() == 3
-        store.compact(0, 0)
-        assert store.pages_in_use() == 1
-        assert list(store.gather(0, 0).births) == [2, 5, 8]
-
-    def test_gather_unchanged_bit_exact(self, rng):
-        store = PagedKVStore(1, 1, 4, page_size=4)
-        for i in range(20):
-            store.append(0, 0, rng.normal(size=4), rng.normal(size=4), i, rng.random())
-        store.evict(0, 0, rng.choice(20, size=9, replace=False))
-        before = store.gather(0, 0)
-        store.compact(0, 0)
-        after = store.gather(0, 0)
-        assert np.array_equal(before.keys, after.keys)
-        assert np.array_equal(before.values, after.values)
-        assert np.array_equal(before.births, after.births)
-        assert np.array_equal(before.betas, after.betas)
+def assert_pages_follow_rows(store):
+    """Every head holds exactly the pages its rows fill."""
+    ps = store.page_size
+    held = [-(-len(store.gather(l, h)) // ps)
+            for l in range(store.layers) for h in range(store.heads)]
+    assert [len(t["pages"]) for t in store.snapshot()["tables"].values()] == held
+    assert store.pages_in_use() == sum(held)
 
 
 def random_script(store, shadow, rng, ops, layers=2, heads=2, dim=4, check_every=250):
@@ -179,7 +176,7 @@ def random_script(store, shadow, rng, ops, layers=2, heads=2, dim=4, check_every
             store.evict(l, h, chosen)
             shadow.evict(l, h, chosen)
         else:
-            store.compact(l, h)
+            assert_pages_follow_rows(store)
         if op_idx % check_every == 0:
             store.check_accounting()
             assert_matches_shadow(store, shadow, l, h)
@@ -195,19 +192,11 @@ class TestShadowEquivalence:
         shadow = ShadowStore()
         random_script(store, shadow, rng, ops=3000)
 
-    def test_memory_bound_after_compact(self, rng):
+    def test_pages_in_use_equal_rows_after_every_op(self, rng):
         store = PagedKVStore(2, 2, 4, page_size=8)
         shadow = ShadowStore()
-        random_script(store, shadow, rng, ops=1500)
-        for l in range(2):
-            for h in range(2):
-                store.compact(l, h)
-        bound = 0
-        for l in range(2):
-            for h in range(2):
-                n = len(store.gather(l, h))
-                bound += -(-n // store.page_size)
-        assert store.pages_in_use() <= bound
+        random_script(store, shadow, rng, ops=1500, check_every=1)
+        assert_pages_follow_rows(store)
 
     def test_attention_over_paged_equals_contiguous(self, rng):
         store = PagedKVStore(1, 1, 4, page_size=4)
@@ -244,26 +233,33 @@ class TestCheckAccounting:
         store = PagedKVStore(1, 2, 2, page_size=2)
         for i in range(6):
             store.append(0, i % 2, rng.normal(size=2), rng.normal(size=2), i, 1.0)
-        store.evict(0, 0, [0, 2])     # frees head 0's first page
+        store.evict(0, 0, [0, 2])     # head 0 keeps one row in one page, frees the other
         store.check_accounting()
+        assert store.pages_in_use() == 3 and len(store._free) == 1
         return store
 
     def test_aliased_page_rejected(self, rng):
         store = self.store(rng)
-        store._heads[(0, 1)].cols[4][0] = 2 * store.snapshot()["tables"]["0,0"]["pages"][0]
-        with pytest.raises(AssertionError):
+        store._heads[(0, 1)].pages[0] = store._heads[(0, 0)].pages[0]
+        with pytest.raises(AssertionError, match="two block tables"):
             store.check_accounting()
 
     def test_referenced_free_page_rejected(self, rng):
         store = self.store(rng)
-        store._free.append(store.snapshot()["tables"]["0,1"]["pages"][0])
-        with pytest.raises(AssertionError):
+        store._free.append(store._heads[(0, 1)].pages[0])
+        with pytest.raises(AssertionError, match="free page"):
             store.check_accounting()
 
     def test_miscounted_page_rejected(self, rng):
         store = self.store(rng)
-        store._live[store.snapshot()["tables"]["0,1"]["pages"][-1]] += 1
-        with pytest.raises(AssertionError):
+        store._heads[(0, 1)].pages.append(store._alloc_page())
+        with pytest.raises(AssertionError, match="holds 3 pages for 3 rows"):
+            store.check_accounting()
+
+    def test_leaked_page_rejected(self, rng):
+        store = self.store(rng)
+        store._free.pop()
+        with pytest.raises(AssertionError, match="pages in use"):
             store.check_accounting()
 
 
@@ -277,10 +273,10 @@ class TestZeroCopySnapshots:
             assert np.shares_memory(getattr(a, f), getattr(b, f)), f
 
     def test_snapshot_valid_until_evict_of_its_head(self, rng):
-        """Appends, array growth included, and evictions or compactions of
-        another head never change a snapshot; nor does compacting its own
-        head. An evict of its own head moves rows in place, and the snapshot
-        taken after it matches a fresh copy."""
+        """Appends, array growth included, and evictions of another head never
+        change a snapshot; nor does an accounting check. An evict of its own
+        head moves rows in place, and the snapshot taken after it matches a
+        fresh copy."""
         fields = ("keys", "values", "births", "betas")
         store = PagedKVStore(2, 1, 4, page_size=4)
         shadow = ShadowStore()
@@ -301,7 +297,7 @@ class TestZeroCopySnapshots:
                 shadow.evict(h, 0, gone)
                 held[h] = []
             else:
-                store.compact(h, 0)
+                store.check_accounting()
             assert_matches_shadow(store, shadow, h, 0)
             snap = store.gather(h, 0)
             grew += bool(held[h]) and held[h][-1][0].keys.base is not snap.keys.base
