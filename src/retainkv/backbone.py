@@ -169,7 +169,7 @@ def student_backward(bb: Backbone, gates: GateParams, trace: ForwardTrace,
     T = trace.tokens.shape[0]
     ages = np.arange(T)[:, None] - np.arange(T)[None, :]
     age_w = np.where(ages > 0, ages.astype(np.float64), 0.0)
-    grads = gates.zeros_like()
+    grads = gates.with_flat(np.zeros_like(gates.flat))
 
     dh_grad = dlogits @ bb.unembed.T
     for l in reversed(range(L)):

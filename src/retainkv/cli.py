@@ -137,8 +137,10 @@ def load_config(path: str | None, preset: str = "default") -> dict:
         if not isinstance(user, dict):
             raise ConfigError("config root must be a JSON object")
         cfg = _merge(cfg, user)
-    if cfg.get("version") != CONFIG_VERSION:
-        raise ConfigError(f"config version must be {CONFIG_VERSION}")
+    version = cfg.get("version")
+    if type(version) is not int or version != CONFIG_VERSION:
+        raise ConfigError(f"config version must be the integer {CONFIG_VERSION}, "
+                          f"got {version!r}")
     unknown = set(cfg) - set(DEFAULT_CONFIG)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")

@@ -22,8 +22,9 @@ Checkpoint format (versioned, little-endian, documented for byte-exactness):
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,36 +63,49 @@ class ModelShape:
 class GateParams:
     """Per-(layer, head) projections plus the shared scoring readout.
 
-    proj_* arrays are indexed [layer, head, ...]. When `tied` is False the
-    readout arrays grow leading (layer, head) axes; everything else is
-    unchanged, which keeps the ablation a pure calibration comparison.
+    Every parameter lives in one float64 vector `flat`, in the order w1, b1,
+    w2, b2, wg, bg; the six tensors are reshaped views of it, so writing
+    through either changes both. proj_* tensors are indexed [layer, head, ...].
+    When `tied` is False the readout tensors grow leading (layer, head) axes;
+    everything else is unchanged, which keeps the ablation a pure calibration
+    comparison.
     """
 
-    w1: Array  # [L, H, d_gate, d_in]
-    b1: Array  # [L, H, d_gate]
-    w2: Array  # [L, H, d_gate, d_gate]
-    b2: Array  # [L, H, d_gate]
-    wg: Array  # [d_gate] tied, [L, H, d_gate] untied
-    bg: Array  # [] tied, [L, H] untied
+    flat: Array
+    layers: int
+    heads: int
+    d_gate: int
+    d_in: int
     tied: bool = True
     gate_input: str = "embedding"  # "embedding" | "kv"
     seed: int | None = None
+    w1: Array = field(init=False, repr=False)  # [L, H, d_gate, d_in]
+    b1: Array = field(init=False, repr=False)  # [L, H, d_gate]
+    w2: Array = field(init=False, repr=False)  # [L, H, d_gate, d_gate]
+    b2: Array = field(init=False, repr=False)  # [L, H, d_gate]
+    wg: Array = field(init=False, repr=False)  # [d_gate] tied, [L, H, d_gate] untied
+    bg: Array = field(init=False, repr=False)  # [] tied, [L, H] untied
 
-    @property
-    def layers(self) -> int:
-        return self.w1.shape[0]
+    def __post_init__(self):
+        L, H, dg = self.layers, self.heads, self.d_gate
+        readout = () if self.tied else (L, H)
+        shapes = ((L, H, dg, self.d_in), (L, H, dg), (L, H, dg, dg), (L, H, dg),
+                  readout + (dg,), readout)
+        sizes = [math.prod(s) for s in shapes]
+        self.flat = np.asarray(self.flat, dtype=np.float64)
+        if self.flat.shape != (sum(sizes),):
+            raise ValueError(f"flat has shape {self.flat.shape}; these gates need "
+                             f"({sum(sizes)},)")
+        views, offset = [], 0
+        for shape, size in zip(shapes, sizes):
+            views.append(self.flat[offset:offset + size].reshape(shape))
+            offset += size
+        self.w1, self.b1, self.w2, self.b2, self.wg, self.bg = views
 
-    @property
-    def heads(self) -> int:
-        return self.w1.shape[1]
-
-    @property
-    def d_in(self) -> int:
-        return self.w1.shape[3]
-
-    @property
-    def d_gate(self) -> int:
-        return self.w1.shape[2]
+    def with_flat(self, flat: Array) -> "GateParams":
+        """Gates of this layout over the vector `flat`, which they view, not copy."""
+        return GateParams(flat, self.layers, self.heads, self.d_gate, self.d_in,
+                          self.tied, self.gate_input, self.seed)
 
     def readout(self, layer: int, head: int) -> tuple[Array, float]:
         if self.tied:
@@ -102,35 +116,19 @@ class GateParams:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2,
                 "wg": self.wg, "bg": self.bg}
 
-    def copy(self) -> "GateParams":
-        return GateParams(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy(),
-                          self.wg.copy(), self.bg.copy(), self.tied, self.gate_input,
-                          self.seed)
-
-    def zeros_like(self) -> "GateParams":
-        return GateParams(np.zeros_like(self.w1), np.zeros_like(self.b1),
-                          np.zeros_like(self.w2), np.zeros_like(self.b2),
-                          np.zeros_like(self.wg), np.zeros_like(self.bg),
-                          self.tied, self.gate_input, self.seed)
-
 
 def init_gate_params(shape: ModelShape, d_in: int, rng: np.random.Generator,
                      tied: bool = True, gate_input: str = "embedding",
                      init_scale: float = 0.1, seed: int | None = None) -> GateParams:
     """Small random projections; readout bias starts at 18.0 so beta > 0.999."""
     L, H, dg = shape.layers, shape.heads, shape.gate_hidden
-    w1 = rng.normal(0.0, init_scale / np.sqrt(d_in), size=(L, H, dg, d_in))
-    b1 = np.zeros((L, H, dg))
-    w2 = rng.normal(0.0, init_scale / np.sqrt(dg), size=(L, H, dg, dg))
-    b2 = np.zeros((L, H, dg))
-    if tied:
-        wg = rng.normal(0.0, init_scale / np.sqrt(dg), size=dg)
-        bg = np.float64(INIT_READOUT_BIAS)
-    else:
-        wg = rng.normal(0.0, init_scale / np.sqrt(dg), size=(L, H, dg))
-        bg = np.full((L, H), INIT_READOUT_BIAS)
-    return GateParams(w1, b1, w2, b2, wg, np.asarray(bg, dtype=np.float64),
-                      tied, gate_input, seed)
+    n = L * H * (dg * d_in + dg + dg * dg + dg) + (1 if tied else L * H) * (dg + 1)
+    params = GateParams(np.zeros(n), L, H, dg, d_in, tied, gate_input, seed)
+    params.w1[...] = rng.normal(0.0, init_scale / np.sqrt(d_in), size=params.w1.shape)
+    params.w2[...] = rng.normal(0.0, init_scale / np.sqrt(dg), size=params.w2.shape)
+    params.wg[...] = rng.normal(0.0, init_scale / np.sqrt(dg), size=params.wg.shape)
+    params.bg[...] = INIT_READOUT_BIAS
+    return params
 
 
 def _gate_mlp(x: Array, layer: int, head: int | None,
@@ -236,26 +234,6 @@ def cap_loss_global_grad(betas: Array, m_global: float) -> tuple[float, Array]:
     return loss, dbeta
 
 
-def flatten_params(params: GateParams) -> Array:
-    """Concatenate all gate tensors into one vector (w1, b1, w2, b2, wg, bg)."""
-    return np.concatenate([params.tensors()[n].ravel()
-                           for n in ("w1", "b1", "w2", "b2", "wg", "bg")])
-
-
-def unflatten_params(vec: Array, like: GateParams) -> GateParams:
-    """Inverse of `flatten_params`, shaped after `like`."""
-    out = like.zeros_like()
-    offset = 0
-    for name in ("w1", "b1", "w2", "b2", "wg", "bg"):
-        t = out.tensors()[name]
-        n = t.size
-        t[...] = np.asarray(vec[offset:offset + n]).reshape(t.shape)
-        offset += n
-    if offset != vec.size:
-        raise ValueError(f"vector length {vec.size} != parameter count {offset}")
-    return out
-
-
 # -- checkpoint io ----------------------------------------------------------
 
 
@@ -331,19 +309,13 @@ def load_gates(path) -> GateParams:
         raise ValueError("truncated checkpoint")
     if payload > 8 * count:
         raise ValueError(f"{payload - 8 * count} trailing bytes after the checkpoint")
-    flat = np.frombuffer(blob, dtype="<f8", count=count, offset=12 + n).astype(np.float64)
+    data = np.frombuffer(blob, dtype="<f8", count=count, offset=12 + n)
 
     # layer-major (layer, head) blocks of w1, b1, w2, b2, then the readout
-    heads = flat[:L * H * per_head].reshape(L, H, per_head)
-    cuts = np.cumsum([dg * d_in, dg, dg * dg])
-    w1, b1, w2, b2 = np.split(heads, cuts, axis=2)
-    w1 = np.ascontiguousarray(w1.reshape(L, H, dg, d_in))
-    w2 = np.ascontiguousarray(w2.reshape(L, H, dg, dg))
-    rest = flat[L * H * per_head:]
-    if tied:
-        wg, bg = rest[:dg].copy(), rest[dg]
-    else:
-        pairs = rest.reshape(L, H, dg + 1)
-        wg, bg = pairs[..., :dg].copy(), pairs[..., dg].copy()
-    return GateParams(w1, b1.copy(), w2, b2.copy(), wg, np.asarray(bg, dtype=np.float64), tied,
-                      header["gate_input"], header["seed"])
+    # rows (wg, bg): regrouped into the name order of `GateParams.flat`
+    heads = data[:L * H * per_head].reshape(L * H, per_head)
+    rows = data[L * H * per_head:].reshape(-1, dg + 1)
+    cuts = [0, dg * d_in, dg * d_in + dg, dg * d_in + dg + dg * dg, per_head]
+    flat = np.concatenate([heads[:, a:b].ravel() for a, b in zip(cuts, cuts[1:])]
+                          + [rows[:, :dg].ravel(), rows[:, dg]])
+    return GateParams(flat, L, H, dg, d_in, tied, header["gate_input"], header["seed"])

@@ -138,16 +138,22 @@ class PagedKVStore:
         return hd.pages[-1], i % self.page_size
 
     def evict(self, layer: int, head: int, births) -> None:
-        """Remove the given birth indices; free the tail pages left empty."""
+        """Remove the given birth indices; free the tail pages left empty.
+
+        Raises KeyError, and changes nothing, if a birth is not live or is
+        named twice; the message names the first such birth in argument order.
+        """
         hd = self._head(layer, head)
         gone = [int(b) for b in births]
         stored = hd.cols[2][:hd.n]
-        present = set(stored.tolist())
-        for birth in gone:
-            if birth not in present:     # missing, or named twice
+        rows = stored.searchsorted(gone)
+        present = stored.searchsorted(gone, side="right") > rows
+        named: set[int] = set()
+        for birth, ok in zip(gone, present.tolist()):
+            if not ok or birth in named:     # missing, or named twice
                 raise KeyError(f"birth {birth} not present in ({layer}, {head})")
-            present.remove(birth)
-        hd.drop(sorted(stored.searchsorted(gone).tolist()))
+            named.add(birth)
+        hd.drop(sorted(rows.tolist()))
         keep = -(-hd.n // self.page_size)
         self._free.extend(reversed(hd.pages[keep:]))
         del hd.pages[keep:]

@@ -119,16 +119,13 @@ def generate_dataset(spec: TaskSpec, n: int, rng: np.random.Generator) -> list[S
 # -- constructed backbone -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TaskModelConfig:
-    """Knobs controlling how hard the recall problem is for full attention."""
-
-    match_scale: float = 9.0     # needle logit at a matching query, in nats
-    decoy_overlap: float = 0.72  # distractor key signature as a fraction of a real key
-    decoy_value_gain: float = 0.8
-    decoy_junk_gain: float = 0.8
-    type_scale: float = 4.0      # same-type attraction for the local head
-    out_gain: float = 6.0        # unembedding sharpness on the value register
+# how hard the recall problem is for full attention
+MATCH_SCALE = 9.0        # needle logit at a matching query, in nats
+DECOY_OVERLAP = 0.72     # distractor key signature as a fraction of a real key
+DECOY_VALUE_GAIN = 0.8
+DECOY_JUNK_GAIN = 0.8
+TYPE_SCALE = 4.0         # same-type attraction for the local head
+OUT_GAIN = 6.0           # unembedding sharpness on the value register
 
 
 def default_shape(spec: TaskSpec, gate_hidden: int = 16) -> ModelShape:
@@ -136,9 +133,7 @@ def default_shape(spec: TaskSpec, gate_hidden: int = 16) -> ModelShape:
                       seq_len=spec.seq_len, vocab=spec.vocab)
 
 
-def build_task_model(spec: TaskSpec, rng: np.random.Generator,
-                     shape: ModelShape | None = None,
-                     cfg: TaskModelConfig = TaskModelConfig()) -> Backbone:
+def build_task_model(spec: TaskSpec, rng: np.random.Generator) -> Backbone:
     """Frozen backbone whose first layer solves the recall task by construction.
 
     Register layout inside d_model: key signature, value payload plus one junk
@@ -146,7 +141,7 @@ def build_task_model(spec: TaskSpec, rng: np.random.Generator,
     scaled-down signature of one real key plus a junk/value payload, making
     them near-tie competitors of that key's needle.
     """
-    shape = shape or default_shape(spec)
+    shape = default_shape(spec)
     d = shape.d_model
     nk, nv = spec.n_keys, spec.n_values
     n_type = 6
@@ -190,11 +185,11 @@ def build_task_model(spec: TaskSpec, rng: np.random.Generator,
         v = int(rng.integers(0, nv))
         decoy_key[j] = k
         sig = np.zeros(nk)
-        sig[k] = cfg.decoy_overlap
+        sig[k] = DECOY_OVERLAP
         sig += 0.05 * rng.normal(size=nk)
         embed[tok, k0:k0 + nk] = sig
-        embed[tok, v0 + v] = cfg.decoy_value_gain
-        embed[tok, junk] = cfg.decoy_junk_gain
+        embed[tok, v0 + v] = DECOY_VALUE_GAIN
+        embed[tok, junk] = DECOY_JUNK_GAIN
         set_type(tok, "distractor")
     set_type(spec.filler_id, "filler")
 
@@ -206,7 +201,7 @@ def build_task_model(spec: TaskSpec, rng: np.random.Generator,
 
     # layer 0 head 0: recall. Probe register queries the key register; the
     # value register (and junk direction) rides along into the output.
-    sq = cfg.match_scale * np.sqrt(dh)
+    sq = MATCH_SCALE * np.sqrt(dh)
     for k in range(nk):
         wq[0, 0, p0 + k, k] = sq
         wk[0, 0, k0 + k, k] = 1.0
@@ -215,7 +210,7 @@ def build_task_model(spec: TaskSpec, rng: np.random.Generator,
         wo[0, 0, nk + v, v0 + v] = 1.0
 
     # layer 0 head 1: token-type attraction; local usefulness only.
-    st = cfg.type_scale * np.sqrt(dh)
+    st = TYPE_SCALE * np.sqrt(dh)
     for j in range(n_type):
         wq[0, 1, t0 + j, j] = st
         wk[0, 1, t0 + j, j] = 1.0
@@ -231,8 +226,8 @@ def build_task_model(spec: TaskSpec, rng: np.random.Generator,
 
     unembed = np.zeros((d, shape.vocab))
     for v in range(nv):
-        unembed[v0 + v, spec.value_id(v)] = cfg.out_gain
-    unembed[junk, spec.filler_id] = cfg.out_gain
+        unembed[v0 + v, spec.value_id(v)] = OUT_GAIN
+    unembed[junk, spec.filler_id] = OUT_GAIN
 
     d_ff = 2 * d
     return Backbone(

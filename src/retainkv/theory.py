@@ -163,7 +163,7 @@ def check_reweighting_identity(logits: Array, useful: Array, retention: Array) -
     r = as_vector(retention, "retention")
     if r.shape != z.shape:
         raise ValueError("retention weights must match logits")
-    if np.any(r < 0.0) or np.any(r > 1.0):
+    if np.count_nonzero((r < 0.0) | (r > 1.0)):
         raise ValueError("retention weights must lie in [0, 1]")
     u = _mask(useful, z.shape, "useful")
     d = ~u

@@ -83,11 +83,6 @@ def loss_and_grads(bb: Backbone, gates: GateParams, tokens, lam: float,
     return breakdown, grads
 
 
-def accumulate(into: GateParams, grads: GateParams, weight: float = 1.0) -> None:
-    for name, g in grads.tensors().items():
-        into.tensors()[name] += weight * g
-
-
 def train_gates(bb: Backbone, gates: GateParams, sequences, *, lam: float = 1.0,
                 m_global: float, lr: float = 0.05, steps: int = 200,
                 batch_size: int = 4, seed: int = 0,
@@ -97,7 +92,8 @@ def train_gates(bb: Backbone, gates: GateParams, sequences, *, lam: float = 1.0,
     `sequences` is a list of token arrays sampled up front so that (seed,
     config) fully determines the run. Gradients within a batch average in
     list order. Each pool sequence's teacher logits are computed the first
-    time it is drawn and reused for the rest of the call.
+    time it is drawn and reused for the rest of the call. Training runs on a
+    copy of `gates.flat`; the caller's gates are left unchanged.
     """
     n = len(sequences)
     if n == 0:
@@ -109,29 +105,29 @@ def train_gates(bb: Backbone, gates: GateParams, sequences, *, lam: float = 1.0,
     if not m_global >= 0.0:
         raise ValueError(f"m_global must be >= 0, got {m_global}")
     rng = np.random.default_rng(seed)
-    params = gates.copy()
+    params = gates.with_flat(gates.flat.copy())
     history: list[LossBreakdown] = []
     teacher: dict[int, Array] = {}
     # low first-moment decay: the capacity hinge is a cliff in beta space, and
     # ordinary momentum carries the betas through the release point into
     # irrecoverable sigmoid saturation
     b1, b2, eps = 0.3, 0.99, 1e-8
-    moment1 = params.zeros_like()
-    moment2 = params.zeros_like()
+    m = np.zeros_like(params.flat)
+    v = np.zeros_like(params.flat)
     for step in range(steps):
         # cosine decay keeps the capacity hinge from overshooting: near the
         # budget boundary the normalized Adam step must shrink or the betas
         # blow through into dead saturation
         lr_t = lr * 0.5 * (1.0 + np.cos(np.pi * step / steps))
         idx = rng.integers(0, n, size=batch_size)
-        batch_grads = params.zeros_like()
+        g = np.zeros_like(params.flat)
         tot = qual = cap = kl = nll = 0.0
         for i in map(int, idx):
             if i not in teacher:
                 teacher[i] = teacher_forward(bb, sequences[i])
             breakdown, grads = loss_and_grads(bb, params, sequences[i], lam, m_global,
                                               teacher[i])
-            accumulate(batch_grads, grads, 1.0 / batch_size)
+            g += (1.0 / batch_size) * grads.flat
             tot += breakdown.total / batch_size
             qual += breakdown.quality / batch_size
             cap += breakdown.cap / batch_size
@@ -142,16 +138,13 @@ def train_gates(bb: Backbone, gates: GateParams, sequences, *, lam: float = 1.0,
                 f"loss {tot:.3e} at step {step} exceeded {DIVERGENCE_LIMIT:.0e} "
                 f"(quality {qual:.3e}, cap {cap:.3e}); lower the learning rate")
         t = step + 1
-        for name, g in batch_grads.tensors().items():
-            m = moment1.tensors()[name]
-            v = moment2.tensors()[name]
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            m_hat = m / (1 - b1 ** t)
-            v_hat = v / (1 - b2 ** t)
-            params.tensors()[name] -= lr_t * m_hat / (np.sqrt(v_hat) + eps)
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        m_hat = m / (1 - b1 ** t)
+        v_hat = v / (1 - b2 ** t)
+        params.flat -= lr_t * m_hat / (np.sqrt(v_hat) + eps)
         rec = LossBreakdown(tot, qual, cap, kl, nll)
         history.append(rec)
         if callback is not None:

@@ -13,7 +13,7 @@ from retainkv.attention import HeadCache, attend_full
 from retainkv.backbone import random_backbone, student_forward
 from retainkv.eviction import EvictionConfig, EvictionPolicy, score_entries, select_retained
 from retainkv.evaluate import SelectionRecorder, decode_sequence, evaluate_policies
-from retainkv.gates import ModelShape, flatten_params, init_gate_params, unflatten_params
+from retainkv.gates import ModelShape, init_gate_params
 from retainkv.numerics import finite_diff_grad
 from retainkv.paged_cache import PagedKVStore
 from retainkv.tasks import TaskSpec, build_task_model, default_shape, generate_dataset
@@ -121,13 +121,13 @@ def test_criterion_05_gate_gradient_correctness():
         tokens = rng.integers(0, shape.vocab, size=6)
         lam, m_global = 0.7, 6.0
         _, grads = loss_and_grads(bb, gates, tokens, lam, m_global)
-        analytic = flatten_params(grads)
+        analytic = grads.flat
 
         def f(vec):
-            br, _ = loss_and_grads(bb, unflatten_params(vec, gates), tokens, lam, m_global)
+            br, _ = loss_and_grads(bb, gates.with_flat(vec), tokens, lam, m_global)
             return br.total
 
-        numeric = finite_diff_grad(f, flatten_params(gates))
+        numeric = finite_diff_grad(f, gates.flat)
         scale = np.maximum(np.abs(numeric), np.maximum(np.abs(analytic), 1e-6))
         worst = max(worst, float((np.abs(analytic - numeric) / scale).max()))
     report(5, worst < 1e-4, f"max rel err = {worst:.2e} over 20 instances "

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from retainkv.backbone import random_backbone, student_forward, teacher_forward
-from retainkv.gates import (
-    GateParams,
-    ModelShape,
-    flatten_params,
-    init_gate_params,
-    unflatten_params,
-)
+from retainkv.gates import ModelShape, init_gate_params
 from retainkv.numerics import finite_diff_grad
 from retainkv.training import loss_and_grads
 
@@ -35,12 +29,12 @@ def total_loss_of(bb, gates, tokens, lam, m_global):
 
 def fd_check(bb, gates, tokens, lam, m_global, rel_tol=1e-4):
     _, grads = loss_and_grads(bb, gates, tokens, lam, m_global)
-    analytic = flatten_params(grads)
+    analytic = grads.flat
 
     def f(vec):
-        return total_loss_of(bb, unflatten_params(vec, gates), tokens, lam, m_global)
+        return total_loss_of(bb, gates.with_flat(vec), tokens, lam, m_global)
 
-    numeric = finite_diff_grad(f, flatten_params(gates))
+    numeric = finite_diff_grad(f, gates.flat)
     scale = np.maximum(np.abs(numeric), np.maximum(np.abs(analytic), 1e-6))
     rel = np.abs(analytic - numeric) / scale
     return float(rel.max()), analytic, numeric

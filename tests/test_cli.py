@@ -87,6 +87,8 @@ class TestBadConfigValue:
         "few_persistence_trials": ("theory", {"theory": {"persistence_trials": 500}},
                                    "theory.persistence_trials must be an integer >= 1000"),
         "section_not_object": ("train", {"train": "x"}, "[train] must be a JSON object"),
+        "bool_version": ("theory", {"version": True}, "version must be the integer 1, got True"),
+        "float_version": ("train", {"version": 1.0}, "version must be the integer 1, got 1.0"),
     }
 
     @pytest.mark.parametrize("case", CASES)

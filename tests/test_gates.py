@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from retainkv.gates import (
-    GateParams,
+    INIT_READOUT_BIAS,
     ModelShape,
     cap_loss_global_grad,
     gate_forward_batch,
@@ -241,6 +241,7 @@ class TestCheckpoint:
         loaded = load_gates(path)
         for name, arr in params.tensors().items():
             assert np.array_equal(arr, loaded.tensors()[name]), name
+        assert loaded.flat.tobytes() == params.flat.tobytes()
         assert loaded.tied == params.tied
         assert loaded.gate_input == params.gate_input
 
@@ -253,6 +254,7 @@ class TestCheckpoint:
         assert loaded.gate_input == "kv"
         assert np.array_equal(loaded.wg, params.wg)
         assert np.array_equal(loaded.bg, params.bg)
+        assert loaded.flat.tobytes() == params.flat.tobytes()
 
     def test_save_is_byte_deterministic(self, tmp_path, rng, params):
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
@@ -310,6 +312,33 @@ class TestCheckpoint:
         for name, arr in loaded.tensors().items():
             assert arr.flags.c_contiguous and arr.flags.writeable, name
             assert arr.shape == params.tensors()[name].shape, name
+
+
+class TestFlatVector:
+    """The six tensors are views of `flat`, in the order w1, b1, w2, b2, wg, bg."""
+
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_tensors_are_views_in_name_order(self, rng, tied):
+        params = init_gate_params(SHAPE, d_in=8, rng=rng, tied=tied)
+        parts = [params.tensors()[n].ravel() for n in ("w1", "b1", "w2", "b2", "wg", "bg")]
+        assert np.concatenate(parts).tobytes() == params.flat.tobytes()
+        params.w1[1, 0, 2, 3] = 7.0
+        params.bg -= 1.0
+        assert params.flat[np.ravel_multi_index((1, 0, 2, 3), params.w1.shape)] == 7.0
+        assert params.flat[-1] == INIT_READOUT_BIAS - 1.0
+        params.flat[:] = 0.0
+        assert all(not np.any(t) for t in params.tensors().values())
+
+    def test_with_flat_views_its_vector(self, params):
+        vec = np.arange(params.flat.size, dtype=np.float64)
+        other = params.with_flat(vec)
+        assert other.flat is vec and other.w1.base is vec
+        assert (other.tied, other.d_in, other.d_gate) == (params.tied, 8, 6)
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_wrong_length_rejected(self, params, delta):
+        with pytest.raises(ValueError, match="flat has shape"):
+            params.with_flat(np.zeros(params.flat.size + delta))
 
 
 class TestGateForwardAllHeads:

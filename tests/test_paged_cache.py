@@ -313,8 +313,11 @@ class TestZeroCopySnapshots:
         for i in range(4):
             store.append(0, 0, [i, i], [i, i], i, 1.0)
         before = store.snapshot()
-        for births in ([1, 7], [2, 2]):
-            with pytest.raises(KeyError):
+        # the error names the first birth, in argument order, that is missing
+        # or named a second time
+        for births, bad in (([1, 7], 7), ([2, 2], 2), ([3, 1, 3, 9], 3), ([9, 2, 2], 9),
+                            ([-1], -1), ([4], 4)):
+            with pytest.raises(KeyError, match=f"birth {bad} "):
                 store.evict(0, 0, births)
             assert store.snapshot() == before
             assert list(store.gather(0, 0).births) == [0, 1, 2, 3]

@@ -56,6 +56,14 @@ class TestTrainGates:
             out.append(path.read_bytes())
         assert out[0] == out[1]
 
+    def test_input_gates_left_unchanged(self, setup):
+        bb, gates, sequences = setup
+        before = gates.flat.tobytes()
+        res = train_gates(bb, gates, sequences, lam=1.0, m_global=10.0,
+                          lr=0.01, steps=3, batch_size=2, seed=0)
+        assert gates.flat.tobytes() == before
+        assert res.params.flat.tobytes() != before
+
     def test_divergence_aborts_with_diagnostic(self, setup):
         bb, gates, sequences = setup
         # force the capacity term past the abort threshold: at m_global 0 the
