@@ -17,7 +17,7 @@ from .gates import (
     save_gates,
 )
 from .numerics import EmptySupportError, finite_diff_grad, sigmoid, softmax, softmax_log_space
-from .paged_cache import CacheCapacityError, PagedKVStore
+from .paged_cache import PagedKVStore
 from .tasks import TaskSpec, build_task_model, default_shape, generate_dataset, generate_sample
 from .theory import (
     DilutionInstance,

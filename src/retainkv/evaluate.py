@@ -17,7 +17,7 @@ from .backbone import Backbone, _gate_input
 from .eviction import POLICIES, SCORED, EvictionConfig, EvictionPolicy, TraceRow
 from .gates import GateParams, gate_forward_batch
 from .numerics import softmax_kernel
-from .paged_cache import PagedKVStore
+from .paged_cache import DEFAULT_PAGE_SIZE, PagedKVStore
 from .tasks import Sample
 from .theory import SurvivalRecord
 
@@ -90,7 +90,7 @@ class DecodeResult:
 
 def decode_sequence(bb: Backbone, gates: GateParams | None, sample: Sample,
                     policy_name: str = "full", budget_fraction: float = 1.0,
-                    horizon=2, cadence: int = 1, page_size: int = 16,
+                    horizon=2, cadence: int = 1, page_size: int = DEFAULT_PAGE_SIZE,
                     recorder: SelectionRecorder | None = None,
                     trace: list[TraceRow] | None = None) -> DecodeResult:
     """Teacher-forced incremental pass with live eviction; scores answers.

@@ -1,12 +1,12 @@
-"""Paged KV storage with per-(layer, head) block tables.
+"""Per-(layer, head) KV storage, counted in fixed-size pages.
 
 Each (layer, head) keeps its live entries as rows [0, n) of one array set in
 birth order: keys, values, births and betas, the only record of the cache;
-`gather` returns read-only views of it. The rows sit in fixed-size pages of a
-shared pool, and a head's block table says where they are: its page `i` holds
-rows [i * page_size, (i + 1) * page_size), so a head holds
-ceil(n / page_size) pages. Eviction moves the survivors down in place, so the
-rows stay packed, and returns the emptied tail pages to a LIFO free list.
+`gather` returns read-only views of it. Memory is accounted in pages of
+`page_size` rows: page `i` of a head holds rows
+[i * page_size, (i + 1) * page_size), so a head holds ceil(n / page_size)
+pages, a count derived from n. Eviction moves the survivors down in place, so
+the rows stay packed and the emptied tail pages are no longer held.
 """
 
 from __future__ import annotations
@@ -18,10 +18,6 @@ import numpy as np
 from .numerics import Array, as_vector
 
 DEFAULT_PAGE_SIZE = 16
-
-
-class CacheCapacityError(RuntimeError):
-    """The page allocator ran out of pages (max_pages reached)."""
 
 
 @dataclass
@@ -36,10 +32,9 @@ class GatherResult:
 
 
 class _Head:
-    """A head's live entries in birth order: rows [0, n) of its columns, and
-    its block table."""
+    """A head's live entries in birth order: rows [0, n) of its columns."""
 
-    __slots__ = ("cols", "readonly", "n", "max_birth", "pages")
+    __slots__ = ("cols", "readonly", "n", "max_birth")
 
     def __init__(self, capacity: int, dim: int):
         # keys, values, births, betas
@@ -50,7 +45,6 @@ class _Head:
             a.flags.writeable = False
         self.n = 0
         self.max_birth = -1
-        self.pages: list[int] = []
 
     def push(self, key: Array, value: Array, birth: int, beta: float) -> None:
         i = self.n
@@ -74,7 +68,7 @@ class _Head:
 
 
 class PagedKVStore:
-    """Fixed-size pages, per-(layer, head) block tables, per-head logical lengths.
+    """Per-(layer, head) rows in birth order, held in fixed-size pages.
 
     Single writer per (layer, head). A `gather` result stays valid across
     appends (they write past the end of every view already returned, or into
@@ -83,27 +77,14 @@ class PagedKVStore:
     """
 
     def __init__(self, layers: int, heads: int, dim: int,
-                 page_size: int = DEFAULT_PAGE_SIZE, max_pages: int | None = None):
+                 page_size: int = DEFAULT_PAGE_SIZE):
         if layers < 1 or heads < 1 or dim < 1 or page_size < 1:
             raise ValueError("layers, heads, dim and page_size must be positive")
         self.layers = layers
         self.heads = heads
         self.dim = dim
         self.page_size = page_size
-        self.max_pages = max_pages
-        self._allocated = 0             # page ids handed out so far: 0 .. _allocated - 1
-        self._free: list[int] = []      # LIFO reuse for reproducible traces
         self._heads = {(l, h): _Head(page_size, dim) for l in range(layers) for h in range(heads)}
-
-    # -- allocation ---------------------------------------------------------
-
-    def _alloc_page(self) -> int:
-        if self._free:
-            return self._free.pop()
-        if self.max_pages is not None and self._allocated >= self.max_pages:
-            raise CacheCapacityError(f"page pool exhausted (max_pages={self.max_pages})")
-        self._allocated += 1
-        return self._allocated - 1
 
     def _head(self, layer: int, head: int) -> _Head:
         try:
@@ -113,11 +94,11 @@ class PagedKVStore:
 
     # -- operations ---------------------------------------------------------
 
-    def append(self, layer: int, head: int, key, value, birth: int, beta: float) -> tuple[int, int]:
+    def append(self, layer: int, head: int, key, value, birth: int, beta: float) -> None:
         """Append one entry at the tail of a head's logical sequence.
 
-        Returns the (page_id, index in page) address. Births must be strictly
-        increasing per head and may never revive an evicted birth index.
+        Births must be strictly increasing per head and may never revive an
+        evicted birth index.
         """
         hd = self._head(layer, head)
         birth = int(birth)
@@ -129,16 +110,11 @@ class PagedKVStore:
             raise ValueError(f"entry dim must be {self.dim}")
         if not (0.0 <= beta <= 1.0):
             raise ValueError("beta must lie in [0, 1]")
-
-        i = hd.n
-        if i == len(hd.pages) * self.page_size:     # every held page is full
-            hd.pages.append(self._alloc_page())
         hd.push(k, v, birth, beta)
         hd.max_birth = birth
-        return hd.pages[-1], i % self.page_size
 
     def evict(self, layer: int, head: int, births) -> None:
-        """Remove the given birth indices; free the tail pages left empty.
+        """Remove the given birth indices; the survivors move down in place.
 
         Raises KeyError, and changes nothing, if a birth is not live or is
         named twice; the message names the first such birth in argument order.
@@ -154,9 +130,6 @@ class PagedKVStore:
                 raise KeyError(f"birth {birth} not present in ({layer}, {head})")
             named.add(birth)
         hd.drop(sorted(rows.tolist()))
-        keep = -(-hd.n // self.page_size)
-        self._free.extend(reversed(hd.pages[keep:]))
-        del hd.pages[keep:]
 
     def gather(self, layer: int, head: int) -> GatherResult:
         """A head's live entries in logical (birth) order, as read-only views
@@ -180,40 +153,19 @@ class PagedKVStore:
         return sum(hd.n for hd in self._heads.values())
 
     def pages_in_use(self) -> int:
-        return self._allocated - len(self._free)
+        """Pages held over all heads: each head holds ceil(n / page_size)."""
+        ps = self.page_size
+        return sum(-(-hd.n // ps) for hd in self._heads.values())
 
     def check_accounting(self) -> None:
-        """Internal consistency: each head's births strictly increase and it
-        holds ceil(n / page_size) pages; no page is in two block tables, or in
-        one and on the free list; `pages_in_use()` counts the tables' pages."""
-        seen: set[int] = set()
+        """Internal consistency: each head's stored births strictly increase."""
         for key, hd in self._heads.items():
             if np.any(np.diff(hd.cols[2][:hd.n]) <= 0):
                 raise AssertionError(f"stored entries of {key} repeat a birth")
-            if len(hd.pages) != -(-hd.n // self.page_size):
-                raise AssertionError(f"{key} holds {len(hd.pages)} pages for {hd.n} rows")
-            for pid in hd.pages:
-                if pid in seen:
-                    raise AssertionError(f"page {pid} appears in two block tables")
-                seen.add(pid)
-        if seen & set(self._free):
-            raise AssertionError("free page still referenced by a block table")
-        if len(seen) != self.pages_in_use():
-            raise AssertionError("pages in use disagree with the block tables")
 
     def snapshot(self) -> dict:
-        """JSON-serializable view of block tables and occupancy, for inspection."""
+        """JSON-serializable view of each head's length and pages held, for inspection."""
         ps = self.page_size
-        tables = {}
-        for (l, h), hd in sorted(self._heads.items()):
-            tables[f"{l},{h}"] = {
-                "pages": list(hd.pages),
-                "logical_length": hd.n,
-                "occupancy": [min(ps, hd.n - i * ps) for i in range(len(hd.pages))],
-            }
-        return {
-            "page_size": ps,
-            "pages_allocated": self._allocated,
-            "free_pages": list(self._free),
-            "tables": tables,
-        }
+        tables = {f"{l},{h}": {"logical_length": hd.n, "pages": -(-hd.n // ps)}
+                  for (l, h), hd in self._heads.items()}
+        return {"page_size": ps, "tables": tables}

@@ -43,6 +43,11 @@ class TaskSpec:
         if self.used_vocab > self.vocab:
             raise ValueError(
                 f"vocab {self.vocab} too small for {self.used_vocab} distinct tokens")
+        # build_task_model's registers: key, value + junk, probe, 6 type, 2 spare
+        need, d = 2 * self.n_keys + self.n_values + 9, default_shape(self).d_model
+        if need > d:
+            raise ValueError(f"d_model {d} too small for task registers ({need} needed): "
+                             f"2 * n_keys + n_values + 9 must be at most {d}")
 
     # token id blocks, in order; the needles start at id 0
     @property
@@ -148,9 +153,7 @@ def build_task_model(spec: TaskSpec, rng: np.random.Generator) -> Backbone:
     k0, v0 = 0, nk                     # key register, value register (+1 junk dim)
     p0 = v0 + nv + 1                   # probe register
     t0 = p0 + nk                       # type register
-    spare0 = t0 + n_type
-    if spare0 + 2 > d:
-        raise ValueError(f"d_model {d} too small for task registers ({spare0 + 2} needed)")
+    spare0 = t0 + n_type               # two or more spare dims: TaskSpec checks d
     junk = v0 + nv
 
     # orthonormal token-type features: separability of the classes must not

@@ -215,7 +215,7 @@ def test_criterion_08_paged_cache_matches_shadow_store():
         else:   # every head holds exactly the pages its rows fill
             held = [-(-len(r) // 8) for r in shadow.values()]
             tables = store.snapshot()["tables"].values()
-            pages_ok &= [len(t["pages"]) for t in tables] == held
+            pages_ok &= [t["pages"] for t in tables] == held
             pages_ok &= store.pages_in_use() == sum(held)
         if op % 500 == 0:
             store.check_accounting()

@@ -84,6 +84,11 @@ class TestBadConfigValue:
         "repeated_policy": ("eval", {"eval": {"policies": ["full", "full"]}}, "eval.policies"),
         "repeated_top_k": ("survival", {"survival": {"top_k": [2, 2]}}, "survival.top_k"),
         "string_context": ("train", {"task": {"context_len": "abc"}}, "task.context_len"),
+        "task_registers_train": ("train", {"task": {"n_keys": 10, "vocab": 128}},
+                                 "bad [task]: d_model 32 too small for task registers"),
+        "task_registers_theory": ("theory",
+                                  {"task": {"n_keys": 9, "n_values": 6, "vocab": 128}},
+                                  "bad [task]: d_model 32 too small for task registers"),
         "few_persistence_trials": ("theory", {"theory": {"persistence_trials": 500}},
                                    "theory.persistence_trials must be an integer >= 1000"),
         "section_not_object": ("train", {"train": "x"}, "[train] must be a JSON object"),

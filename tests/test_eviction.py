@@ -390,7 +390,6 @@ class TestEngineMatchesBruteForce:
                 continue
             got = policy.step(now)
             want = oracle.step(now)
-            # key order only decides which page ids the store's free list reuses
             assert got == want
             out = {(l, h, b) for (l, h), births in got.items() for b in births}
             assert evicted.isdisjoint(out)

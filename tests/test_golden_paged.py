@@ -1,18 +1,18 @@
-"""Golden paged-store layout: page ids, in-page indices and free-list order.
+"""Golden paged-store contents: rows, per-head lengths and page counts.
 
 `tests/data/golden_paged.json` holds seeded append/evict scripts replayed on a
-2-layer, 2-head `PagedKVStore` at page sizes 1, 3 and 16, plus one at page
-size 4 with `max_pages` 12. A script appends, evicts the oldest, the newest or
-a random set of a head's births (in random order), evicts duplicate and
-missing births, and appends stale births. After every op it stores one line:
-a sha256 of `snapshot()`, the op's result as JSON (the `(page_id, index in
-page)` address of an append, or the name of the exception it raised) and
-`pages_in_use()`. Per script it also stores one sha256 over the gathered
-arrays of the touched head and `total_entries()` after every op. All of it
-must match exactly, and `check_accounting()` (each head holds exactly
-ceil(n / page_size) pages) must pass after every op.
+2-layer, 2-head `PagedKVStore` at page sizes 1, 3 and 16. A script appends,
+evicts the oldest, the newest or a random set of a head's births (in random
+order), evicts duplicate and missing births, and appends stale births. After
+every op it stores one line: a sha256 of `snapshot()` (each head's length and
+pages held), the op's result as JSON (null, or the name of the exception it
+raised) and `pages_in_use()`. Per script it also stores one sha256 over the
+gathered arrays of the touched head and `total_entries()` after every op. All
+of it must match exactly, and `check_accounting()` (each head's stored births
+strictly increase) must pass after every op.
 
-Golden decode checks page ids only through `peak_pages`; this file pins them.
+Golden decode checks page counts only through `peak_pages`; this file pins
+them after every op.
 
 Regenerate only when a layout change is intended and explained:
 
@@ -34,12 +34,11 @@ from retainkv.paged_cache import PagedKVStore
 GOLDEN = Path(__file__).with_name("data") / "golden_paged.json"
 LAYERS, HEADS, DIM = 2, 2, 3
 OPS = 250
-# name -> (page_size, max_pages, seed, append probability)
+# name -> (page_size, seed, append probability)
 SCRIPTS = {
-    "page1": (1, None, 11, 0.5),
-    "page3": (3, None, 12, 0.5),
-    "page16": (16, None, 13, 0.55),
-    "page4_max12": (4, 12, 14, 0.8),
+    "page1": (1, 11, 0.5),
+    "page3": (3, 12, 0.5),
+    "page16": (16, 13, 0.55),
 }
 
 
@@ -81,16 +80,15 @@ def _ops(rng: np.random.Generator, store: PagedKVStore, p_append: float):
 
 
 def replay(name: str) -> dict:
-    page_size, max_pages, seed, p_append = SCRIPTS[name]
-    store = PagedKVStore(LAYERS, HEADS, DIM, page_size=page_size, max_pages=max_pages)
+    page_size, seed, p_append = SCRIPTS[name]
+    store = PagedKVStore(LAYERS, HEADS, DIM, page_size=page_size)
     rng = np.random.default_rng(seed)
     ops = []
     digest = hashlib.sha256()
     for (l, h, op), _ in zip(_ops(rng, store, p_append), range(OPS)):
         try:
             result = op()
-            result = list(result) if result is not None else None
-        except (KeyError, ValueError, RuntimeError) as exc:
+        except (KeyError, ValueError) as exc:
             result = type(exc).__name__
         store.check_accounting()
         ops.append(f"{_sha_json(store.snapshot())} {json.dumps(result)} {store.pages_in_use()}")
@@ -125,7 +123,7 @@ def test_scripts_reach_every_outcome(golden):
     results = [json.loads(op.split(" ", 1)[1].rsplit(" ", 1)[0])
                for script in golden.values() for op in script["ops"]]
     kinds = {r if isinstance(r, str) else type(r).__name__ for r in results}
-    assert kinds == {"list", "NoneType", "KeyError", "ValueError", "CacheCapacityError"}
+    assert kinds == {"NoneType", "KeyError", "ValueError"}
 
 
 if __name__ == "__main__":

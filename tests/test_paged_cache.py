@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from retainkv.attention import HeadCache, attend_full
-from retainkv.paged_cache import CacheCapacityError, PagedKVStore
+from retainkv.paged_cache import PagedKVStore
 
 
 class ShadowStore:
@@ -51,8 +51,8 @@ class TestAppend:
         store = PagedKVStore(1, 1, 4, page_size=16)
         for i in range(20):
             store.append(0, 0, rng.normal(size=4), rng.normal(size=4), i, 0.5)
-        snap = store.snapshot()["tables"]["0,0"]
-        assert snap["occupancy"] == [16, 4]
+        assert store.snapshot()["tables"]["0,0"] == {"logical_length": 20, "pages": 2}
+        assert store.pages_in_use() == 2
         assert len(store.gather(0, 0)) == 20
 
     def test_interleaved_heads_are_independent(self, rng):
@@ -81,13 +81,6 @@ class TestAppend:
         with pytest.raises(ValueError):
             store.append(0, 0, [1, 2], [3, 4], 5, 1.0)
 
-    def test_capacity_error(self, rng):
-        store = PagedKVStore(1, 1, 2, page_size=2, max_pages=1)
-        for i in range(2):
-            store.append(0, 0, [0, 0], [0, 0], i, 1.0)
-        with pytest.raises(CacheCapacityError):
-            store.append(0, 0, [0, 0], [0, 0], 2, 1.0)
-
 
 class TestEvict:
     def test_evict_all_frees_everything(self, rng):
@@ -115,22 +108,11 @@ class TestEvict:
         store = PagedKVStore(1, 1, 4, page_size=3)
         for i in range(9):
             store.append(0, 0, rng.normal(size=4), rng.normal(size=4), i, 1.0)
-        pages = store.snapshot()["tables"]["0,0"]["pages"]
+        assert store.pages_in_use() == 3
         store.evict(0, 0, [0, 1, 3, 4, 6, 7])
         assert store.pages_in_use() == 1
-        assert store.snapshot()["tables"]["0,0"]["pages"] == pages[:1]
-        assert store.snapshot()["free_pages"] == [pages[2], pages[1]]  # pages[1] pops first
+        assert store.snapshot()["tables"]["0,0"]["pages"] == 1
         assert list(store.gather(0, 0).births) == [2, 5, 8]
-
-    def test_freed_tail_pages_are_reused_in_order(self, rng):
-        store = PagedKVStore(1, 2, 2, page_size=2)
-        for i in range(6):
-            store.append(0, 0, [i, i], [i, i], i, 1.0)
-        store.evict(0, 0, [0, 1, 2, 3])
-        assert store.pages_in_use() == 1
-        assert [store.append(0, 1, [0, 0], [0, 0], b, 1.0) for b in range(4)] == \
-            [(1, 0), (1, 1), (2, 0), (2, 1)]
-        store.check_accounting()
 
     def test_unknown_birth_raises(self, rng):
         store = PagedKVStore(1, 1, 2)
@@ -154,7 +136,7 @@ def assert_pages_follow_rows(store):
     ps = store.page_size
     held = [-(-len(store.gather(l, h)) // ps)
             for l in range(store.layers) for h in range(store.heads)]
-    assert [len(t["pages"]) for t in store.snapshot()["tables"].values()] == held
+    assert [t["pages"] for t in store.snapshot()["tables"].values()] == held
     assert store.pages_in_use() == sum(held)
 
 
@@ -227,39 +209,23 @@ def test_snapshot_is_json_serializable(rng):
 
 
 class TestCheckAccounting:
-    """Corrupt one record at a time; the recount from the stored rows catches it."""
+    """Corrupt one stored birth; the birth-order check catches it."""
 
     def store(self, rng):
         store = PagedKVStore(1, 2, 2, page_size=2)
         for i in range(6):
             store.append(0, i % 2, rng.normal(size=2), rng.normal(size=2), i, 1.0)
-        store.evict(0, 0, [0, 2])     # head 0 keeps one row in one page, frees the other
+        store.evict(0, 0, [0, 2])     # head 0 keeps one row in one page
         store.check_accounting()
-        assert store.pages_in_use() == 3 and len(store._free) == 1
+        assert store.pages_in_use() == 3
         return store
 
-    def test_aliased_page_rejected(self, rng):
+    @pytest.mark.parametrize("row, birth", [(1, 1), (2, 3), (2, 0)])
+    def test_repeated_birth_rejected(self, rng, row, birth):
+        """Head (0, 1) stores births [1, 3, 5]; a repeat or a step back fails."""
         store = self.store(rng)
-        store._heads[(0, 1)].pages[0] = store._heads[(0, 0)].pages[0]
-        with pytest.raises(AssertionError, match="two block tables"):
-            store.check_accounting()
-
-    def test_referenced_free_page_rejected(self, rng):
-        store = self.store(rng)
-        store._free.append(store._heads[(0, 1)].pages[0])
-        with pytest.raises(AssertionError, match="free page"):
-            store.check_accounting()
-
-    def test_miscounted_page_rejected(self, rng):
-        store = self.store(rng)
-        store._heads[(0, 1)].pages.append(store._alloc_page())
-        with pytest.raises(AssertionError, match="holds 3 pages for 3 rows"):
-            store.check_accounting()
-
-    def test_leaked_page_rejected(self, rng):
-        store = self.store(rng)
-        store._free.pop()
-        with pytest.raises(AssertionError, match="pages in use"):
+        store._heads[(0, 1)].cols[2][row] = birth
+        with pytest.raises(AssertionError, match=r"stored entries of \(0, 1\) repeat a birth"):
             store.check_accounting()
 
 

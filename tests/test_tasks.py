@@ -27,6 +27,14 @@ class TestTaskSpec:
         with pytest.raises(ValueError):
             TaskSpec(n_queries=9, n_keys=8)
 
+    def test_registers_must_fit_d_model(self):
+        """build_task_model needs 2 * n_keys + n_values + 9 dims of d_model 32."""
+        spec = TaskSpec(n_keys=9, n_values=5, vocab=128)      # exactly 32
+        assert build_task_model(spec, np.random.default_rng(0)).embed.shape[1] == 32
+        for keys, values in ((10, 4), (9, 6)):                 # 33 needed
+            with pytest.raises(ValueError, match=r"too small for task registers \(33 needed\)"):
+                TaskSpec(n_keys=keys, n_values=values, vocab=128)
+
 
 class TestGenerateSample:
     def test_structure(self, rng):
