@@ -23,7 +23,6 @@ from .theory import (
     DilutionInstance,
     PersistenceConfig,
     StabilityError,
-    SurvivalRecord,
     check_reweighting_identity,
     check_dilution_bound,
     dilution,

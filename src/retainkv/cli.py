@@ -22,7 +22,7 @@ import tempfile
 import numpy as np
 
 from . import theory
-from .eviction import SCORED, TraceRow
+from .eviction import SCORED, trace_columns
 from .evaluate import POLICIES, SelectionRecorder, decode_sequence, evaluate_policies
 from .gates import GateParams, init_gate_params, load_gates, save_gates
 from .tasks import TaskSpec, build_task_model, default_shape, generate_dataset
@@ -170,15 +170,6 @@ SURVIVAL_COLUMNS = ("criterion", "layer", "head", "horizon", "fraction")
 TRACE_COLUMNS = ("step", "layer", "head", "token_birth", "score", "action")
 
 
-def _check_rows(rows: list[dict], columns: tuple, name: str) -> None:
-    for row in rows:
-        if set(row) != set(columns):
-            raise AssertionError(f"{name} row keys {sorted(row)} != {sorted(columns)}")
-        for key, val in row.items():
-            if isinstance(val, float) and not np.isfinite(val):
-                raise AssertionError(f"{name} row has non-finite {key}")
-
-
 @contextlib.contextmanager
 def _atomic(path: str):
     """A text file beside `path` that replaces it on success; on any failure
@@ -194,12 +185,26 @@ def _atomic(path: str):
         raise
 
 
-def write_csv(path: str, rows: list[dict], columns: tuple, name: str) -> None:
-    _check_rows(rows, columns, name)
+def write_csv(path: str, table: dict, columns: tuple, name: str) -> None:
+    """Write `table`, one sequence per column. Raises AssertionError, and
+    writes nothing, unless it has these columns, of one length, with no NaN
+    and no infinity in a float column except +inf in the trace's `score`."""
+    if set(table) != set(columns):
+        raise AssertionError(f"{name} columns {sorted(table)} != {sorted(columns)}")
+    cols = [np.asarray(table[key]) for key in columns]
+    if len({c.shape for c in cols}) > 1:
+        raise AssertionError(f"{name} columns differ in length")
+    for key, col in zip(columns, cols):
+        if col.dtype.kind == "f":
+            ok = np.isfinite(col)
+            if (name, key) == ("trace", "score"):   # a beta of 1.0, infinite horizon
+                ok |= col == np.inf
+            if not ok.all():
+                raise AssertionError(f"{name} column {key} has a non-finite value")
     with _atomic(path) as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(columns))
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(zip(*(c.tolist() for c in cols)))
 
 
 def write_json(path: str, payload: dict) -> None:
@@ -390,7 +395,8 @@ def cmd_theory(cfg: dict, seed: int, out: str, args) -> int:
     report, pers_rows = run_theory_suite(cfg, seed)
     write_json(os.path.join(out, "theory_report.json"), report)
     if pers_rows:
-        write_csv(os.path.join(out, "persistence.csv"), pers_rows,
+        table = {key: [row[key] for row in pers_rows] for key in pers_rows[0]}
+        write_csv(os.path.join(out, "persistence.csv"), table,
                   PERSISTENCE_COLUMNS, "persistence")
     print(f"theory: {report['violations_total']} violations "
           f"({report['dilution_bound']['violations']} bound, {report['reweighting']['violations']} identity, "
@@ -417,7 +423,7 @@ def cmd_train(cfg: dict, seed: int, out: str, args) -> int:
         print(f"train: diverged: {exc}", file=sys.stderr)
         return 1
     save_gates(os.path.join(out, "gates.ckpt"), result.params)
-    write_csv(os.path.join(out, "loss.csv"), result.loss_rows(), LOSS_COLUMNS, "loss")
+    write_csv(os.path.join(out, "loss.csv"), result.loss_columns(), LOSS_COLUMNS, "loss")
     print(f"train: final total {result.final.total:.4f} "
           f"(quality {result.final.quality:.4f}, cap {result.final.cap:.4f})")
     return 0
@@ -431,21 +437,18 @@ def cmd_eval(cfg: dict, seed: int, out: str, args) -> int:
     if gates is None and gated:
         raise ConfigError(f"policies {sorted(gated)} require --checkpoint")
     samples = generate_dataset(spec, ecfg["samples"], np.random.default_rng(s_eval))
-    trace: list[TraceRow] | None = [] if ecfg.get("trace") else None
+    trace = [] if ecfg.get("trace") else None
     cells = evaluate_policies(bb, gates, samples, ecfg["policies"], ecfg["budgets"],
                               cfg["eviction"]["horizon"], cfg["eviction"]["cadence"], trace)
-    rows = [{"policy": c.policy, "budget": c.budget, "accuracy": c.accuracy,
-             "mean_retained": c.mean_retained, "peak_entries": c.peak_entries,
-             "seconds": round(c.seconds, 4)} for c in cells]
-    write_csv(os.path.join(out, "eval.csv"), rows, EVAL_COLUMNS, "eval")
+    table = {key: [getattr(c, key) for c in cells] for key in EVAL_COLUMNS}
+    table["seconds"] = [round(s, 4) for s in table["seconds"]]
+    write_csv(os.path.join(out, "eval.csv"), table, EVAL_COLUMNS, "eval")
     if trace is not None:
-        trows = [{"step": r.step, "layer": r.layer, "head": r.head,
-                  "token_birth": r.token_birth, "score": r.score, "action": r.action}
-                 for r in trace]
-        write_csv(os.path.join(out, "eviction_trace.csv"), trows, TRACE_COLUMNS, "trace")
-    for row in rows:
-        print(f"eval: {row['policy']:>9} budget {row['budget']:.3f} "
-              f"accuracy {row['accuracy']:.3f}")
+        table = trace_columns(trace)
+        table["action"] = np.where(table.pop("retained"), "retain", "evict")
+        write_csv(os.path.join(out, "eviction_trace.csv"), table, TRACE_COLUMNS, "trace")
+    for c in cells:
+        print(f"eval: {c.policy:>9} budget {c.budget:.3f} accuracy {c.accuracy:.3f}")
     return 0
 
 
@@ -462,21 +465,16 @@ def cmd_survival(cfg: dict, seed: int, out: str, args) -> int:
     shape = bb.shape
     criteria = recorders[0].criteria()
     for criterion in criteria:
-        pooled = []
-        for l in range(shape.layers):
-            for h in range(shape.heads):
-                recs = [r for rec in recorders
-                        for r in rec.records(criterion, l, h, spec.seq_len)]
-                pooled.extend(recs)
-                frac = survival_curve(recs, horizons)
-                rows.extend({"criterion": criterion, "layer": l, "head": h,
-                             "horizon": int(hz), "fraction": float(f)}
-                            for hz, f in zip(horizons, frac))
-        frac = survival_curve(pooled, horizons)
-        rows.extend({"criterion": criterion, "layer": -1, "head": -1,
-                     "horizon": int(hz), "fraction": float(f)}
-                    for hz, f in zip(horizons, frac))
-    write_csv(os.path.join(out, "survival.csv"), rows, SURVIVAL_COLUMNS, "survival")
+        # every head's tokens over all samples, then all heads pooled as -1
+        reach = {(l, h): np.concatenate([rec.reach(criterion, l, h, spec.seq_len)
+                                         for rec in recorders])
+                 for l in range(shape.layers) for h in range(shape.heads)}
+        reach[-1, -1] = np.concatenate(list(reach.values()))
+        for (l, h), dist in reach.items():
+            rows.extend((criterion, l, h, hz, f)
+                        for hz, f in zip(horizons, survival_curve(dist, horizons).tolist()))
+    write_csv(os.path.join(out, "survival.csv"), dict(zip(SURVIVAL_COLUMNS, zip(*rows))),
+              SURVIVAL_COLUMNS, "survival")
     print(f"survival: wrote {len(rows)} rows over {len(criteria)} criteria")
     return 0
 

@@ -1,9 +1,10 @@
-"""Incremental decoding with live KV eviction, plus accuracy and trace capture.
+"""Incremental decoding with live KV eviction, plus accuracy and selection records.
 
 Every policy runs the same token-by-token path over a paged store; they differ
 only in which entries survive each compression. Attention at serving time is
 hard: a standard softmax over the currently retained entries. Retention
-scores influence serving only through the ranking.
+scores influence serving only through the ranking. Records are arrays: the
+trace in blocks of columns, and each token's last selection step.
 """
 
 from __future__ import annotations
@@ -14,12 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backbone import Backbone, _gate_input
-from .eviction import POLICIES, SCORED, EvictionConfig, EvictionPolicy, TraceRow
+from .eviction import POLICIES, SCORED, EvictionConfig, EvictionPolicy
 from .gates import GateParams, gate_forward_batch
 from .numerics import softmax_kernel
 from .paged_cache import DEFAULT_PAGE_SIZE, PagedKVStore
 from .tasks import Sample
-from .theory import SurvivalRecord
 
 
 def make_policy(name: str, total_budget: int, store: PagedKVStore,
@@ -36,42 +36,46 @@ def make_policy(name: str, total_budget: int, store: PagedKVStore,
 
 
 class SelectionRecorder:
-    """Per-head selection events of one sequence under top-K and tau-mass criteria."""
+    """Per-head selections of one sequence under top-K and tau-mass criteria:
+    the last step that selected each birth, observed in step order."""
 
     def __init__(self, top_k=(1, 2, 4), tau=(0.99,)):
         self.top_k = tuple(top_k)
         self.tau = tuple(tau)
-        # (layer, head, criterion) -> {birth: [selection steps]}
-        self.events: dict = {}
+        # (layer, head, criterion) -> {birth: last selection step}
+        self.last: dict = {}
         self.mass_set_sizes: list[int] = []
+        self._step = -1
 
     def criteria(self):
         return [f"top{k}" for k in self.top_k] + [f"mass{t}" for t in self.tau]
 
     def observe(self, layer: int, head: int, step: int, births: np.ndarray,
                 weights: np.ndarray) -> None:
+        if step < self._step:
+            raise ValueError(f"step {step} observed after step {self._step}")
+        self._step = step
         order = np.argsort(-weights, kind="stable")
         csum = np.cumsum(weights[order])
+        ranked = births[order]
         for k in self.top_k:
-            chosen = births[order[: min(k, order.shape[0])]]
-            self._record(layer, head, f"top{k}", step, chosen)
+            self._record(layer, head, f"top{k}", step, ranked[:k].tolist())
         for t in self.tau:
             size = int(np.searchsorted(csum, t - 1e-12) + 1)
             size = min(size, order.shape[0])
             self.mass_set_sizes.append(size)
-            self._record(layer, head, f"mass{t}", step, births[order[:size]])
+            self._record(layer, head, f"mass{t}", step, ranked[:size].tolist())
 
-    def records(self, criterion: str, layer: int, head: int,
-                n_tokens: int) -> list[SurvivalRecord]:
-        """One survival record per birth in [0, n_tokens) of one head."""
-        events = self.events.get((layer, head, criterion), {})
-        return [SurvivalRecord(b, tuple(events.get(b, ())), criterion, layer, head)
-                for b in range(n_tokens)]
+    def reach(self, criterion: str, layer: int, head: int, n_tokens: int) -> np.ndarray:
+        """For each birth in [0, n_tokens) of one head, the distance from its
+        birth to its last selection, or -1 if it was never selected."""
+        last = self.last.get((layer, head, criterion), {})
+        reach = np.full(n_tokens, -1, dtype=np.int64)
+        reach[list(last)] = np.fromiter(last.values(), np.int64, len(last)) - list(last)
+        return reach
 
     def _record(self, layer, head, criterion, step, chosen):
-        slot = self.events.setdefault((layer, head, criterion), {})
-        for b in chosen:
-            slot.setdefault(int(b), []).append(step)
+        self.last.setdefault((layer, head, criterion), {}).update(dict.fromkeys(chosen, step))
 
 
 @dataclass
@@ -92,7 +96,7 @@ def decode_sequence(bb: Backbone, gates: GateParams | None, sample: Sample,
                     policy_name: str = "full", budget_fraction: float = 1.0,
                     horizon=2, cadence: int = 1, page_size: int = DEFAULT_PAGE_SIZE,
                     recorder: SelectionRecorder | None = None,
-                    trace: list[TraceRow] | None = None) -> DecodeResult:
+                    trace: list | None = None) -> DecodeResult:
     """Teacher-forced incremental pass with live eviction; scores answers.
 
     The budget fraction is relative to the full cache at the end of the
@@ -164,7 +168,7 @@ class EvalCell:
 
 def evaluate_policies(bb: Backbone, gates: GateParams | None, samples: list,
                       policies, budgets, horizon=2, cadence: int = 1,
-                      trace: list[TraceRow] | None = None) -> list[EvalCell]:
+                      trace: list | None = None) -> list[EvalCell]:
     """Paired evaluation grid: every cell sees the identical sample list."""
     cells = []
     for budget in budgets:

@@ -5,7 +5,8 @@ retention weight over a lookahead horizon; one global ranking then keeps the
 best M entries across all layers and heads. Capacity allocation across heads
 is whatever that ranking produces. The baselines run on the same engine: a
 per-head split ranks inside each (layer, head), a sliding window keeps the
-newest births, and the full cache never evicts.
+newest births, and the full cache never evicts. A trace keeps each ranking
+as one block of column arrays, which `trace_columns` joins.
 """
 
 from __future__ import annotations
@@ -97,14 +98,16 @@ def select_retained(scores, births, layers, heads, m: int, per_head: bool = Fals
     return order[rank < m]
 
 
-@dataclass
-class TraceRow:
-    step: int
-    layer: int
-    head: int
-    token_birth: int
-    score: float
-    action: str  # "retain" | "evict"
+TRACE_FIELDS = ("step", "layer", "head", "token_birth", "score", "retained")
+
+
+def trace_columns(trace: list) -> dict[str, np.ndarray]:
+    """The blocks of an eviction trace joined into one column per field, in
+    row order; empty columns if no compression was traced."""
+    if not trace:
+        dtypes = (np.int64,) * 4 + (np.float64, np.bool_)
+        return {f: np.zeros(0, dtype=d) for f, d in zip(TRACE_FIELDS, dtypes)}
+    return {f: np.concatenate(col) for f, col in zip(TRACE_FIELDS, zip(*trace))}
 
 
 class EvictionPolicy:
@@ -124,11 +127,12 @@ class EvictionPolicy:
     Entries appended since the last compression stay resident until the next
     one; "global" and "per_head" compress every `cadence` steps and trace a
     row per scored entry, in (birth, layer, head) order for "global" and
-    (layer, head, birth) order for "per_head".
+    (layer, head, birth) order for "per_head": each compression appends one
+    block, the parallel arrays of `TRACE_FIELDS`.
     """
 
     def __init__(self, cfg: EvictionConfig, store: PagedKVStore,
-                 trace: list[TraceRow] | None = None, policy: str = "global"):
+                 trace: list | None = None, policy: str = "global"):
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
         self.cfg = cfg
@@ -172,11 +176,9 @@ class EvictionPolicy:
             if self.trace is not None:
                 rows = (np.arange(births.shape[0]) if self.policy == "per_head"
                         else np.lexsort((head, layer, births)))
-                self.trace.extend(
-                    TraceRow(now, l, h, b, s, "retain" if k else "evict")
-                    for l, h, b, s, k in zip(layer[rows].tolist(), head[rows].tolist(),
-                                             births[rows].tolist(), scores[rows].tolist(),
-                                             keep[rows].tolist()))
+                self.trace.append((np.full(rows.shape[0], now, dtype=np.int64),
+                                   layer[rows], head[rows], births[rows], scores[rows],
+                                   keep[rows]))
         # losers in (layer, head, birth) order, cut at each group's end
         rows = np.flatnonzero(~keep)
         cuts = rows.searchsorted(list(accumulate(sizes))).tolist()

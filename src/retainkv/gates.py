@@ -268,8 +268,8 @@ def load_gates(path) -> GateParams:
 
     Raises OSError if the file cannot be read and ValueError if its contents
     are not exactly one well-formed checkpoint: bad magic, version or header
-    (an activation other than tanh included), truncated arrays, or trailing
-    bytes.
+    (an activation other than tanh included), truncated arrays, trailing
+    bytes, or a parameter that is NaN or infinite.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -310,6 +310,8 @@ def load_gates(path) -> GateParams:
     if payload > 8 * count:
         raise ValueError(f"{payload - 8 * count} trailing bytes after the checkpoint")
     data = np.frombuffer(blob, dtype="<f8", count=count, offset=12 + n)
+    if not np.isfinite(data).all():
+        raise ValueError("checkpoint has non-finite parameters")
 
     # layer-major (layer, head) blocks of w1, b1, w2, b2, then the readout
     # rows (wg, bg): regrouped into the name order of `GateParams.flat`

@@ -7,9 +7,9 @@ Three independent pillars:
 * under stable VAR(1) query dynamics with a uniform block-exit probability
   from a token's relaxed top-K survival region, survival decays geometrically,
   with an explicit amplitude and rate recoverable from the exit probability;
-* selection traces of a running model yield survival curves whose qualitative
-  shape (sharp drop under fixed top-K, slower under mass criteria) the
-  harness checks directly.
+* each token's last selection in a running model yields survival curves
+  whose qualitative shape (sharp drop under fixed top-K, slower under mass
+  criteria) the harness checks directly.
 
 Everything here is randomized-but-seeded; Monte Carlo trial streams derive
 from one master seed so results do not depend on scheduling.
@@ -460,28 +460,13 @@ def pca_project(states: Array, k: int) -> tuple[Array, Array, Array]:
 # -- survival curves -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SurvivalRecord:
-    """One token's selection history under a top-K or mass-threshold criterion."""
-
-    birth: int
-    selection_steps: tuple
-    criterion: str
-    layer: int = -1
-    head: int = -1
-
-    def max_distance(self) -> int:
-        if not self.selection_steps:
-            return -1
-        return max(self.selection_steps) - self.birth
-
-
-def survival_curve(records: list, horizons) -> Array:
-    """Fraction of tokens still selected at or beyond each horizon."""
+def survival_curve(reach, horizons) -> Array:
+    """Fraction of tokens still selected at or beyond each horizon, from each
+    token's distance to its last selection (`reach`; -1 if never selected)."""
     horizons = np.asarray(list(horizons), dtype=np.int64)
     if np.any(horizons < 1):
         raise ValueError("horizons must be positive")
-    if not records:
-        raise ValueError("no survival records")
-    dist = np.array([r.max_distance() for r in records])
-    return np.array([(dist >= h).mean() for h in horizons])
+    reach = np.asarray(reach)
+    if reach.size == 0:
+        raise ValueError("no tokens to follow")
+    return np.array([(reach >= h).mean() for h in horizons])

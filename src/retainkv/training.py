@@ -41,11 +41,11 @@ class TrainResult:
     history: list       # LossBreakdown per step
     final: LossBreakdown
 
-    def loss_rows(self) -> list[dict]:
-        return [
-            {"step": i, "quality": rec.quality, "cap": rec.cap, "total": rec.total}
-            for i, rec in enumerate(self.history)
-        ]
+    def loss_columns(self) -> dict[str, list]:
+        """The loss curve as `loss.csv`'s columns: step, quality, cap, total."""
+        return {"step": list(range(len(self.history))),
+                **{key: [getattr(rec, key) for rec in self.history]
+                   for key in ("quality", "cap", "total")}}
 
 
 def loss_and_grads(bb: Backbone, gates: GateParams, tokens, lam: float,

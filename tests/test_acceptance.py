@@ -319,12 +319,10 @@ def test_criterion_11_survival_curve_sanity():
     horizons = [1, 2, 4, 8, 16, 32]
     curves = {}
     for criterion in recorders[0].criteria():
-        records = []
-        for l in range(bb.shape.layers):
-            for h in range(bb.shape.heads):
-                for rec in recorders:
-                    records.extend(rec.records(criterion, l, h, spec.seq_len))
-        curves[criterion] = survival_curve(records, horizons)
+        reach = [rec.reach(criterion, l, h, spec.seq_len)
+                 for l in range(bb.shape.layers) for h in range(bb.shape.heads)
+                 for rec in recorders]
+        curves[criterion] = survival_curve(np.concatenate(reach), horizons)
 
     nonincreasing = all(np.all(np.diff(c) <= 1e-12) for c in curves.values())
     k_monotone = (np.all(curves["top2"] >= curves["top1"] - 1e-12)

@@ -175,6 +175,43 @@ class TestAtomicWrite:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
+    TABLES = {
+        "trace": {"step": [0, 0], "layer": [0, 1], "head": [0, 0], "token_birth": [0, 0],
+                  "score": [np.inf, 0.5], "action": ["retain", "evict"]},
+        "loss": {"step": [0, 1], "quality": [1.0, 2.0], "cap": [0.0, 0.5],
+                 "total": [1.0, 2.5]},
+    }
+    COLUMNS = {"trace": cli.TRACE_COLUMNS, "loss": cli.LOSS_COLUMNS}
+    BAD = {
+        "nan_score": ("trace", {"score": [np.nan, 0.5]}),
+        "minus_inf_score": ("trace", {"score": [-np.inf, 0.5]}),
+        "nan_quality": ("loss", {"quality": [1.0, np.nan]}),
+        "inf_cap": ("loss", {"cap": [np.inf, 0.5]}),
+        "missing_column": ("trace", {"action": None}),
+        "extra_column": ("loss", {"kl": [0.0, 0.0]}),
+        "ragged_columns": ("loss", {"total": [1.0]}),
+    }
+
+    def test_infinite_score_is_written(self, tmp_path):
+        """Under the infinite horizon a beta of 1.0 scores +inf."""
+        path = tmp_path / "eviction_trace.csv"
+        cli.write_csv(str(path), self.TABLES["trace"], cli.TRACE_COLUMNS, "trace")
+        assert path.read_text().splitlines() == [
+            "step,layer,head,token_birth,score,action", "0,0,0,0,inf,retain",
+            "0,1,0,0,0.5,evict"]
+
+    @pytest.mark.parametrize("case", BAD)
+    def test_bad_table_leaves_target_and_no_temp_file(self, tmp_path, case):
+        name, change = self.BAD[case]
+        path = tmp_path / f"{name}.csv"
+        cli.write_csv(str(path), self.TABLES[name], self.COLUMNS[name], name)
+        before = path.read_bytes()
+        table = {k: v for k, v in {**self.TABLES[name], **change}.items() if v is not None}
+        with pytest.raises(AssertionError):
+            cli.write_csv(str(path), table, self.COLUMNS[name], name)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
 
 def var1_paths_per_fit(rng, fits, radius):
     """`cli._var1_paths` one fit and one step at a time."""
@@ -250,10 +287,8 @@ class TestTrainEvalSurvival:
         for sample in samples:
             rec = SelectionRecorder(top_k=scfg["top_k"], tau=scfg["tau"])
             decode_sequence(bb, None, sample, "full", 1.0, recorder=rec)
-            for (l, h, criterion), events in rec.events.items():
-                reach = np.full(spec.seq_len, -1)
-                for birth, steps in events.items():
-                    reach[birth] = max(steps) - birth
+            for l, h, criterion in rec.last:
+                reach = rec.reach(criterion, l, h, spec.seq_len)
                 curves.setdefault((criterion, l, h), []).append(
                     [np.mean(reach >= hz) for hz in scfg["horizons"]])
         heads, n_criteria = bb.shape.layers * bb.shape.heads, len(rec.criteria())
@@ -299,23 +334,53 @@ class TestTrainEvalSurvival:
         assert blobs[0] == blobs[1]
 
     def test_eval_deterministic_apart_from_timing(self, tmp_path):
-        cfg = write_config(tmp_path, SMALL_TASK)
-        rowsets = []
+        """A traced run with a checkpoint: the trace, scores included, is
+        byte-identical between runs."""
+        payload = dict(SMALL_TASK, eval=dict(SMALL_TASK["eval"], trace=True,
+                                             policies=["full", "global", "per_head"]))
+        cfg = write_config(tmp_path, payload)
+        ckpt = _checkpoint(tmp_path / "gates.ckpt")
+        rowsets, traces = [], []
         for name in ("c", "d"):
             out = tmp_path / name
-            assert main(["eval", "--config", cfg, "--seed", "4", "--out", str(out)]) == 0
+            assert main(["eval", "--config", cfg, "--seed", "4", "--out", str(out),
+                         "--checkpoint", str(ckpt)]) == 0
             rows = read_csv(out / "eval.csv")
             rowsets.append([{k: v for k, v in row.items() if k != "seconds"}
                             for row in rows])
+            traces.append((out / "eviction_trace.csv").read_bytes())
         assert rowsets[0] == rowsets[1]
+        assert traces[0] == traces[1]
+        assert traces[0].count(b"\n") > 1   # scored rows, not the header alone
+
+    def test_saturated_gate_under_infinite_horizon_traces_inf(self, tmp_path):
+        """A readout bias of 40 gives betas of exactly 1.0, which score +inf
+        under the infinite horizon; the trace writes them as `inf`."""
+        def saturate(params):
+            params.bg[...] = 40.0
+
+        ckpt = _checkpoint(tmp_path / "gates.ckpt", edit=saturate)
+        payload = dict(SMALL_TASK, eviction={"horizon": "infinite"},
+                       eval={"trace": True, "policies": ["global"], "budgets": [0.25],
+                             "samples": 2})
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "run"
+        assert main(["eval", "--config", cfg, "--seed", "3", "--out", str(out),
+                     "--checkpoint", str(ckpt)]) == 0
+        scores = [row["score"] for row in read_csv(out / "eviction_trace.csv")]
+        assert "inf" in scores
+        assert all(np.isfinite(float(s)) or s == "inf" for s in scores)
 
 
-def _checkpoint(path, layers=2, heads=2, d_in=32, gate_input="embedding"):
-    """A gate checkpoint for SMALL_TASK's backbone (2 layers, 2 heads, d_model 32)."""
+def _checkpoint(path, layers=2, heads=2, d_in=32, gate_input="embedding", edit=None):
+    """A gate checkpoint for SMALL_TASK's backbone (2 layers, 2 heads, d_model 32);
+    `edit` may change the parameters in place before they are saved."""
     shape = ModelShape(layers=layers, heads=heads, head_dim=16, gate_hidden=8,
                        seq_len=37, vocab=40)
-    save_gates(path, init_gate_params(shape, d_in, np.random.default_rng(0),
-                                      gate_input=gate_input))
+    params = init_gate_params(shape, d_in, np.random.default_rng(0), gate_input=gate_input)
+    if edit is not None:
+        edit(params)
+    save_gates(path, params)
     return path
 
 
@@ -344,6 +409,11 @@ def _bad_checkpoint(tmp_path, case):
         return _checkpoint(path, heads=4)
     if case == "d_in":
         return _checkpoint(path, d_in=16, gate_input="kv")
+    if case in ("nan_weight", "inf_weight"):
+        def poison(params):
+            params.flat[0] = np.nan if case == "nan_weight" else np.inf
+
+        return _checkpoint(path, edit=poison)
     if case == "activation":
         blob = _checkpoint(path).read_bytes()
         path.write_bytes(blob.replace(b'"activation": "tanh"', b'"activation": "relu"'))
@@ -355,7 +425,7 @@ class TestBadCheckpoint:
     """Exit 2 with one line on stderr, checked before any decoding."""
 
     CASES = ("missing", "corrupt", "bad_header", "truncated", "trailing",
-             "layers", "heads", "d_in", "activation")
+             "layers", "heads", "d_in", "activation", "nan_weight", "inf_weight")
 
     @pytest.mark.parametrize("command", ["eval"])
     @pytest.mark.parametrize("case", CASES)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from retainkv import evaluate
-from retainkv.eviction import TraceRow
+from retainkv.eviction import trace_columns
 from retainkv.evaluate import (
     SelectionRecorder,
     decode_sequence,
@@ -79,11 +79,12 @@ class TestDecodeSequence:
 
     def test_trace_collection(self, world):
         bb, samples = world
-        trace: list[TraceRow] = []
+        trace = []
         decode_sequence(bb, None, samples[0], "global", 0.2, trace=trace)
-        assert trace
-        assert {r.action for r in trace} == {"retain", "evict"}
-        steps = [r.step for r in trace]
+        cols = trace_columns(trace)
+        assert cols["step"].size
+        assert set(cols["retained"].tolist()) == {True, False}
+        steps = cols["step"].tolist()
         assert steps == sorted(steps)
 
 
@@ -137,11 +138,50 @@ class TestSelectionRecorder:
         births = np.array([0, 1, 2])
         weights = np.array([0.7, 0.2, 0.1])
         rec.observe(0, 0, step=5, births=births, weights=weights)
-        assert set(rec.events[(0, 0, "top1")]) == {0}
-        assert set(rec.events[(0, 0, "top2")]) == {0, 1}
+        assert rec.reach("top1", 0, 0, 3).tolist() == [5, -1, -1]
+        assert rec.reach("top2", 0, 0, 3).tolist() == [5, 4, -1]
         # 0.7 + 0.2 reaches 0.9: the mass set is exactly the top two
-        assert set(rec.events[(0, 0, "mass0.9")]) == {0, 1}
+        assert rec.reach("mass0.9", 0, 0, 3).tolist() == [5, 4, -1]
         assert rec.mass_set_sizes == [2]
+
+    def test_reach_matches_a_record_of_every_selection(self):
+        """Random observations, in step order as decode makes them, against a
+        brute-force record of every step that selected each birth."""
+        rng = np.random.default_rng(16)
+        top_k, tau = (1, 3), (0.5, 0.99)
+        for _ in range(200):
+            rec = SelectionRecorder(top_k=top_k, tau=tau)
+            n_tokens = int(rng.integers(1, 25))
+            history = {}   # (layer, head, criterion) -> {birth: [steps]}
+            for step in np.sort(rng.integers(0, 40, size=rng.integers(0, 30))).tolist():
+                layer, head = rng.integers(0, 2, size=2).tolist()
+                births = np.sort(rng.choice(n_tokens, size=rng.integers(1, n_tokens + 1),
+                                            replace=False))
+                weights = rng.random(births.size) ** 4
+                weights /= weights.sum()
+                rec.observe(layer, head, step, births, weights)
+                order = np.argsort(-weights, kind="stable")
+                chosen = {f"top{k}": births[order[:k]] for k in top_k}
+                for t in tau:
+                    size = min(int(np.searchsorted(np.cumsum(weights[order]), t - 1e-12)) + 1,
+                               births.size)
+                    chosen[f"mass{t}"] = births[order[:size]]
+                for criterion, picked in chosen.items():
+                    slot = history.setdefault((layer, head, criterion), {})
+                    for b in picked.tolist():
+                        slot.setdefault(b, []).append(step)
+            for layer in range(2):
+                for head in range(2):
+                    for criterion in rec.criteria():
+                        slot = history.get((layer, head, criterion), {})
+                        want = [max(slot[b]) - b if b in slot else -1 for b in range(n_tokens)]
+                        assert rec.reach(criterion, layer, head, n_tokens).tolist() == want
+
+    def test_steps_must_not_go_back(self):
+        rec = SelectionRecorder()
+        rec.observe(0, 0, 3, np.arange(2), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError):
+            rec.observe(1, 0, 2, np.arange(2), np.array([0.5, 0.5]))
 
     def test_mass_set_is_prefix_of_topk_order(self, rng):
         rec = SelectionRecorder(top_k=(3,), tau=(0.99,))

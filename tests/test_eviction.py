@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from retainkv.eviction import (
     INFINITE,
     POLICIES,
+    TRACE_FIELDS,
     EvictionConfig,
     EvictionPolicy,
-    TraceRow,
     score_entries,
     select_retained,
+    trace_columns,
 )
 from retainkv.paged_cache import PagedKVStore
 
@@ -276,14 +277,15 @@ class TestPolicy:
         assert all(x >= 39 for x in b)  # head B keeps only its newest token
 
     def test_trace_rows_recorded(self):
-        trace: list[TraceRow] = []
+        trace = []
         store = PagedKVStore(1, 2, 1)
         policy = EvictionPolicy(EvictionConfig(m_global=1), store, trace)
         admit(store, 0, 0, 0, 0.9)
         admit(store, 0, 1, 0, 0.1)
         policy.step(0)
-        actions = {(r.head, r.action) for r in trace}
-        assert actions == {(0, "retain"), (1, "evict")}
+        cols = trace_columns(trace)
+        actions = set(zip(cols["head"].tolist(), cols["retained"].tolist()))
+        assert actions == {(0, True), (1, False)}
 
     def test_readmission_rejected(self):
         store = PagedKVStore(1, 2, 1)
@@ -341,8 +343,7 @@ class BruteForcePolicy:
             order = (lambda e: e[:3]) if self.policy == "per_head" else (
                 lambda e: (e[2], e[0], e[1]))
             rows = sorted(range(len(self.alive)), key=lambda i: order(self.alive[i]))
-            self.trace += [(now, *self.alive[i][:3], scores[i],
-                            "retain" if i in keep else "evict") for i in rows]
+            self.trace += [(now, *self.alive[i][:3], scores[i], i in keep) for i in rows]
         evicted = {}
         for i, e in enumerate(self.alive):
             if i not in keep:
@@ -369,7 +370,7 @@ class TestEngineMatchesBruteForce:
     @given(scripts())
     def test_random_interleavings(self, script):
         policy_name, m, horizon, cadence, ops = script
-        trace: list[TraceRow] = []
+        trace = []
         store = PagedKVStore(2, 3, 1)
         policy = EvictionPolicy(EvictionConfig(m_global=m, horizon=horizon, cadence=cadence),
                                 store, trace, policy=policy_name)
@@ -409,5 +410,5 @@ class TestEngineMatchesBruteForce:
             if compressed and policy_name == "recency":
                 assert all(b > now - m for _, _, b in alive_now)
             now += 1
-        assert [(r.step, r.layer, r.head, r.token_birth, r.score, r.action)
-                for r in trace] == oracle.trace
+        cols = trace_columns(trace)
+        assert list(zip(*(cols[f].tolist() for f in TRACE_FIELDS))) == oracle.trace

@@ -4,8 +4,8 @@
 the small task of `test_cli.py`, for every policy at budgets 0.0625, 0.25 and
 1.0, horizons 2 and "infinite", cadences 1 and 3, under three gate settings:
 tied embedding-input gates, untied kv-input gates, and no gates (every beta is
-1, so every ranking is decided by the tie rule). It also holds one selection
-recorder run and the `retainkv eval` table.
+1, so every ranking is decided by the tie rule). It also holds a selection
+recorder run, one recorder per sample, and the `retainkv eval` table.
 
 Predictions, accuracy counts, mean retained and peak entries (one `outputs`
 digest per case), each sample's peak pages (a plain list, so a change of page
@@ -32,6 +32,7 @@ import pytest
 
 from retainkv import cli, tasks
 from retainkv.evaluate import POLICIES, SelectionRecorder, decode_sequence
+from retainkv.eviction import trace_columns
 from retainkv.gates import init_gate_params, save_gates
 
 GOLDEN = Path(__file__).with_name("data") / "golden_decode.json"
@@ -95,16 +96,16 @@ def _case(bb, gates, samples, policy, budget, horizon, cadence) -> dict:
         outs.append((r.predictions, r.correct, r.total, repr(r.mean_retained),
                      r.peak_entries))
         pages.append(r.peak_pages)
-    cols = [np.array([getattr(row, f) for row in trace], dtype=np.int64)
-            for f in ("step", "layer", "head", "token_birth")]
-    actions = np.array([row.action == "evict" for row in trace], dtype=bool)
-    scores = np.array([row.score for row in trace], dtype=np.float64)
+    table = trace_columns(trace)
+    cols = [table[f] for f in ("step", "layer", "head", "token_birth")]
+    actions = ~table["retained"]   # True where the row's action is "evict"
+    scores = table["score"]
     finite = np.isfinite(scores)
     weights = np.random.default_rng(0).uniform(0.5, 1.5, size=scores.shape[0])
     return {
         "outputs": _sha(*[x for o in outs for x in o]),
         "peak_pages": pages,
-        "rows": len(trace),
+        "rows": scores.shape[0],
         "trace": _sha(*cols, actions),
         "infinite_scores": _sha(np.flatnonzero(~finite)),
         "score_sum": float(scores[finite].sum()),
@@ -123,16 +124,20 @@ def _case_keys():
 
 
 def _survival(cfg, bb) -> str:
+    """One recorder per sample, as `retainkv survival` runs: each head's reach
+    under each criterion, and the mass-set sizes."""
     spec = tasks.TaskSpec(**cfg["task"])
     _, _, (_, _, _, s_eval) = cli._prepare(cfg, SEED)
     samples = tasks.generate_dataset(spec, cfg["survival"]["samples"],
                                      np.random.default_rng(s_eval))
-    rec = SelectionRecorder(top_k=cfg["survival"]["top_k"], tau=cfg["survival"]["tau"])
+    parts = []
     for sample in samples:
+        rec = SelectionRecorder(top_k=cfg["survival"]["top_k"], tau=cfg["survival"]["tau"])
         decode_sequence(bb, None, sample, "full", 1.0, recorder=rec)
-    events = sorted((key, sorted((b, tuple(steps)) for b, steps in slot.items()))
-                    for key, slot in rec.events.items())
-    return _sha(repr(events), tuple(rec.mass_set_sizes))
+        parts += [rec.reach(c, l, h, spec.seq_len) for c in rec.criteria()
+                  for l in range(bb.shape.layers) for h in range(bb.shape.heads)]
+        parts.append(tuple(rec.mass_set_sizes))
+    return _sha(*parts)
 
 
 def _cli_eval(cfg, spec, bb, tmp: Path) -> str:

@@ -11,7 +11,6 @@ from retainkv.theory import (
     DilutionInstance,
     PersistenceConfig,
     StabilityError,
-    SurvivalRecord,
     check_reweighting_identity,
     check_dilution_bound,
     dilution_lower_bound,
@@ -543,21 +542,20 @@ class TestPcaProject:
 
 class TestSurvivalCurve:
     def test_selection_distance_semantics(self):
-        rec = SurvivalRecord(birth=10, selection_steps=(15,), criterion="top1")
-        assert survival_curve([rec], [4, 5, 6]).tolist() == [1.0, 1.0, 0.0]
+        # born at 10, last selected at 15
+        assert survival_curve(np.array([15 - 10]), [4, 5, 6]).tolist() == [1.0, 1.0, 0.0]
 
     def test_never_selected_token_is_dead(self):
-        rec = SurvivalRecord(birth=3, selection_steps=(), criterion="top1")
-        assert survival_curve([rec], [1, 2]).tolist() == [0.0, 0.0]
+        assert survival_curve(np.array([-1]), [1, 2]).tolist() == [0.0, 0.0]
 
     def test_plateau_fraction(self, rng):
-        records = []
+        reach = []
         for i in range(100):
             if i < 10:  # 10% of tokens stay selected forever
-                records.append(SurvivalRecord(i, (i + 1000,), "top1"))
+                reach.append(1000)
             else:
-                records.append(SurvivalRecord(i, (i + int(rng.integers(1, 5)),), "top1"))
-        curve = survival_curve(records, [1, 8, 64, 512])
+                reach.append(int(rng.integers(1, 5)))
+        curve = survival_curve(np.array(reach), [1, 8, 64, 512])
         assert curve[0] == 1.0
         assert curve[-2] == pytest.approx(0.10)
         assert curve[-1] == pytest.approx(0.10)

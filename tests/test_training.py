@@ -91,10 +91,10 @@ class TestTrainGates:
         bb, gates, sequences = setup
         res = train_gates(bb, gates, sequences, lam=1.0, m_global=10.0,
                           lr=0.01, steps=5, batch_size=2, seed=0)
-        rows = res.loss_rows()
-        assert len(rows) == 5
-        assert set(rows[0]) == {"step", "quality", "cap", "total"}
-        assert rows[3]["step"] == 3
+        cols = res.loss_columns()   # one row per step, as loss.csv's columns
+        assert set(cols) == {"step", "quality", "cap", "total"}
+        assert all(len(col) == 5 for col in cols.values())
+        assert cols["step"][3] == 3
 
     def test_cap_shrinks_to_under_ten_percent_on_the_task(self, rng):
         from retainkv.tasks import TaskSpec, build_task_model, default_shape, generate_dataset
