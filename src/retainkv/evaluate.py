@@ -3,8 +3,10 @@
 Every policy runs the same token-by-token path over a paged store; they differ
 only in which entries survive each compression. Attention at serving time is
 hard: a standard softmax over the currently retained entries. Retention
-scores influence serving only through the ranking. Records are arrays: the
-trace in blocks of columns, and each token's last selection step.
+scores influence serving only through the ranking. Work that reads no cache
+(layer 0's projections and gate, and the unembedding) runs once per sequence
+as stacked rows. Records are arrays: the trace in blocks of columns, and each
+token's last selection step.
 """
 
 from __future__ import annotations
@@ -92,6 +94,24 @@ class DecodeResult:
         return self.correct / self.total if self.total else float("nan")
 
 
+def _project(wqkv: np.ndarray, gates: GateParams | None, layer: int, x: np.ndarray):
+    """q, k and v [n, heads, head_dim] and betas [n, heads] of one layer for
+    rows x [n, d_model]; `wqkv` is [layers, 3 * heads, d_model, head_dim], the
+    q, k and v weights joined, and betas are 1 without gates.
+
+    Every product runs on one [1, d] row, so n stacked rows equal n one-row
+    calls bit for bit (a 2-D gemm over the rows would not).
+    """
+    rows = x[:, None, None, :]
+    y = (rows @ wqkv[layer])[:, :, 0]
+    H = y.shape[1] // 3
+    q, k, v = y[:, :H], y[:, H:2 * H], y[:, 2 * H:]
+    if gates is None:
+        return q, k, v, np.ones(q.shape[:2])
+    gin = _gate_input(rows, k[:, :, None], v[:, :, None], gates.gate_input)
+    return q, k, v, gate_forward_batch(gin, layer, None, gates)[..., 0]
+
+
 def decode_sequence(bb: Backbone, gates: GateParams | None, sample: Sample,
                     policy_name: str = "full", budget_fraction: float = 1.0,
                     horizon=2, cadence: int = 1, page_size: int = DEFAULT_PAGE_SIZE,
@@ -109,48 +129,45 @@ def decode_sequence(bb: Backbone, gates: GateParams | None, sample: Sample,
     L, H, dh = shape.layers, shape.heads, shape.head_dim
     tokens = sample.tokens
     T = tokens.shape[0]
+    if T > shape.seq_len:
+        raise ValueError(f"sequence length {T} exceeds model limit {shape.seq_len}")
     total_budget = max(1, int(np.ceil(budget_fraction * T * L * H)))
     store = PagedKVStore(L, H, dh, page_size=page_size)
     policy = make_policy(policy_name, total_budget, store, horizon, cadence, trace)
 
-    predictions = np.zeros(T, dtype=np.int64)
     retained_after = []
     peak_entries = 0
     peak_pages = 0
 
+    # layer 0's input does not depend on the cache: its rows are fixed up front
+    wqkv = np.concatenate([bb.wq, bb.wk, bb.wv], axis=1)
+    x0 = bb.embed[tokens] + bb.pos[:T]
+    layer0 = list(zip(*_project(wqkv, gates, 0, x0)))   # (q, k, v, betas) per token
+    final = np.empty_like(x0)
     scale = np.sqrt(dh)
     for t in range(T):
-        h = bb.embed[tokens[t]] + bb.pos[t]
+        h = x0[t]
         for l in range(L):
-            x = h
-            # every head of the layer at once: [H, dh] rows
-            q_all = x @ bb.wq[l]
-            k_all = x @ bb.wk[l]
-            v_all = x @ bb.wv[l]
-            if gates is not None:
-                gin = _gate_input(x[None, :], k_all[:, None, :], v_all[:, None, :],
-                                  gates.gate_input)
-                betas = gate_forward_batch(gin, l, None, gates)[:, 0].tolist()
-            else:
-                betas = [1.0] * H
+            q, k, v, betas = layer0[t] if l == 0 else \
+                [a[0] for a in _project(wqkv, gates, l, h[None])]
+            store.append(l, None, k, v, t, betas)
             attn = np.zeros_like(h)
             for hd in range(H):
-                store.append(l, hd, k_all[hd], v_all[hd], t, betas[hd])
                 snap = store.gather(l, hd)
-                w = softmax_kernel(snap.keys @ q_all[hd] / scale)
+                w = softmax_kernel(snap.keys @ q[hd] / scale)
                 attn += (w @ snap.values) @ bb.wo[l, hd]
                 if recorder is not None:
                     recorder.observe(l, hd, t, snap.births, w)
             h = h + attn
             a = np.tanh(h @ bb.mlp_w1[l] + bb.mlp_b1[l])
             h = h + a @ bb.mlp_w2[l] + bb.mlp_b2[l]
-        logits = h @ bb.unembed
-        predictions[t] = int(np.argmax(logits))
+        final[t] = h
         peak_entries = max(peak_entries, store.total_entries())
         peak_pages = max(peak_pages, store.pages_in_use())
         policy.step(t)
         retained_after.append(store.total_entries())
 
+    predictions = np.argmax(final[:, None, :] @ bb.unembed, axis=-1)[:, 0]
     correct = int(np.sum(predictions[sample.query_positions] == sample.answers))
     return DecodeResult(predictions, correct, sample.answers.shape[0],
                         float(np.mean(retained_after)), peak_entries, peak_pages)

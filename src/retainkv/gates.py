@@ -156,11 +156,14 @@ def gate_forward_batch(x: Array, layer: int, head: int | None, params: GateParam
     With `head=None` every head of the layer runs at once: x is [n, d_in],
     shared by all heads, or [heads, n, d_in], one block per head, and the
     result is [heads, n]. Each head's rows are bit-identical to its own call.
+    Stacked rows [n, 1 or heads, 1, d_in] give [n, heads, 1], each row
+    bit-identical to a call with that row alone.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 and not (head is None and x.ndim == 3):
-        raise ValueError(f"x must be [n, d_in], or [heads, n, d_in] for every head; "
-                         f"got shape {x.shape}")
+    stacked = x.ndim == 4 and x.shape[1] in (1, params.heads) and x.shape[2] == 1
+    if x.ndim != 2 and not (head is None and (x.ndim == 3 or stacked)):
+        raise ValueError(f"x must be [n, d_in], or for every head [heads, n, d_in] or "
+                         f"[n, 1 or heads, 1, d_in]; got shape {x.shape}")
     if x.shape[-1] != params.d_in:
         raise ValueError(f"gate input dim {x.shape[-1]} != {params.d_in}")
     if not np.isfinite(x).all():

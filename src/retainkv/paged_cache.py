@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Array, as_vector
+from .numerics import Array
 
 DEFAULT_PAGE_SIZE = 16
 
@@ -53,9 +53,10 @@ class _Head:
             for dst, src in zip(fresh.cols, self.cols):
                 dst[:i] = src
             self.cols, self.readonly = fresh.cols, fresh.readonly
-        for col, x in zip(self.cols, (key, value, birth, beta)):
-            col[i] = x
+        keys, values, births, betas = self.cols
+        keys[i], values[i], births[i], betas[i] = key, value, birth, beta
         self.n = i + 1
+        self.max_birth = birth
 
     def drop(self, rows: list[int]) -> None:
         """Remove rows (ascending): each run of kept rows moves down over the
@@ -94,24 +95,37 @@ class PagedKVStore:
 
     # -- operations ---------------------------------------------------------
 
-    def append(self, layer: int, head: int, key, value, birth: int, beta: float) -> None:
-        """Append one entry at the tail of a head's logical sequence.
+    def append(self, layer: int, head: int | None, key, value, birth: int, beta) -> None:
+        """Append one entry at the tail of a head's logical sequence: key and
+        value [dim], one beta. With `head=None` every head of the layer gets
+        one entry at `birth`: keys and values [heads, dim], betas [heads].
 
         Births must be strictly increasing per head and may never revive an
-        evicted birth index.
+        evicted birth index. Every check runs before any head is written, so a
+        rejected append changes no head.
         """
-        hd = self._head(layer, head)
+        hds = [self._head(layer, h) for h in (range(self.heads) if head is None else (head,))]
+        k, v = np.asarray(key, dtype=np.float64), np.asarray(value, dtype=np.float64)
+        b = np.asarray(beta, dtype=np.float64)
+        rows, beta_shape = (((self.heads, self.dim), (self.heads,)) if head is None
+                            else ((self.dim,), ()))
+        if k.shape != rows or v.shape != rows or b.shape != beta_shape:
+            raise ValueError(f"need keys and values {rows} and betas {beta_shape}; got "
+                             f"{k.shape}, {v.shape} and {b.shape}")
+        if head is not None:
+            k, v, b = k[None], v[None], b[None]
+        # count_nonzero costs a fraction of a reduction such as all()
+        if np.count_nonzero(np.isfinite(k)) + np.count_nonzero(np.isfinite(v)) != 2 * k.size:
+            raise ValueError("key or value contains non-finite entries")
         birth = int(birth)
-        if birth <= hd.max_birth:
-            raise ValueError(f"birth {birth} not after previous max {hd.max_birth}")
-        k = as_vector(key, "key")
-        v = as_vector(value, "value")
-        if k.shape[0] != self.dim or v.shape[0] != self.dim:
-            raise ValueError(f"entry dim must be {self.dim}")
-        if not (0.0 <= beta <= 1.0):
+        last = max(hd.max_birth for hd in hds)
+        if birth <= last:
+            raise ValueError(f"birth {birth} not after previous max {last}")
+        betas = b.tolist()
+        if not all(0.0 <= x <= 1.0 for x in betas):
             raise ValueError("beta must lie in [0, 1]")
-        hd.push(k, v, birth, beta)
-        hd.max_birth = birth
+        for hd, k_row, v_row, beta_row in zip(hds, k, v, betas):
+            hd.push(k_row, v_row, birth, beta_row)
 
     def evict(self, layer: int, head: int, births) -> None:
         """Remove the given birth indices; the survivors move down in place.

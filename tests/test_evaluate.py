@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from retainkv.evaluate import (
     evaluate_policies,
     make_policy,
 )
-from retainkv.gates import init_gate_params
+from retainkv.backbone import random_backbone
+from retainkv.gates import ModelShape, gate_forward_batch, init_gate_params
 from retainkv.paged_cache import PagedKVStore
 from retainkv.tasks import TaskSpec, build_task_model, default_shape, generate_dataset
 
@@ -86,6 +89,81 @@ class TestDecodeSequence:
         assert set(cols["retained"].tolist()) == {True, False}
         steps = cols["step"].tolist()
         assert steps == sorted(steps)
+
+    def test_sample_longer_than_the_model_rejected(self):
+        """A sample past `seq_len` fails up front, naming both lengths."""
+        short = build_task_model(replace(SPEC, context_len=32), np.random.default_rng(1))
+        sample = generate_dataset(replace(SPEC, context_len=64), 1, np.random.default_rng(2))[0]
+        assert (sample.tokens.shape[0], short.shape.seq_len) == (69, 37)
+        for policy in ("full", "global"):
+            with pytest.raises(ValueError, match="length 69 exceeds model limit 37"):
+                decode_sequence(short, None, sample, policy, 0.25)
+
+    def test_layer_zero_and_appends_run_once_per_token_and_layer(self, world, monkeypatch):
+        """A scored decode of T tokens gates layer 0 in one call and every
+        later layer once per token, and appends each layer's heads in one call."""
+        bb, samples = world
+        gates = init_gate_params(default_shape(SPEC, 8), bb.shape.d_model,
+                                 np.random.default_rng(3))
+        calls = {"gate": 0, "append": 0}
+        real_append = PagedKVStore.append
+
+        def gate(*args, **kwargs):
+            calls["gate"] += 1
+            return gate_forward_batch(*args, **kwargs)
+
+        def append(*args, **kwargs):
+            calls["append"] += 1
+            return real_append(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "gate_forward_batch", gate)
+        monkeypatch.setattr(PagedKVStore, "append", append)
+        T, L = samples[0].tokens.shape[0], bb.shape.layers
+        for policy, gate_calls in (("global", 1 + (L - 1) * T), ("full", 0)):
+            calls.update(gate=0, append=0)
+            decode_sequence(bb, gates, samples[0], policy, 0.25)
+            assert calls == {"gate": gate_calls, "append": L * T}
+
+
+GATE_KINDS = ("none", "tied_embedding", "untied_kv")
+
+
+def _bit_world(T, kind):
+    shape = ModelShape(layers=2, heads=2, head_dim=16, gate_hidden=8, seq_len=T, vocab=40)
+    rng = np.random.default_rng(T)
+    bb = random_backbone(shape, rng)
+    gates = None
+    if kind != "none":
+        tied = kind == "tied_embedding"
+        gates = init_gate_params(shape, shape.d_model if tied else 2 * shape.head_dim, rng,
+                                 tied=tied, gate_input="embedding" if tied else "kv",
+                                 init_scale=2.0)
+        gates.bg -= 18.0      # betas spread over (0, 1)
+    return bb, gates, rng.normal(size=(T, shape.d_model))
+
+
+@pytest.mark.parametrize("kind", GATE_KINDS)
+@pytest.mark.parametrize("T", [105, 489])
+def test_stacked_rows_equal_one_row_calls(T, kind):
+    """Decode projects layer 0 and unembeds as stacked rows and every later
+    layer one row at a time; both must give the same bits as one-row calls."""
+    bb, gates, X = _bit_world(T, kind)
+    wqkv = np.concatenate([bb.wq, bb.wk, bb.wv], axis=1)
+    for layer in range(bb.shape.layers):
+        stacked = evaluate._project(wqkv, gates, layer, X)
+        assert [a.shape for a in stacked] == [(T, 2, 16)] * 3 + [(T, 2)]
+        for i in range(T):
+            one = evaluate._project(wqkv, gates, layer, X[i:i + 1])
+            for a, b in zip(stacked, one):
+                assert a[i].tobytes() == b[0].tobytes()
+            # and the plain per-row products of the backbone's weights
+            for a, w in zip(stacked, (bb.wq, bb.wk, bb.wv)):
+                assert a[i].tobytes() == (X[i] @ w[layer]).tobytes()
+        if gates is not None:
+            assert np.ptp(stacked[3]) > 0.5     # the gates respond to their input
+    logits = X[:, None, :] @ bb.unembed
+    for i in range(T):
+        assert logits[i, 0].tobytes() == (X[i] @ bb.unembed).tobytes()
 
 
 class TestPolicies:

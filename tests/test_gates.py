@@ -364,8 +364,29 @@ class TestGateForwardAllHeads:
         for head in range(SHAPE.heads):
             assert np.array_equal(got[head], gate_forward_batch(xs[head], 1, head, params))
 
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_stacked_rows_match_one_row_calls(self, rng, tied):
+        """Rows [n, 1 or heads, 1, d_in] give [n, heads, 1], each row the bits
+        of a call with that row alone."""
+        params = init_gate_params(SHAPE, d_in=8, rng=rng, tied=tied, init_scale=2.0)
+        params.bg -= 18.0
+        for blocks in (1, SHAPE.heads):
+            xs = rng.normal(size=(7, blocks, 1, 8))
+            got = gate_forward_batch(xs, 1, None, params)
+            assert got.shape == (7, SHAPE.heads, 1)
+            for i in range(7):
+                one = xs[i, 0] if blocks == 1 else xs[i]     # [1, d_in] or [heads, 1, d_in]
+                assert np.array_equal(got[i], gate_forward_batch(one, 1, None, params))
+
     def test_bad_input_rejected(self, params):
         with pytest.raises(ValueError):
             gate_forward_batch(np.ones(8), 0, None, params)
         with pytest.raises(ValueError):
             gate_forward_batch(np.full((1, 8), np.nan), 0, None, params)
+        # stacked rows: one block or one per head, one row per block, every head
+        for shape, head in (((2, 3, 1, 8), None), ((2, 1, 2, 8), None), ((2, 1, 1, 8), 0),
+                            ((2, 1, 1, 7), None)):
+            with pytest.raises(ValueError):
+                gate_forward_batch(np.ones(shape), 0, head, params)
+        with pytest.raises(ValueError):
+            gate_forward_batch(np.full((2, 1, 1, 8), np.inf), 0, None, params)

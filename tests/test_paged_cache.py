@@ -288,3 +288,71 @@ class TestZeroCopySnapshots:
             assert store.snapshot() == before
             assert list(store.gather(0, 0).births) == [0, 1, 2, 3]
         store.check_accounting()
+
+
+class TestAppendLayer:
+    """`append(layer, None, ...)` gives every head of a layer one entry."""
+
+    def test_matches_one_head_appends(self, rng):
+        layer_wise = PagedKVStore(2, 3, 4, page_size=4)
+        head_wise = PagedKVStore(2, 3, 4, page_size=4)
+        for t in range(40):      # the arrays grow past their first capacity
+            for l in range(2):
+                keys, values = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+                betas = rng.random(3)
+                layer_wise.append(l, None, keys, values, t, betas)
+                for h in range(3):
+                    head_wise.append(l, h, keys[h], values[h], t, float(betas[h]))
+        for l in range(2):
+            for h in range(3):
+                a, b = layer_wise.gather(l, h), head_wise.gather(l, h)
+                for f in ("keys", "values", "births", "betas"):
+                    assert getattr(a, f).tobytes() == getattr(b, f).tobytes(), f
+        assert layer_wise.snapshot() == head_wise.snapshot()
+
+    @pytest.mark.parametrize("fault", ["nan_key", "inf_value", "beta_above_one",
+                                       "negative_beta", "nan_beta", "stale_birth"])
+    def test_fault_in_last_head_writes_no_head(self, rng, fault):
+        store = PagedKVStore(1, 3, 4, page_size=4)
+        for t in range(5):
+            store.append(0, None, rng.normal(size=(3, 4)), rng.normal(size=(3, 4)), t,
+                         rng.random(3))
+        store.append(0, 2, rng.normal(size=4), rng.normal(size=4), 7, 0.5)  # last head is ahead
+        keys, values = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+        betas = rng.random(3)
+        birth = 6 if fault == "stale_birth" else 8
+        if fault == "nan_key":
+            keys[2, 1] = np.nan
+        elif fault == "inf_value":
+            values[2, 3] = np.inf
+        elif fault != "stale_birth":
+            betas[2] = {"beta_above_one": 1.5, "negative_beta": -0.1, "nan_beta": np.nan}[fault]
+        before = [[np.array(getattr(store.gather(0, h), f))
+                   for f in ("keys", "values", "births", "betas")] for h in range(3)]
+        with pytest.raises(ValueError):
+            store.append(0, None, keys, values, birth, betas)
+        for h in range(3):
+            after = store.gather(0, h)
+            for want, f in zip(before[h], ("keys", "values", "births", "betas")):
+                assert np.array_equal(getattr(after, f), want), (h, f)
+        # a good append after every head's last birth still goes through
+        store.append(0, None, rng.normal(size=(3, 4)), rng.normal(size=(3, 4)), 8,
+                     rng.random(3))
+        assert [len(store.gather(0, h)) for h in range(3)] == [6, 6, 7]
+
+    @pytest.mark.parametrize("head, keys, values, betas", [
+        (None, (3, 4), (2, 4), (2,)),     # one key row too many
+        (None, (2, 5), (2, 5), (2,)),     # wrong dim
+        (None, (4,), (4,), (2,)),         # one row for every head
+        (None, (2, 4), (2, 4), (3,)),     # a beta too many
+        (None, (2, 4), (2, 4), (1,)),     # a beta too few
+        (None, (2, 4), (2, 4), ()),       # a scalar beta
+        (0, (1, 4), (1, 4), ()),          # one head takes a [dim] key
+        (0, (4,), (4,), (1,)),            # and one scalar beta
+        (0, (3,), (3,), ()),
+    ])
+    def test_bad_shapes_rejected(self, head, keys, values, betas):
+        store = PagedKVStore(1, 2, 4)
+        with pytest.raises(ValueError):
+            store.append(0, head, np.zeros(keys), np.zeros(values), 0, np.full(betas, 0.5))
+        assert store.total_entries() == 0
