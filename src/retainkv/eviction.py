@@ -58,11 +58,9 @@ def score_entries(births, betas, now: int, horizon) -> np.ndarray:
         horizon = int(horizon)
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
-    if births.size:
-        if now < births.max():
-            raise ValueError("now must be >= every birth")
-        if not (betas.min() >= 0.0 and betas.max() <= 1.0):
-            raise ValueError("beta must lie in [0, 1]")
+    _check_now(births, now)
+    if births.size and not (betas.min() >= 0.0 and betas.max() <= 1.0):
+        raise ValueError("beta must lie in [0, 1]")
     lead = (now + 1 - births).astype(np.float64)
     # log(0) = -inf gives head 0 at beta == 0; beta == 1 divides by zero and
     # is set below.
@@ -74,6 +72,11 @@ def score_entries(births, betas, now: int, horizon) -> np.ndarray:
         scores = head * -np.expm1(horizon * log_beta) / (1.0 - betas)
     scores[betas == 1.0] = float(horizon)
     return scores
+
+
+def _check_now(births: np.ndarray, now: int) -> None:
+    if births.size and now < births.max():
+        raise ValueError("now must be >= every birth")
 
 
 def select_retained(scores, births, layers, heads, m: int, per_head: bool = False) -> np.ndarray:
@@ -115,8 +118,8 @@ class EvictionPolicy:
 
     The store is the only record of the cache; the policy keeps no entry of
     its own. Each compression ranks the store's live rows, in (layer, head,
-    birth) order, and evicts the losers from the store. `policy` chooses what
-    a compression keeps:
+    birth) order, and evicts the losers from the store by row. `policy`
+    chooses what a compression keeps:
 
     * "global": the `m_global` best entries overall (`select_retained`).
     * "per_head": the same ranking, `m_global` entries in each (layer, head).
@@ -158,8 +161,15 @@ class EvictionPolicy:
         return self.compress(now)
 
     def compress(self, now: int) -> dict[tuple[int, int], list[int]]:
-        """Evict the losers of one ranking from the store; returns them per
-        (layer, head), in (layer, head) order."""
+        """Evict the losers of one ranking from the store; returns their
+        births per (layer, head), in (layer, head) order.
+
+        The losers are found as positions in the concatenated live rows; each
+        group's share, less the group's offset, goes to `store.evict_rows`.
+        Untraced, a ranking that cannot evict (`global` holding at most
+        `m_global` entries, `per_head` at most `m_global` in every head) is
+        skipped; a traced one always ranks and writes its block.
+        """
         if self.policy == "full":
             return {}
         store, m = self.store, self.cfg.m_global
@@ -167,6 +177,10 @@ class EvictionPolicy:
         if self.policy == "recency":
             keep = births > now - m
         else:
+            if self.trace is None and (
+                    sum(sizes) if self.policy == "global" else max(sizes)) <= m:
+                _check_now(births, now)
+                return {}
             layer = self._layer_of.repeat(sizes)
             head = self._head_of.repeat(sizes)
             scores = score_entries(births, betas, now, self.cfg.horizon)
@@ -181,10 +195,12 @@ class EvictionPolicy:
                                    keep[rows]))
         # losers in (layer, head, birth) order, cut at each group's end
         rows = np.flatnonzero(~keep)
-        cuts = rows.searchsorted(list(accumulate(sizes))).tolist()
-        lost = births[rows].tolist()
-        gone = [lost[lo:hi] for lo, hi in zip([0, *cuts], cuts)]
-        evicted = {g: b for g, b in zip(self._groups, gone) if b}
-        for (l, h), b in evicted.items():
-            store.evict(l, h, b)
+        ends = list(accumulate(sizes))
+        cuts = rows.searchsorted(ends).tolist()
+        lost_rows, lost = rows.tolist(), births[rows].tolist()
+        evicted = {}
+        for (l, h), start, lo, hi in zip(self._groups, [0, *ends], [0, *cuts], cuts):
+            if hi > lo:
+                store.evict_rows(l, h, [r - start for r in lost_rows[lo:hi]])
+                evicted[(l, h)] = lost[lo:hi]
         return evicted

@@ -5,12 +5,15 @@ birth order: keys, values, births and betas, the only record of the cache;
 `gather` returns read-only views of it. Memory is accounted in pages of
 `page_size` rows: page `i` of a head holds rows
 [i * page_size, (i + 1) * page_size), so a head holds ceil(n / page_size)
-pages, a count derived from n. Eviction moves the survivors down in place, so
-the rows stay packed and the emptied tail pages are no longer held.
+pages, a count derived from n. Eviction removes rows by position
+(`evict_rows`), or by birth (`evict`, which looks the rows up): the survivors
+move down in place, so the rows stay packed and the emptied tail pages are no
+longer held. The store keeps a running count of its live entries.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,10 +74,13 @@ class _Head:
 class PagedKVStore:
     """Per-(layer, head) rows in birth order, held in fixed-size pages.
 
+    `evict_rows` removes rows by position and `evict` by birth; both keep
+    the running entry count that `total_entries` returns.
+
     Single writer per (layer, head). A `gather` result stays valid across
     appends (they write past the end of every view already returned, or into
-    new arrays) and evictions of other heads; an `evict` of the same head
-    moves its rows and invalidates it.
+    new arrays) and evictions of other heads; an `evict` or `evict_rows` of
+    the same head moves its rows and invalidates it.
     """
 
     def __init__(self, layers: int, heads: int, dim: int,
@@ -86,6 +92,7 @@ class PagedKVStore:
         self.dim = dim
         self.page_size = page_size
         self._heads = {(l, h): _Head(page_size, dim) for l in range(layers) for h in range(heads)}
+        self._total = 0     # live entries over all heads
 
     def _head(self, layer: int, head: int) -> _Head:
         try:
@@ -126,6 +133,7 @@ class PagedKVStore:
             raise ValueError("beta must lie in [0, 1]")
         for hd, k_row, v_row, beta_row in zip(hds, k, v, betas):
             hd.push(k_row, v_row, birth, beta_row)
+        self._total += len(hds)
 
     def evict(self, layer: int, head: int, births) -> None:
         """Remove the given birth indices; the survivors move down in place.
@@ -143,7 +151,24 @@ class PagedKVStore:
             if not ok or birth in named:     # missing, or named twice
                 raise KeyError(f"birth {birth} not present in ({layer}, {head})")
             named.add(birth)
-        hd.drop(sorted(rows.tolist()))
+        self.evict_rows(layer, head, sorted(rows.tolist()))
+
+    def evict_rows(self, layer: int, head: int, rows) -> None:
+        """Remove rows of a head by position, given strictly increasing in
+        [0, n); the survivors move down in place.
+
+        Raises ValueError, and changes nothing, if the rows are not strictly
+        increasing or one lies outside [0, n).
+        """
+        hd = self._head(layer, head)
+        rows = [operator.index(r) for r in rows]
+        if not rows:
+            return
+        if rows[0] < 0 or rows[-1] >= hd.n or any(a >= b for a, b in zip(rows, rows[1:])):
+            raise ValueError(f"rows of ({layer}, {head}) must strictly increase "
+                             f"within [0, {hd.n}); got {rows}")
+        hd.drop(rows)
+        self._total -= len(rows)
 
     def gather(self, layer: int, head: int) -> GatherResult:
         """A head's live entries in logical (birth) order, as read-only views
@@ -164,7 +189,7 @@ class PagedKVStore:
     # -- accounting ---------------------------------------------------------
 
     def total_entries(self) -> int:
-        return sum(hd.n for hd in self._heads.values())
+        return self._total
 
     def pages_in_use(self) -> int:
         """Pages held over all heads: each head holds ceil(n / page_size)."""
@@ -172,10 +197,13 @@ class PagedKVStore:
         return sum(-(-hd.n // ps) for hd in self._heads.values())
 
     def check_accounting(self) -> None:
-        """Internal consistency: each head's stored births strictly increase."""
+        """Internal consistency: each head's stored births strictly increase,
+        and the running entry count is the sum of the heads' lengths."""
         for key, hd in self._heads.items():
             if np.any(np.diff(hd.cols[2][:hd.n]) <= 0):
                 raise AssertionError(f"stored entries of {key} repeat a birth")
+        if self._total != sum(hd.n for hd in self._heads.values()):
+            raise AssertionError(f"entry count {self._total} is not the heads' total")
 
     def snapshot(self) -> dict:
         """JSON-serializable view of each head's length and pages held, for inspection."""

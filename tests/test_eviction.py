@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from retainkv import eviction
 from retainkv.eviction import (
     INFINITE,
     POLICIES,
@@ -287,6 +288,50 @@ class TestPolicy:
         actions = set(zip(cols["head"].tolist(), cols["retained"].tolist()))
         assert actions == {(0, True), (1, False)}
 
+    @pytest.mark.parametrize("name", ["global", "per_head"])
+    def test_ranking_under_budget_is_skipped_untraced(self, monkeypatch, name):
+        """Untraced, a ranking that cannot evict scores nothing; traced, it
+        still ranks and writes one block per step."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return score_entries(*args, **kwargs)
+
+        def run(trace):
+            calls.clear()
+            store = PagedKVStore(2, 2, 1)
+            # 16 entries in all, 4 in each head: neither ranking can evict
+            policy = EvictionPolicy(EvictionConfig(m_global=16 if name == "global" else 4),
+                                    store, trace, policy=name)
+            for t in range(4):
+                for l in range(2):
+                    for h in range(2):
+                        admit(store, l, h, t, 0.5)
+                assert policy.step(t) == {}
+            assert store.total_entries() == 16
+            return list(calls)
+
+        monkeypatch.setattr(eviction, "score_entries", counted)
+        assert run(None) == []
+        trace = []
+        assert run(trace) == [0, 1, 2, 3]
+        assert [block[0].tolist() for block in trace] == [[t] * 4 * (t + 1) for t in range(4)]
+        assert all(block[-1].all() for block in trace)
+
+    @pytest.mark.parametrize("name", ["global", "per_head"])
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_skipped_ranking_still_checks_now(self, name, traced):
+        store = PagedKVStore(1, 2, 1)
+        policy = EvictionPolicy(EvictionConfig(m_global=8), store, [] if traced else None,
+                                policy=name)
+        admit(store, 0, 0, 0, 0.5)
+        admit(store, 0, 1, 3, 0.5)
+        with pytest.raises(ValueError, match="now must be >= every birth"):
+            policy.compress(2)
+        assert policy.compress(3) == {}
+        assert store.total_entries() == 2
+
     def test_readmission_rejected(self):
         store = PagedKVStore(1, 2, 1)
         policy = EvictionPolicy(EvictionConfig(m_global=1), store)
@@ -366,11 +411,23 @@ def scripts(draw):
 
 
 class TestEngineMatchesBruteForce:
+    """One script runner, traced and untraced: an untraced ranking that cannot
+    evict is skipped, so both runs must match the oracle."""
+
     @settings(max_examples=300, deadline=None)
     @given(scripts())
     def test_random_interleavings(self, script):
+        self.run_script(script, traced=True)
+
+    @settings(max_examples=300, deadline=None)
+    @given(scripts())
+    def test_random_interleavings_untraced(self, script):
+        self.run_script(script, traced=False)
+
+    @staticmethod
+    def run_script(script, traced):
         policy_name, m, horizon, cadence, ops = script
-        trace = []
+        trace = [] if traced else None
         store = PagedKVStore(2, 3, 1)
         policy = EvictionPolicy(EvictionConfig(m_global=m, horizon=horizon, cadence=cadence),
                                 store, trace, policy=policy_name)
@@ -410,5 +467,6 @@ class TestEngineMatchesBruteForce:
             if compressed and policy_name == "recency":
                 assert all(b > now - m for _, _, b in alive_now)
             now += 1
-        cols = trace_columns(trace)
-        assert list(zip(*(cols[f].tolist() for f in TRACE_FIELDS))) == oracle.trace
+        if traced:
+            cols = trace_columns(trace)
+            assert list(zip(*(cols[f].tolist() for f in TRACE_FIELDS))) == oracle.trace

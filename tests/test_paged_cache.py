@@ -356,3 +356,95 @@ class TestAppendLayer:
         with pytest.raises(ValueError):
             store.append(0, head, np.zeros(keys), np.zeros(values), 0, np.full(betas, 0.5))
         assert store.total_entries() == 0
+
+
+def head_bytes(store):
+    """Every head's gathered columns, as bytes."""
+    return [[getattr(store.gather(l, h), f).tobytes()
+             for f in ("keys", "values", "births", "betas")]
+            for l in range(store.layers) for h in range(store.heads)]
+
+
+class TestEvictRows:
+    """`evict_rows` removes rows by position; `evict` is its birth lookup."""
+
+    def test_matches_evict_by_birth(self, rng):
+        by_row = PagedKVStore(2, 2, 4, page_size=4)
+        by_birth = PagedKVStore(2, 2, 4, page_size=4)
+        for t in range(60):
+            keys, values, betas = rng.normal(size=(2, 4)), rng.normal(size=(2, 4)), rng.random(2)
+            for store in (by_row, by_birth):
+                store.append(t % 2, None, keys, values, t, betas)
+            if t % 5 == 4:
+                l, h = int(rng.integers(0, 2)), int(rng.integers(0, 2))
+                n = len(by_row.gather(l, h))
+                rows = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                         replace=False).tolist())
+                by_birth.evict(l, h, by_row.gather(l, h).births[rows].tolist())
+                by_row.evict_rows(l, h, rows)
+                assert head_bytes(by_row) == head_bytes(by_birth)
+                assert by_row.total_entries() == by_birth.total_entries()
+        by_row.check_accounting()
+
+    @pytest.mark.parametrize("rows", [[1, 1], [0, 2, 2], [2, 1], [3, 0], [-1], [-1, 2],
+                                      [4], [0, 4], [1, 2, 3, 4]],
+                             ids=["repeat", "repeat_last", "backwards", "backwards_ends",
+                                  "negative", "negative_first", "at_n", "past_n",
+                                  "one_past_n"])
+    def test_bad_rows_leave_every_head_unchanged(self, rng, rows):
+        store = PagedKVStore(2, 2, 4, page_size=2)
+        for t in range(4):
+            for l in range(2):
+                store.append(l, None, rng.normal(size=(2, 4)), rng.normal(size=(2, 4)), t,
+                             rng.random(2))
+        before = head_bytes(store)
+        with pytest.raises(ValueError, match=r"rows of \(1, 0\) must strictly increase"):
+            store.evict_rows(1, 0, rows)
+        assert head_bytes(store) == before
+        assert store.total_entries() == 16
+        store.check_accounting()
+
+    def test_no_rows_change_nothing(self, rng):
+        store = PagedKVStore(1, 1, 4)
+        store.append(0, 0, rng.normal(size=4), rng.normal(size=4), 0, 0.5)
+        before = head_bytes(store)
+        store.evict_rows(0, 0, [])
+        assert head_bytes(store) == before and store.total_entries() == 1
+
+    def test_non_integer_row_rejected(self, rng):
+        store = PagedKVStore(1, 1, 4)
+        for t in range(3):
+            store.append(0, 0, rng.normal(size=4), rng.normal(size=4), t, 0.5)
+        before = head_bytes(store)
+        with pytest.raises(TypeError):
+            store.evict_rows(0, 0, [0, 1.5])
+        assert head_bytes(store) == before and store.total_entries() == 3
+
+
+def test_total_entries_is_a_running_count(rng):
+    """Appends, layer appends, rejected appends and both evictions keep the
+    count equal to the heads' lengths."""
+    store = PagedKVStore(2, 3, 4)
+    birth = 0
+    for _ in range(300):
+        roll = rng.random()
+        l, h = int(rng.integers(0, 2)), int(rng.integers(0, 3))
+        n = len(store.gather(l, h))
+        if roll < 0.3 or not n:
+            store.append(l, None, rng.normal(size=(3, 4)), rng.normal(size=(3, 4)), birth,
+                         rng.random(3))
+            birth += 1
+        elif roll < 0.45:
+            store.append(l, h, rng.normal(size=4), rng.normal(size=4), birth, 0.5)
+            birth += 1
+        elif roll < 0.55:
+            with pytest.raises(ValueError):
+                store.append(l, None, rng.normal(size=(3, 4)), rng.normal(size=(3, 4)),
+                             birth, np.full(3, 2.0))
+        elif roll < 0.75:
+            store.evict(l, h, store.gather(l, h).births[:int(rng.integers(1, n + 1))])
+        else:
+            store.evict_rows(l, h, list(range(0, n, 2)))
+        assert store.total_entries() == sum(
+            len(store.gather(a, b)) for a in range(2) for b in range(3))
+        store.check_accounting()
