@@ -5,8 +5,12 @@ only in which entries survive each compression. Attention at serving time is
 hard: a standard softmax over the currently retained entries. Retention
 scores influence serving only through the ranking. Work that reads no cache
 (layer 0's projections and gate, and the unembedding) runs once per sequence
-as stacked rows. Records are arrays: the trace in blocks of columns, and each
-token's last selection step.
+as stacked rows. Each layer attends its heads in runs of consecutive heads
+that hold the same number of rows, one stacked call per run on views of the
+layer-major store: every head of a layer under `full`, `recency` and
+`per_head`, and runs of one to all heads under `global`. A stacked call gives
+the same bits as one call per head. Records are arrays: the trace in blocks
+of columns, and each token's last selection step.
 """
 
 from __future__ import annotations
@@ -126,7 +130,7 @@ def decode_sequence(bb: Backbone, gates: GateParams | None, sample: Sample,
     if policy_name not in SCORED:
         gates = None
     shape = bb.shape
-    L, H, dh = shape.layers, shape.heads, shape.head_dim
+    L, H, dh, D = shape.layers, shape.heads, shape.head_dim, shape.d_model
     tokens = sample.tokens
     T = tokens.shape[0]
     if T > shape.seq_len:
@@ -151,13 +155,20 @@ def decode_sequence(bb: Backbone, gates: GateParams | None, sample: Sample,
             q, k, v, betas = layer0[t] if l == 0 else \
                 [a[0] for a in _project(wqkv, gates, l, h[None])]
             store.append(l, None, k, v, t, betas)
-            attn = np.zeros_like(h)
-            for hd in range(H):
-                snap = store.gather(l, hd)
-                w = softmax_kernel(snap.keys @ q[hd] / scale)
-                attn += (w @ snap.values) @ bb.wo[l, hd]
-                if recorder is not None:
-                    recorder.observe(l, hd, t, snap.births, w)
+            attn = np.zeros(D)
+            lengths, keys, values, births = store.gather_layer(l)
+            lo = 0
+            for hi in range(1, H + 1):      # each run [lo, hi) of heads of equal length n
+                n = lengths[lo]
+                if hi < H and lengths[hi] == n:
+                    continue
+                w = softmax_kernel((keys[lo:hi, :n] @ q[lo:hi, :, None])[..., 0] / scale)
+                o = (w[:, None, :] @ values[lo:hi, :n]) @ bb.wo[l, lo:hi]
+                for j in range(hi - lo):
+                    attn += o[j, 0]
+                    if recorder is not None:
+                        recorder.observe(l, lo + j, t, births[lo + j, :n], w[j])
+                lo = hi
             h = h + attn
             a = np.tanh(h @ bb.mlp_w1[l] + bb.mlp_b1[l])
             h = h + a @ bb.mlp_w2[l] + bb.mlp_b2[l]

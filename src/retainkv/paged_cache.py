@@ -1,9 +1,13 @@
-"""Per-(layer, head) KV storage, counted in fixed-size pages.
+"""Per-(layer, head) KV storage, layer-major, counted in fixed-size pages.
 
-Each (layer, head) keeps its live entries as rows [0, n) of one array set in
-birth order: keys, values, births and betas, the only record of the cache;
-`gather` returns read-only views of it. Memory is accounted in pages of
-`page_size` rows: page `i` of a head holds rows
+The store is four layer-major arrays, the only record of the cache: keys and
+values [layers, heads, cap, dim], births and betas [layers, heads, cap]. Head
+(l, h) keeps its live entries as rows [0, n) of its slice, in birth order;
+each head's n and last birth are plain Python lists, and when one head
+reaches `cap` every head's capacity doubles. `gather` returns read-only views
+of one head, and `gather_layer` of every head of a layer at once, so decode
+can attend heads of equal length in one stacked call. Memory is accounted
+in pages of `page_size` rows: page `i` of a head holds rows
 [i * page_size, (i + 1) * page_size), so a head holds ceil(n / page_size)
 pages, a count derived from n. Eviction removes rows by position
 (`evict_rows`), or by birth (`evict`, which looks the rows up): the survivors
@@ -34,53 +38,17 @@ class GatherResult:
         return self.births.shape[0]
 
 
-class _Head:
-    """A head's live entries in birth order: rows [0, n) of its columns."""
-
-    __slots__ = ("cols", "readonly", "n", "max_birth")
-
-    def __init__(self, capacity: int, dim: int):
-        # keys, values, births, betas
-        self.cols = (np.empty((capacity, dim)), np.empty((capacity, dim)),
-                     np.empty(capacity, dtype=np.int64), np.empty(capacity))
-        self.readonly = tuple(a.view() for a in self.cols)
-        for a in self.readonly:
-            a.flags.writeable = False
-        self.n = 0
-        self.max_birth = -1
-
-    def push(self, key: Array, value: Array, birth: int, beta: float) -> None:
-        i = self.n
-        if i == self.cols[2].shape[0]:
-            fresh = _Head(2 * i, key.shape[0])
-            for dst, src in zip(fresh.cols, self.cols):
-                dst[:i] = src
-            self.cols, self.readonly = fresh.cols, fresh.readonly
-        keys, values, births, betas = self.cols
-        keys[i], values[i], births[i], betas[i] = key, value, birth, beta
-        self.n = i + 1
-        self.max_birth = birth
-
-    def drop(self, rows: list[int]) -> None:
-        """Remove rows (ascending): each run of kept rows moves down over the
-        dropped rows before it, so only rows after the first dropped one move."""
-        for shift, (r, end) in enumerate(zip(rows, rows[1:] + [self.n]), 1):
-            if end > r + 1:
-                for col in self.cols:
-                    col[r + 1 - shift:end - shift] = col[r + 1:end]
-        self.n -= len(rows)
-
-
 class PagedKVStore:
     """Per-(layer, head) rows in birth order, held in fixed-size pages.
 
     `evict_rows` removes rows by position and `evict` by birth; both keep
     the running entry count that `total_entries` returns.
 
-    Single writer per (layer, head). A `gather` result stays valid across
-    appends (they write past the end of every view already returned, or into
-    new arrays) and evictions of other heads; an `evict` or `evict_rows` of
-    the same head moves its rows and invalidates it.
+    Single writer per (layer, head). The live rows a `gather` or
+    `gather_layer` result shows keep their bytes across appends (they write
+    past every head's live rows, or into new arrays) and evictions of other
+    heads; an `evict` or `evict_rows` of one of its heads moves that head's
+    rows and invalidates it.
     """
 
     def __init__(self, layers: int, heads: int, dim: int,
@@ -91,14 +59,30 @@ class PagedKVStore:
         self.heads = heads
         self.dim = dim
         self.page_size = page_size
-        self._heads = {(l, h): _Head(page_size, dim) for l in range(layers) for h in range(heads)}
+        self._n = [[0] * heads for _ in range(layers)]        # live rows per head
+        self._last = [[-1] * heads for _ in range(layers)]    # last birth per head
         self._total = 0     # live entries over all heads
+        self._cols = ()
+        self._resize(page_size)
 
-    def _head(self, layer: int, head: int) -> _Head:
-        try:
-            return self._heads[(layer, head)]
-        except KeyError:
-            raise IndexError(f"no such (layer, head): ({layer}, {head})") from None
+    def _resize(self, cap: int) -> None:
+        """Give every head capacity `cap`: new arrays that hold the old rows."""
+        L, H, d = self.layers, self.heads, self.dim
+        fresh = (np.empty((L, H, cap, d)), np.empty((L, H, cap, d)),
+                 np.empty((L, H, cap), dtype=np.int64), np.empty((L, H, cap)))
+        for dst, src in zip(fresh, self._cols):
+            dst[:, :, :src.shape[2]] = src
+        self._cap = cap
+        self._cols = fresh      # keys, values, births, betas
+        # [layer][head] -> the head's slices of the four arrays
+        self._views = [[tuple(c[l, h] for c in fresh) for h in range(H)] for l in range(L)]
+        self._readonly = tuple(a.view() for a in fresh)
+        for a in self._readonly:
+            a.flags.writeable = False
+
+    def _check(self, layer: int, head: int) -> None:
+        if not (0 <= layer < self.layers and 0 <= head < self.heads):
+            raise IndexError(f"no such (layer, head): ({layer}, {head})")
 
     # -- operations ---------------------------------------------------------
 
@@ -107,11 +91,11 @@ class PagedKVStore:
         value [dim], one beta. With `head=None` every head of the layer gets
         one entry at `birth`: keys and values [heads, dim], betas [heads].
 
-        Births must be strictly increasing per head and may never revive an
-        evicted birth index. Every check runs before any head is written, so a
-        rejected append changes no head.
+        Births are integers, strictly increasing per head, and may never
+        revive an evicted birth index. Every check runs before any head is
+        written, so a rejected append changes no head.
         """
-        hds = [self._head(layer, h) for h in (range(self.heads) if head is None else (head,))]
+        self._check(layer, 0 if head is None else head)
         k, v = np.asarray(key, dtype=np.float64), np.asarray(value, dtype=np.float64)
         b = np.asarray(beta, dtype=np.float64)
         rows, beta_shape = (((self.heads, self.dim), (self.heads,)) if head is None
@@ -124,16 +108,28 @@ class PagedKVStore:
         # count_nonzero costs a fraction of a reduction such as all()
         if np.count_nonzero(np.isfinite(k)) + np.count_nonzero(np.isfinite(v)) != 2 * k.size:
             raise ValueError("key or value contains non-finite entries")
-        birth = int(birth)
-        last = max(hd.max_birth for hd in hds)
+        birth = operator.index(birth)
+        a, z = (0, self.heads) if head is None else (head, head + 1)
+        last = max(self._last[layer][a:z])
         if birth <= last:
             raise ValueError(f"birth {birth} not after previous max {last}")
         betas = b.tolist()
         if not all(0.0 <= x <= 1.0 for x in betas):
             raise ValueError("beta must lie in [0, 1]")
-        for hd, k_row, v_row, beta_row in zip(hds, k, v, betas):
-            hd.push(k_row, v_row, birth, beta_row)
-        self._total += len(hds)
+        ns = self._n[layer][a:z]
+        if max(ns) == self._cap:
+            self._resize(2 * self._cap)
+        n = ns[0]
+        if ns.count(n) == len(ns):      # equal lengths: one slice write per column
+            keys, values, births, beta_col = self._cols
+            keys[layer, a:z, n], values[layer, a:z, n] = k, v
+            births[layer, a:z, n], beta_col[layer, a:z, n] = birth, b
+        else:
+            for j, (r, (hk, hv, hb, hbeta)) in enumerate(zip(ns, self._views[layer][a:z])):
+                hk[r], hv[r], hb[r], hbeta[r] = k[j], v[j], birth, betas[j]
+        self._n[layer][a:z] = [r + 1 for r in ns]
+        self._last[layer][a:z] = [birth] * len(ns)
+        self._total += len(ns)
 
     def evict(self, layer: int, head: int, births) -> None:
         """Remove the given birth indices; the survivors move down in place.
@@ -141,9 +137,9 @@ class PagedKVStore:
         Raises KeyError, and changes nothing, if a birth is not live or is
         named twice; the message names the first such birth in argument order.
         """
-        hd = self._head(layer, head)
+        self._check(layer, head)
         gone = [int(b) for b in births]
-        stored = hd.cols[2][:hd.n]
+        stored = self._views[layer][head][2][:self._n[layer][head]]
         rows = stored.searchsorted(gone)
         present = stored.searchsorted(gone, side="right") > rows
         named: set[int] = set()
@@ -160,31 +156,53 @@ class PagedKVStore:
         Raises ValueError, and changes nothing, if the rows are not strictly
         increasing or one lies outside [0, n).
         """
-        hd = self._head(layer, head)
+        self._check(layer, head)
         rows = [operator.index(r) for r in rows]
         if not rows:
             return
-        if rows[0] < 0 or rows[-1] >= hd.n or any(a >= b for a, b in zip(rows, rows[1:])):
+        ns = self._n[layer]
+        n = ns[head]
+        if rows[0] < 0 or rows[-1] >= n or any(a >= b for a, b in zip(rows, rows[1:])):
             raise ValueError(f"rows of ({layer}, {head}) must strictly increase "
-                             f"within [0, {hd.n}); got {rows}")
-        hd.drop(rows)
+                             f"within [0, {n}); got {rows}")
+        # each run of kept rows moves down over the dropped rows before it, so
+        # only rows after the first dropped one move
+        cols = self._views[layer][head]
+        for shift, (r, end) in enumerate(zip(rows, rows[1:] + [n]), 1):
+            if end > r + 1:
+                for col in cols:
+                    col[r + 1 - shift:end - shift] = col[r + 1:end]
+        ns[head] = n - len(rows)
         self._total -= len(rows)
 
     def gather(self, layer: int, head: int) -> GatherResult:
         """A head's live entries in logical (birth) order, as read-only views
         of the store's arrays (no copy)."""
-        hd = self._head(layer, head)
-        n = hd.n
-        keys, values, births, betas = hd.readonly
-        return GatherResult(keys[:n], values[:n], births[:n], betas[:n])
+        self._check(layer, head)
+        n = self._n[layer][head]
+        keys, values, births, betas = self._readonly
+        return GatherResult(keys[layer, head, :n], values[layer, head, :n],
+                            births[layer, head, :n], betas[layer, head, :n])
+
+    def gather_layer(self, layer: int) -> tuple[tuple[int, ...], Array, Array, np.ndarray]:
+        """Every head of a layer at once: each head's length n, and read-only
+        views (no copy) of the layer's keys and values [heads, cap, dim] and
+        births [heads, cap]. Rows [0, n) of a head are its live entries in
+        birth order; the rows past them hold no entry."""
+        self._check(layer, 0)
+        keys, values, births, _ = self._readonly
+        return tuple(self._n[layer]), keys[layer], values[layer], births[layer]
 
     def live_entries(self) -> tuple[list[int], np.ndarray, np.ndarray]:
         """Every head's live entry count in (layer, head) order, and the births
         and betas of all live entries in (layer, head, birth) order (copies)."""
-        heads = self._heads.values()     # built in (layer, head) order
-        return ([hd.n for hd in heads],
-                np.concatenate([hd.cols[2][:hd.n] for hd in heads]),
-                np.concatenate([hd.cols[3][:hd.n] for hd in heads]))
+        sizes = [n for ns in self._n for n in ns]
+        births, betas = self._cols[2:]
+        n = sizes[0]
+        if sizes.count(n) == len(sizes):    # equal lengths: one copy per column
+            return sizes, births[:, :, :n].flatten(), betas[:, :, :n].flatten()
+        live = np.arange(self._cap) < np.array(sizes).reshape(self.layers, self.heads, 1)
+        return sizes, births[live], betas[live]
 
     # -- accounting ---------------------------------------------------------
 
@@ -194,20 +212,22 @@ class PagedKVStore:
     def pages_in_use(self) -> int:
         """Pages held over all heads: each head holds ceil(n / page_size)."""
         ps = self.page_size
-        return sum(-(-hd.n // ps) for hd in self._heads.values())
+        return sum(-(-n // ps) for ns in self._n for n in ns)
 
     def check_accounting(self) -> None:
         """Internal consistency: each head's stored births strictly increase,
         and the running entry count is the sum of the heads' lengths."""
-        for key, hd in self._heads.items():
-            if np.any(np.diff(hd.cols[2][:hd.n]) <= 0):
-                raise AssertionError(f"stored entries of {key} repeat a birth")
-        if self._total != sum(hd.n for hd in self._heads.values()):
+        births = self._cols[2]
+        for l, ns in enumerate(self._n):
+            for h, n in enumerate(ns):
+                if np.any(np.diff(births[l, h, :n]) <= 0):
+                    raise AssertionError(f"stored entries of {(l, h)} repeat a birth")
+        if self._total != sum(map(sum, self._n)):
             raise AssertionError(f"entry count {self._total} is not the heads' total")
 
     def snapshot(self) -> dict:
         """JSON-serializable view of each head's length and pages held, for inspection."""
         ps = self.page_size
-        tables = {f"{l},{h}": {"logical_length": hd.n, "pages": -(-hd.n // ps)}
-                  for (l, h), hd in self._heads.items()}
+        tables = {f"{l},{h}": {"logical_length": n, "pages": -(-n // ps)}
+                  for l, ns in enumerate(self._n) for h, n in enumerate(ns)}
         return {"page_size": ps, "tables": tables}

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from retainkv import evaluate
-from retainkv.eviction import trace_columns
+from retainkv.eviction import SCORED, trace_columns
 from retainkv.evaluate import (
+    POLICIES,
     SelectionRecorder,
     decode_sequence,
     evaluate_policies,
@@ -13,8 +14,9 @@ from retainkv.evaluate import (
 )
 from retainkv.backbone import random_backbone
 from retainkv.gates import ModelShape, gate_forward_batch, init_gate_params
+from retainkv.numerics import softmax_kernel
 from retainkv.paged_cache import PagedKVStore
-from retainkv.tasks import TaskSpec, build_task_model, default_shape, generate_dataset
+from retainkv.tasks import Sample, TaskSpec, build_task_model, default_shape, generate_dataset
 
 from conftest import admit
 
@@ -164,6 +166,113 @@ def test_stacked_rows_equal_one_row_calls(T, kind):
     logits = X[:, None, :] @ bb.unembed
     for i in range(T):
         assert logits[i, 0].tobytes() == (X[i] @ bb.unembed).tobytes()
+
+
+def per_head_decode(bb, gates, sample, policy_name, budget_fraction, recorder, trace):
+    """Reference decode: each head gathered and attended on its own, with 2-D
+    products, as decode did before it attended runs of heads. Returns the
+    final hidden rows, predictions, mean retained, peak entries and peak pages."""
+    if policy_name not in SCORED:
+        gates = None
+    L, H, dh = bb.shape.layers, bb.shape.heads, bb.shape.head_dim
+    T = sample.tokens.shape[0]
+    store = PagedKVStore(L, H, dh)
+    policy = make_policy(policy_name, max(1, int(np.ceil(budget_fraction * T * L * H))),
+                         store, trace=trace)
+    wqkv = np.concatenate([bb.wq, bb.wk, bb.wv], axis=1)
+    x0 = bb.embed[sample.tokens] + bb.pos[:T]
+    layer0 = list(zip(*evaluate._project(wqkv, gates, 0, x0)))
+    final = np.empty_like(x0)
+    retained, peak_entries, peak_pages = [], 0, 0
+    for t in range(T):
+        h = x0[t]
+        for l in range(L):
+            q, k, v, betas = layer0[t] if l == 0 else \
+                [a[0] for a in evaluate._project(wqkv, gates, l, h[None])]
+            store.append(l, None, k, v, t, betas)
+            attn = np.zeros_like(h)
+            for hd in range(H):
+                snap = store.gather(l, hd)
+                w = softmax_kernel(snap.keys @ q[hd] / np.sqrt(dh))
+                attn += (w @ snap.values) @ bb.wo[l, hd]
+                recorder.observe(l, hd, t, snap.births, w)
+            h = h + attn
+            a = np.tanh(h @ bb.mlp_w1[l] + bb.mlp_b1[l])
+            h = h + a @ bb.mlp_w2[l] + bb.mlp_b2[l]
+        final[t] = h
+        peak_entries = max(peak_entries, store.total_entries())
+        peak_pages = max(peak_pages, store.pages_in_use())
+        policy.step(t)
+        retained.append(store.total_entries())
+    predictions = np.argmax(final[:, None, :] @ bb.unembed, axis=-1)[:, 0]
+    return final, predictions, float(np.mean(retained)), peak_entries, peak_pages
+
+
+def _spy_unembed(bb):
+    """`bb` with an unembedding that records the hidden rows multiplied into it."""
+    seen = []
+
+    class Spy(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            seen.append(np.array(inputs[0]))
+            return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+    return replace(bb, unembed=bb.unembed.view(Spy)), seen
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("T, heads", [(105, 2), (489, 2), (105, 3)])
+def test_stacked_runs_equal_per_head_attention(T, heads, policy, monkeypatch):
+    """Decode attends each run of equal-length heads in one stacked call; its
+    hidden rows, outputs, trace and selections equal the per-head loop's bit
+    for bit. With three heads `global` attends runs of one, two and three."""
+    shape = ModelShape(layers=2, heads=heads, head_dim=16, gate_hidden=8, seq_len=T, vocab=40)
+    rng = np.random.default_rng(T + heads)
+    bb = random_backbone(shape, rng)
+    gates = init_gate_params(shape, 2 * shape.head_dim, rng, tied=False, gate_input="kv",
+                             init_scale=2.0)
+    gates.bg -= 18.0      # betas spread over (0, 1)
+    queries = np.arange(T - 8, T)
+    sample = Sample(rng.integers(0, shape.vocab, size=T), queries,
+                    rng.integers(0, shape.vocab, size=8), np.zeros(0, np.int64),
+                    np.zeros(0, np.int64))
+    run_sizes = set()
+    gather_layer = PagedKVStore.gather_layer
+
+    def spy_gather_layer(self, layer):
+        out = gather_layer(self, layer)
+        lengths, lo = out[0], 0
+        for hi in range(1, len(lengths) + 1):
+            if hi == len(lengths) or lengths[hi] != lengths[lo]:
+                run_sizes.add(hi - lo)
+                lo = hi
+        return out
+
+    monkeypatch.setattr(PagedKVStore, "gather_layer", spy_gather_layer)
+    spied, hidden = _spy_unembed(bb)
+    recorders, traces = (SelectionRecorder(), SelectionRecorder()), ([], [])
+    got = decode_sequence(spied, gates, sample, policy, 0.125, recorder=recorders[0],
+                          trace=traces[0])
+    final, predictions, mean_retained, peak_entries, peak_pages = per_head_decode(
+        bb, gates, sample, policy, 0.125, recorders[1], traces[1])
+    assert hidden[-1][:, 0].tobytes() == final.tobytes()
+    assert got.predictions.tobytes() == predictions.tobytes()
+    assert (got.mean_retained, got.peak_entries, got.peak_pages) == \
+        (mean_retained, peak_entries, peak_pages)
+    want = trace_columns(traces[1])
+    for field, col in trace_columns(traces[0]).items():
+        assert col.tobytes() == want[field].tobytes(), field
+    assert (policy in SCORED) == bool(traces[0])
+    assert recorders[0].mass_set_sizes == recorders[1].mass_set_sizes
+    for criterion in recorders[0].criteria():
+        for l in range(2):
+            for h in range(heads):
+                assert recorders[0].reach(criterion, l, h, T).tobytes() == \
+                    recorders[1].reach(criterion, l, h, T).tobytes()
+    if policy == "global" and heads == 3:
+        assert run_sizes == {1, 2, 3}
+    elif policy != "global":
+        assert run_sizes == {heads}     # every head of a layer holds the same rows
 
 
 class TestPolicies:

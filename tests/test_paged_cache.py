@@ -32,6 +32,11 @@ class ShadowStore:
         betas = np.array([r[3] for r in rows])
         return keys, values, births, betas
 
+    def evict_rows(self, layer, head, rows):
+        gone = set(rows)
+        self.rows[(layer, head)] = [r for i, r in enumerate(self.rows[(layer, head)])
+                                    if i not in gone]
+
     def total(self):
         return sum(len(v) for v in self.rows.values())
 
@@ -74,6 +79,21 @@ class TestAppend:
         for l in range(2):
             for h in range(4):
                 assert_matches_shadow(store, shadow, l, h)
+
+    def test_fractional_birth_rejected(self, rng):
+        """A birth is an integer index: 2.7 raises and changes no head (it was
+        stored as 2); numpy integers pass."""
+        store = PagedKVStore(1, 2, 4)
+        store.append(0, None, rng.normal(size=(2, 4)), rng.normal(size=(2, 4)), 1, rng.random(2))
+        before = head_bytes(store)
+        for head, rows, beta in ((0, (4,), 0.5), (None, (2, 4), [0.5, 0.5])):
+            with pytest.raises(TypeError):
+                store.append(0, head, np.ones(rows), np.ones(rows), 2.7, beta)
+            assert head_bytes(store) == before and store.total_entries() == 2
+        store.append(0, 0, np.ones(4), np.ones(4), np.int64(2), 0.5)
+        store.append(0, None, np.ones((2, 4)), np.ones((2, 4)), np.int32(3), [0.5, 0.5])
+        assert store.gather(0, 0).births.tolist() == [1, 2, 3]
+        assert store.gather(0, 1).births.tolist() == [1, 3]
 
     def test_monotone_births_enforced(self, rng):
         store = PagedKVStore(1, 1, 2)
@@ -224,7 +244,7 @@ class TestCheckAccounting:
     def test_repeated_birth_rejected(self, rng, row, birth):
         """Head (0, 1) stores births [1, 3, 5]; a repeat or a step back fails."""
         store = self.store(rng)
-        store._heads[(0, 1)].cols[2][row] = birth
+        store._cols[2][0, 1, row] = birth     # the births array, [layer, head, row]
         with pytest.raises(AssertionError, match=r"stored entries of \(0, 1\) repeat a birth"):
             store.check_accounting()
 
@@ -448,3 +468,82 @@ def test_total_entries_is_a_running_count(rng):
         assert store.total_entries() == sum(
             len(store.gather(a, b)) for a in range(2) for b in range(3))
         store.check_accounting()
+
+
+class TestLayerMajorAgainstShadow:
+    """Random interleavings of one-head appends, layer appends over heads of
+    equal and of unequal length, growth past the capacity, `evict` and
+    `evict_rows`, checked after every op against the shadow store."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_interleavings(self, seed):
+        rng = np.random.default_rng(seed)
+        L, H, D, ps = 2, 3, 4, 4
+        store = PagedKVStore(L, H, D, page_size=ps)
+        shadow = ShadowStore()
+        fields = ("keys", "values", "births", "betas")
+        held = {(l, h): [] for l in range(L) for h in range(H)}   # views and their bytes
+        layer_appends = {"equal": 0, "unequal": 0}
+        birth = grew = 0
+        for _ in range(500):
+            l, h = int(rng.integers(0, L)), int(rng.integers(0, H))
+            n = len(shadow.rows.get((l, h), []))
+            roll = rng.random()
+            if roll < 0.35 or not n:
+                keys, values, betas = rng.normal(size=(H, D)), rng.normal(size=(H, D)), rng.random(H)
+                lengths = {len(shadow.rows.get((l, j), [])) for j in range(H)}
+                layer_appends["equal" if len(lengths) == 1 else "unequal"] += 1
+                store.append(l, None, keys, values, birth, betas)
+                for j in range(H):
+                    shadow.append(l, j, keys[j], values[j], birth, betas[j])
+                birth += 1
+            elif roll < 0.55:
+                k, v, beta = rng.normal(size=D), rng.normal(size=D), float(rng.random())
+                store.append(l, h, k, v, birth, beta)
+                shadow.append(l, h, k, v, birth, beta)
+                birth += 1
+            elif roll < 0.75:
+                live = [r[0] for r in shadow.rows[(l, h)]]
+                gone = rng.permutation(live)[:int(rng.integers(1, n + 1))].tolist()
+                store.evict(l, h, gone)
+                shadow.evict(l, h, gone)
+                held[(l, h)] = []
+            else:
+                rows = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
+                store.evict_rows(l, h, rows)
+                shadow.evict_rows(l, h, rows)
+                held[(l, h)] = []
+            lengths = {(a, b): len(shadow.rows.get((a, b), [])) for a in range(L) for b in range(H)}
+            for a, b in lengths:
+                assert_matches_shadow(store, shadow, a, b)
+            assert store.total_entries() == shadow.total()
+            assert store.pages_in_use() == sum(-(-m // ps) for m in lengths.values())
+            assert store.snapshot() == {"page_size": ps, "tables": {
+                f"{a},{b}": {"logical_length": m, "pages": -(-m // ps)}
+                for (a, b), m in lengths.items()}}
+            # the layer's stacked views show the same rows as each head's gather
+            counts, keys, values, births = store.gather_layer(l)
+            assert counts == tuple(lengths[(l, b)] for b in range(H))
+            for b, m in enumerate(counts):
+                snap = store.gather(l, b)
+                for got, want in ((keys[b, :m], snap.keys), (values[b, :m], snap.values),
+                                  (births[b, :m], snap.births)):
+                    assert got.tobytes() == want.tobytes()
+            snap = store.gather(l, h)
+            grew += bool(held[(l, h)]) and held[(l, h)][-1][0].keys.base is not snap.keys.base
+            held[(l, h)] = held[(l, h)][-4:] + [(snap, [getattr(snap, f).tobytes() for f in fields])]
+            for views in held.values():
+                for old, want in views:
+                    assert [getattr(old, f).tobytes() for f in fields] == want
+        store.check_accounting()
+        assert grew and min(layer_appends.values()) > 0
+
+    def test_layer_views_are_read_only(self, rng):
+        store = PagedKVStore(2, 2, 4)
+        store.append(1, None, rng.normal(size=(2, 4)), rng.normal(size=(2, 4)), 0, rng.random(2))
+        _, keys, values, births = store.gather_layer(1)
+        for a in (keys, values, births):
+            with pytest.raises(ValueError):
+                a[0, 0] = 0
+        with pytest.raises(IndexError, match=r"no such \(layer, head\): \(2, 0\)"):
+            store.gather_layer(2)
