@@ -2,7 +2,6 @@
 
 from .backbone import Backbone, random_backbone, student_backward, student_forward, teacher_forward
 from .eviction import (
-    EvictionConfig,
     EvictionPolicy,
     score_entries,
     select_retained,

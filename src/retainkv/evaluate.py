@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backbone import Backbone, _gate_input
-from .eviction import POLICIES, SCORED, EvictionConfig, EvictionPolicy
+from .eviction import POLICIES, SCORED, EvictionPolicy
 from .gates import GateParams, gate_forward_batch
 from .numerics import softmax_kernel
 from .paged_cache import DEFAULT_PAGE_SIZE, PagedKVStore
@@ -37,8 +37,7 @@ def make_policy(name: str, total_budget: int, store: PagedKVStore,
     `total_budget // (layers * heads)`.
     """
     m = total_budget if name == "global" else total_budget // (store.layers * store.heads)
-    return EvictionPolicy(EvictionConfig(m_global=max(1, m), horizon=horizon, cadence=cadence),
-                          store, trace, policy=name)
+    return EvictionPolicy(store, name, max(1, m), horizon, cadence, trace)
 
 
 class SelectionRecorder:
@@ -92,10 +91,6 @@ class DecodeResult:
     mean_retained: float
     peak_entries: int
     peak_pages: int
-
-    @property
-    def accuracy(self) -> float:
-        return self.correct / self.total if self.total else float("nan")
 
 
 def _project(wqkv: np.ndarray, gates: GateParams | None, layer: int, x: np.ndarray):

@@ -5,14 +5,14 @@ retention weight over a lookahead horizon; one global ranking then keeps the
 best M entries across all layers and heads. Capacity allocation across heads
 is whatever that ranking produces. The baselines run on the same engine: a
 per-head split ranks inside each (layer, head), a sliding window keeps the
-newest births, and the full cache never evicts. A trace keeps each ranking
-as one block of column arrays, which `trace_columns` joins.
+newest births, and the full cache never evicts. The store applies each
+ranking as a keep mask over its live entries (`retain`). A trace keeps each
+ranking as one block of column arrays, which `trace_columns` joins.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import accumulate
+import operator
 
 import numpy as np
 
@@ -21,21 +21,6 @@ from .paged_cache import PagedKVStore
 INFINITE = "infinite"
 POLICIES = ("full", "global", "per_head", "recency")
 SCORED = ("global", "per_head")  # the policies that rank by gate scores
-
-
-@dataclass(frozen=True)
-class EvictionConfig:
-    m_global: int
-    horizon: int | str = 2       # lookahead T - t; "infinite" for the limit form
-    cadence: int = 1             # steps between compressions
-
-    def __post_init__(self):
-        if self.m_global < 1:
-            raise ValueError("m_global must be >= 1")
-        if self.horizon != INFINITE and int(self.horizon) < 1:
-            raise ValueError("horizon must be >= 1 or 'infinite'")
-        if self.cadence < 1:
-            raise ValueError("cadence must be >= 1")
 
 
 def score_entries(births, betas, now: int, horizon) -> np.ndarray:
@@ -55,7 +40,7 @@ def score_entries(births, betas, now: int, horizon) -> np.ndarray:
         raise ValueError("births and betas must have one shape")
     infinite = horizon == INFINITE
     if not infinite:
-        horizon = int(horizon)
+        horizon = operator.index(horizon)
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
     _check_now(births, now)
@@ -117,8 +102,9 @@ class EvictionPolicy:
     """Monotone eviction over a paged store: once out, a token never re-enters.
 
     The store is the only record of the cache; the policy keeps no entry of
-    its own. Each compression ranks the store's live rows, in (layer, head,
-    birth) order, and evicts the losers from the store by row. `policy`
+    its own and reads and writes it through `live_entries` and `retain` only.
+    Each compression ranks the store's live rows, in (layer, head, birth)
+    order, and hands the store the mask of the rows it keeps. `policy`
     chooses what a compression keeps:
 
     * "global": the `m_global` best entries overall (`select_retained`).
@@ -127,6 +113,7 @@ class EvictionPolicy:
       is scored and it compresses at every step, whatever the cadence.
     * "full": everything; it never compresses.
 
+    `horizon` is the scores' lookahead T - t, or "infinite" for the limit form.
     Entries appended since the last compression stay resident until the next
     one; "global" and "per_head" compress every `cadence` steps and trace a
     row per scored entry, in (birth, layer, head) order for "global" and
@@ -134,16 +121,22 @@ class EvictionPolicy:
     block, the parallel arrays of `TRACE_FIELDS`.
     """
 
-    def __init__(self, cfg: EvictionConfig, store: PagedKVStore,
-                 trace: list | None = None, policy: str = "global"):
+    def __init__(self, store: PagedKVStore, policy: str, m_global: int,
+                 horizon: int | str = 2, cadence: int = 1, trace: list | None = None):
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-        self.cfg = cfg
+        self.m_global, self.cadence = operator.index(m_global), operator.index(cadence)
+        self.horizon = horizon if horizon == INFINITE else operator.index(horizon)
+        if self.m_global < 1:
+            raise ValueError("m_global must be >= 1")
+        if self.horizon != INFINITE and self.horizon < 1:
+            raise ValueError("horizon must be >= 1 or 'infinite'")
+        if self.cadence < 1:
+            raise ValueError("cadence must be >= 1")
         self.store = store
         self.policy = policy
         self.trace = trace
-        self._groups = [(l, h) for l in range(store.layers) for h in range(store.heads)]
-        self._layer_of, self._head_of = np.array(self._groups).T
+        self._layer_of, self._head_of = np.indices((store.layers, store.heads)).reshape(2, -1)
 
     def total_alive(self) -> int:
         return self.store.total_entries()
@@ -156,24 +149,22 @@ class EvictionPolicy:
         """
         if self.policy == "full":
             return {}
-        if self.policy != "recency" and (now + 1) % self.cfg.cadence != 0:
+        if self.policy != "recency" and (now + 1) % self.cadence != 0:
             return {}
         return self.compress(now)
 
     def compress(self, now: int) -> dict[tuple[int, int], list[int]]:
         """Evict the losers of one ranking from the store; returns their
-        births per (layer, head), in (layer, head) order.
+        births per (layer, head), in (layer, head) order (`store.retain`).
 
-        The losers are found as positions in the concatenated live rows; each
-        group's share, less the group's offset, goes to `store.evict_rows`.
         Untraced, a ranking that cannot evict (`global` holding at most
         `m_global` entries, `per_head` at most `m_global` in every head) is
         skipped; a traced one always ranks and writes its block.
         """
         if self.policy == "full":
             return {}
-        store, m = self.store, self.cfg.m_global
-        sizes, births, betas = store.live_entries()
+        m = self.m_global
+        sizes, births, betas = self.store.live_entries()
         if self.policy == "recency":
             keep = births > now - m
         else:
@@ -183,7 +174,7 @@ class EvictionPolicy:
                 return {}
             layer = self._layer_of.repeat(sizes)
             head = self._head_of.repeat(sizes)
-            scores = score_entries(births, betas, now, self.cfg.horizon)
+            scores = score_entries(births, betas, now, self.horizon)
             keep = np.zeros(births.shape[0], dtype=bool)
             keep[select_retained(scores, births, layer, head, m,
                                  per_head=self.policy == "per_head")] = True
@@ -193,14 +184,4 @@ class EvictionPolicy:
                 self.trace.append((np.full(rows.shape[0], now, dtype=np.int64),
                                    layer[rows], head[rows], births[rows], scores[rows],
                                    keep[rows]))
-        # losers in (layer, head, birth) order, cut at each group's end
-        rows = np.flatnonzero(~keep)
-        ends = list(accumulate(sizes))
-        cuts = rows.searchsorted(ends).tolist()
-        lost_rows, lost = rows.tolist(), births[rows].tolist()
-        evicted = {}
-        for (l, h), start, lo, hi in zip(self._groups, [0, *ends], [0, *cuts], cuts):
-            if hi > lo:
-                store.evict_rows(l, h, [r - start for r in lost_rows[lo:hi]])
-                evicted[(l, h)] = lost[lo:hi]
-        return evicted
+        return self.store.retain(keep)

@@ -9,15 +9,16 @@ of one head, and `gather_layer` of every head of a layer at once, so decode
 can attend heads of equal length in one stacked call. Memory is accounted
 in pages of `page_size` rows: page `i` of a head holds rows
 [i * page_size, (i + 1) * page_size), so a head holds ceil(n / page_size)
-pages, a count derived from n. Eviction removes rows by position
-(`evict_rows`), or by birth (`evict`, which looks the rows up): the survivors
-move down in place, so the rows stay packed and the emptied tail pages are no
-longer held. The store keeps a running count of its live entries.
+pages, a count derived from n. Eviction removes entries by a keep mask over
+`live_entries()` (`retain`) or by birth (`evict`), through one drop: the
+survivors move down in place, so the rows stay packed and the emptied tail
+pages are no longer held. The store keeps a running count of its live entries.
 """
 
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,14 +42,14 @@ class GatherResult:
 class PagedKVStore:
     """Per-(layer, head) rows in birth order, held in fixed-size pages.
 
-    `evict_rows` removes rows by position and `evict` by birth; both keep
-    the running entry count that `total_entries` returns.
+    `retain` evicts by a keep mask over the live entries and `evict` by
+    birth; both keep the running entry count that `total_entries` returns.
 
     Single writer per (layer, head). The live rows a `gather` or
     `gather_layer` result shows keep their bytes across appends (they write
     past every head's live rows, or into new arrays) and evictions of other
-    heads; an `evict` or `evict_rows` of one of its heads moves that head's
-    rows and invalidates it.
+    heads; an eviction from one of its heads moves that head's rows and
+    invalidates it.
     """
 
     def __init__(self, layers: int, heads: int, dim: int,
@@ -134,11 +135,13 @@ class PagedKVStore:
     def evict(self, layer: int, head: int, births) -> None:
         """Remove the given birth indices; the survivors move down in place.
 
-        Raises KeyError, and changes nothing, if a birth is not live or is
-        named twice; the message names the first such birth in argument order.
+        Births are integer indices (`operator.index`), so a fractional birth
+        raises TypeError. Raises KeyError if a birth is not live or is named
+        twice; the message names the first such birth in argument order.
+        Either way nothing changes.
         """
         self._check(layer, head)
-        gone = [int(b) for b in births]
+        gone = [operator.index(b) for b in births]
         stored = self._views[layer][head][2][:self._n[layer][head]]
         rows = stored.searchsorted(gone)
         present = stored.searchsorted(gone, side="right") > rows
@@ -147,33 +150,39 @@ class PagedKVStore:
             if not ok or birth in named:     # missing, or named twice
                 raise KeyError(f"birth {birth} not present in ({layer}, {head})")
             named.add(birth)
-        self.evict_rows(layer, head, sorted(rows.tolist()))
+        self._drop(layer, head, sorted(rows.tolist()))
 
-    def evict_rows(self, layer: int, head: int, rows) -> None:
-        """Remove rows of a head by position, given strictly increasing in
-        [0, n); the survivors move down in place.
+    def retain(self, keep) -> dict[tuple[int, int], list[int]]:
+        """Evict the live entries that `keep`, a boolean mask in `live_entries()`
+        order, marks False; returns their births per (layer, head) in (layer,
+        head) order. Raises ValueError, and changes nothing, on any other mask."""
+        keep = np.asarray(keep)
+        if keep.dtype != np.bool_ or keep.shape != (self._total,):
+            raise ValueError(f"keep must be a boolean mask of the {self._total} live entries")
+        lost = np.flatnonzero(~keep).tolist()
+        evicted, i, end = {}, 0, 0
+        for l, ns in enumerate(self._n):
+            for h, n in enumerate(ns):
+                start, end = end, end + n
+                j = bisect_left(lost, end, i)
+                if j > i:       # the head's losers, lost[i:j], less its offset
+                    evicted[(l, h)] = self._drop(l, h, [r - start for r in lost[i:j]])
+                    i = j
+        return evicted
 
-        Raises ValueError, and changes nothing, if the rows are not strictly
-        increasing or one lies outside [0, n).
-        """
-        self._check(layer, head)
-        rows = [operator.index(r) for r in rows]
-        if not rows:
-            return
-        ns = self._n[layer]
-        n = ns[head]
-        if rows[0] < 0 or rows[-1] >= n or any(a >= b for a, b in zip(rows, rows[1:])):
-            raise ValueError(f"rows of ({layer}, {head}) must strictly increase "
-                             f"within [0, {n}); got {rows}")
-        # each run of kept rows moves down over the dropped rows before it, so
-        # only rows after the first dropped one move
-        cols = self._views[layer][head]
+    def _drop(self, layer: int, head: int, rows: list[int]) -> list[int]:
+        """Remove rows of a head, strictly increasing in [0, n), and return
+        their births. Each run of kept rows moves down over the dropped rows
+        before it, so only rows after the first dropped one move."""
+        ns, cols = self._n[layer], self._views[layer][head]
+        n, births = ns[head], [cols[2].item(r) for r in rows]
         for shift, (r, end) in enumerate(zip(rows, rows[1:] + [n]), 1):
             if end > r + 1:
                 for col in cols:
                     col[r + 1 - shift:end - shift] = col[r + 1:end]
         ns[head] = n - len(rows)
         self._total -= len(rows)
+        return births
 
     def gather(self, layer: int, head: int) -> GatherResult:
         """A head's live entries in logical (birth) order, as read-only views
@@ -213,21 +222,3 @@ class PagedKVStore:
         """Pages held over all heads: each head holds ceil(n / page_size)."""
         ps = self.page_size
         return sum(-(-n // ps) for ns in self._n for n in ns)
-
-    def check_accounting(self) -> None:
-        """Internal consistency: each head's stored births strictly increase,
-        and the running entry count is the sum of the heads' lengths."""
-        births = self._cols[2]
-        for l, ns in enumerate(self._n):
-            for h, n in enumerate(ns):
-                if np.any(np.diff(births[l, h, :n]) <= 0):
-                    raise AssertionError(f"stored entries of {(l, h)} repeat a birth")
-        if self._total != sum(map(sum, self._n)):
-            raise AssertionError(f"entry count {self._total} is not the heads' total")
-
-    def snapshot(self) -> dict:
-        """JSON-serializable view of each head's length and pages held, for inspection."""
-        ps = self.page_size
-        tables = {f"{l},{h}": {"logical_length": n, "pages": -(-n // ps)}
-                  for l, ns in enumerate(self._n) for h, n in enumerate(ns)}
-        return {"page_size": ps, "tables": tables}

@@ -11,7 +11,7 @@ import pytest
 
 from retainkv.attention import HeadCache, attend_full
 from retainkv.backbone import random_backbone, student_forward
-from retainkv.eviction import EvictionConfig, EvictionPolicy, score_entries, select_retained
+from retainkv.eviction import EvictionPolicy, score_entries, select_retained
 from retainkv.evaluate import SelectionRecorder, decode_sequence, evaluate_policies
 from retainkv.gates import ModelShape, init_gate_params
 from retainkv.numerics import finite_diff_grad
@@ -28,7 +28,7 @@ from retainkv.theory import (
 from retainkv.cli import random_persistence_config
 from retainkv.training import loss_and_grads, train_gates
 
-from conftest import admit, mask_of
+from conftest import admit, check_accounting, mask_of, snapshot
 
 
 def report(num, ok, detail=""):
@@ -169,7 +169,7 @@ def test_criterion_07_eviction_matches_brute_force_and_stays_monotone():
             mismatch += 1
 
     store = PagedKVStore(2, 2, 1)
-    policy = EvictionPolicy(EvictionConfig(m_global=50, horizon=2), store)
+    policy = EvictionPolicy(store, "global", 50, horizon=2)
     budget_ok = True
     monotone_ok = True
     evicted_seen: set = set()
@@ -214,11 +214,11 @@ def test_criterion_08_paged_cache_matches_shadow_store():
             shadow[(l, h)] = [r for r in rows if r[0] not in gone]
         else:   # every head holds exactly the pages its rows fill
             held = [-(-len(r) // 8) for r in shadow.values()]
-            tables = store.snapshot()["tables"].values()
+            tables = snapshot(store)["tables"].values()
             pages_ok &= [t["pages"] for t in tables] == held
             pages_ok &= store.pages_in_use() == sum(held)
         if op % 500 == 0:
-            store.check_accounting()
+            check_accounting(store)
     attn_err = 0.0
     for (l, h), rows in shadow.items():
         snap = store.gather(l, h)

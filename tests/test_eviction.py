@@ -10,7 +10,6 @@ from retainkv.eviction import (
     INFINITE,
     POLICIES,
     TRACE_FIELDS,
-    EvictionConfig,
     EvictionPolicy,
     score_entries,
     select_retained,
@@ -220,7 +219,7 @@ def alive_keys(store):
 class TestPolicy:
     def test_huge_budget_never_evicts(self):
         store = PagedKVStore(1, 1, 1)
-        policy = EvictionPolicy(EvictionConfig(m_global=10**9), store)
+        policy = EvictionPolicy(store, "global", 10**9)
         for t in range(100):
             admit(store, 0, 0, t, 0.1)
             assert policy.step(t) == {}
@@ -228,9 +227,8 @@ class TestPolicy:
 
     def test_budget_respected_and_monotone(self, rng):
         """At each step every (layer, head) caches the new token's entry."""
-        cfg = EvictionConfig(m_global=40, horizon=2, cadence=1)
         store = PagedKVStore(2, 2, 1)
-        policy = EvictionPolicy(cfg, store)
+        policy = EvictionPolicy(store, "global", 40, horizon=2, cadence=1)
         evicted: set = set()
         prev_alive: set = set()
         for t in range(1000):
@@ -238,7 +236,7 @@ class TestPolicy:
                 for h in range(2):
                     admit(store, l, h, t, float(rng.random()))
             out = {(l, h, b) for (l, h), births in policy.step(t).items() for b in births}
-            assert policy.total_alive() <= cfg.m_global
+            assert policy.total_alive() <= policy.m_global
             alive_now = alive_keys(store)
             assert len(alive_now) == policy.total_alive()
             assert evicted.isdisjoint(out)               # evicted once, never again
@@ -251,7 +249,7 @@ class TestPolicy:
         def run(seed):
             r = np.random.default_rng(seed)
             store = PagedKVStore(2, 2, 1)
-            policy = EvictionPolicy(EvictionConfig(m_global=20, horizon=3), store)
+            policy = EvictionPolicy(store, "global", 20, horizon=3)
             snapshots = []
             for t in range(200):
                 for l in range(2):
@@ -266,7 +264,7 @@ class TestPolicy:
     def test_two_head_dynamic_allocation(self):
         """Head A's tokens always score higher; head B shrinks to its newest."""
         store = PagedKVStore(1, 2, 1)
-        policy = EvictionPolicy(EvictionConfig(m_global=8, horizon=2), store)
+        policy = EvictionPolicy(store, "global", 8, horizon=2)
         for t in range(40):
             admit(store, 0, 0, t, 0.95)   # persistent head
             admit(store, 0, 1, t, 0.05)   # transient head
@@ -280,7 +278,7 @@ class TestPolicy:
     def test_trace_rows_recorded(self):
         trace = []
         store = PagedKVStore(1, 2, 1)
-        policy = EvictionPolicy(EvictionConfig(m_global=1), store, trace)
+        policy = EvictionPolicy(store, "global", 1, trace=trace)
         admit(store, 0, 0, 0, 0.9)
         admit(store, 0, 1, 0, 0.1)
         policy.step(0)
@@ -302,8 +300,7 @@ class TestPolicy:
             calls.clear()
             store = PagedKVStore(2, 2, 1)
             # 16 entries in all, 4 in each head: neither ranking can evict
-            policy = EvictionPolicy(EvictionConfig(m_global=16 if name == "global" else 4),
-                                    store, trace, policy=name)
+            policy = EvictionPolicy(store, name, 16 if name == "global" else 4, trace=trace)
             for t in range(4):
                 for l in range(2):
                     for h in range(2):
@@ -323,8 +320,7 @@ class TestPolicy:
     @pytest.mark.parametrize("traced", [False, True])
     def test_skipped_ranking_still_checks_now(self, name, traced):
         store = PagedKVStore(1, 2, 1)
-        policy = EvictionPolicy(EvictionConfig(m_global=8), store, [] if traced else None,
-                                policy=name)
+        policy = EvictionPolicy(store, name, 8, trace=[] if traced else None)
         admit(store, 0, 0, 0, 0.5)
         admit(store, 0, 1, 3, 0.5)
         with pytest.raises(ValueError, match="now must be >= every birth"):
@@ -334,7 +330,7 @@ class TestPolicy:
 
     def test_readmission_rejected(self):
         store = PagedKVStore(1, 2, 1)
-        policy = EvictionPolicy(EvictionConfig(m_global=1), store)
+        policy = EvictionPolicy(store, "global", 1)
         admit(store, 0, 0, 0, 0.5)
         admit(store, 0, 1, 0, 0.9)
         assert policy.step(0) == {(0, 0): [0]}
@@ -343,12 +339,37 @@ class TestPolicy:
 
 
 def test_config_validation():
+    store = PagedKVStore(1, 1, 1)
     with pytest.raises(ValueError):
-        EvictionConfig(m_global=0)
+        EvictionPolicy(store, "global", 0)
     with pytest.raises(ValueError):
-        EvictionConfig(m_global=1, horizon=0)
+        EvictionPolicy(store, "global", 1, horizon=0)
     with pytest.raises(ValueError):
-        EvictionConfig(m_global=1, cadence=0)
+        EvictionPolicy(store, "global", 1, cadence=0)
+
+
+@pytest.mark.parametrize("field", ["m_global", "horizon", "cadence"])
+@pytest.mark.parametrize("value", [2.5, np.float64(2.0), "3"], ids=["float", "np_float", "str"])
+def test_fractional_parameters_rejected(field, value):
+    """A budget, horizon or cadence is an integer index: `m_global=2.5` used to
+    construct and then fail mid-decode (or keep 3 entries under `recency`),
+    and `horizon=2.5` scored as 2. Numpy integers pass."""
+    store = PagedKVStore(1, 1, 1)
+    with pytest.raises(TypeError):
+        EvictionPolicy(store, "recency", **{"m_global": 4, field: value})
+    policy = EvictionPolicy(store, "recency", np.int64(4), horizon=np.int32(2),
+                            cadence=np.int64(1))
+    assert (policy.m_global, policy.horizon, policy.cadence) == (4, 2, 1)
+    assert EvictionPolicy(store, "global", 4, horizon=INFINITE).horizon == INFINITE
+
+
+def test_score_entries_takes_an_integer_horizon():
+    """`horizon=2.9` was scored as horizon 2."""
+    for horizon in (2.9, np.float64(2.0)):
+        with pytest.raises(TypeError):
+            score_entries([0], [0.5], 0, horizon)
+    assert score_entries([0], [0.5], 0, np.int64(2)).tolist() == \
+        score_entries([0], [0.5], 0, 2).tolist()
 
 
 # -- property test: the engine against a brute-force oracle ----------------------
@@ -397,6 +418,16 @@ class BruteForcePolicy:
         return evicted
 
 
+class NarrowStore:
+    """A store that shows only `layers`, `heads`, `live_entries`, `retain` and
+    `total_entries`: a policy that reads anything else raises AttributeError."""
+
+    def __init__(self, store):
+        self.layers, self.heads = store.layers, store.heads
+        self.live_entries, self.retain = store.live_entries, store.retain
+        self.total_entries = store.total_entries
+
+
 @st.composite
 def scripts(draw):
     policy = draw(st.sampled_from(POLICIES))
@@ -429,8 +460,8 @@ class TestEngineMatchesBruteForce:
         policy_name, m, horizon, cadence, ops = script
         trace = [] if traced else None
         store = PagedKVStore(2, 3, 1)
-        policy = EvictionPolicy(EvictionConfig(m_global=m, horizon=horizon, cadence=cadence),
-                                store, trace, policy=policy_name)
+        # the policy sees the store only through what a compression needs
+        policy = EvictionPolicy(NarrowStore(store), policy_name, m, horizon, cadence, trace)
         oracle = BruteForcePolicy(policy_name, m, horizon, cadence)
         now = 0
         latest, evicted = {}, set()   # latest: largest birth appended per (layer, head)

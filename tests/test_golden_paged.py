@@ -4,12 +4,12 @@
 2-layer, 2-head `PagedKVStore` at page sizes 1, 3 and 16. A script appends,
 evicts the oldest, the newest or a random set of a head's births (in random
 order), evicts duplicate and missing births, and appends stale births. After
-every op it stores one line: a sha256 of `snapshot()` (each head's length and
-pages held), the op's result as JSON (null, or the name of the exception it
-raised) and `pages_in_use()`. Per script it also stores one sha256 over the
-gathered arrays of the touched head and `total_entries()` after every op. All
-of it must match exactly, and `check_accounting()` (each head's stored births
-strictly increase) must pass after every op.
+every op it stores one line: a sha256 of conftest's `snapshot(store)` (each
+head's length and pages held), the op's result as JSON (null, or the name of
+the exception it raised) and `pages_in_use()`. Per script it also stores one
+sha256 over the gathered arrays of the touched head and `total_entries()`
+after every op. All of it must match exactly, and `check_accounting(store)`
+(each head's stored births strictly increase) must pass after every op.
 
 Golden decode checks page counts only through `peak_pages`; this file pins
 them after every op.
@@ -30,6 +30,8 @@ import numpy as np
 import pytest
 
 from retainkv.paged_cache import PagedKVStore
+
+from conftest import check_accounting, snapshot
 
 GOLDEN = Path(__file__).with_name("data") / "golden_paged.json"
 LAYERS, HEADS, DIM = 2, 2, 3
@@ -90,8 +92,8 @@ def replay(name: str) -> dict:
             result = op()
         except (KeyError, ValueError) as exc:
             result = type(exc).__name__
-        store.check_accounting()
-        ops.append(f"{_sha_json(store.snapshot())} {json.dumps(result)} {store.pages_in_use()}")
+        check_accounting(store)
+        ops.append(f"{_sha_json(snapshot(store))} {json.dumps(result)} {store.pages_in_use()}")
         snap = store.gather(l, h)
         for a in (snap.keys, snap.values, snap.births, snap.betas):
             digest.update(np.ascontiguousarray(a).tobytes())

@@ -6,6 +6,8 @@ import pytest
 from retainkv.attention import HeadCache, attend_full
 from retainkv.paged_cache import PagedKVStore
 
+from conftest import check_accounting, snapshot
+
 
 class ShadowStore:
     """Contiguous reference: per-head python lists, nothing shared with pages."""
@@ -32,10 +34,18 @@ class ShadowStore:
         betas = np.array([r[3] for r in rows])
         return keys, values, births, betas
 
-    def evict_rows(self, layer, head, rows):
-        gone = set(rows)
-        self.rows[(layer, head)] = [r for i, r in enumerate(self.rows[(layer, head)])
-                                    if i not in gone]
+    def retain(self, keep):
+        """Keep the entries `keep` marks True, a mask over every head's rows in
+        (layer, head, birth) order; returns the evicted births per head."""
+        evicted, start = {}, 0
+        for key in sorted(self.rows):
+            rows = self.rows[key]
+            marks = keep[start:start + len(rows)].tolist()
+            start += len(rows)
+            if not all(marks):
+                evicted[key] = [r[0] for r, k in zip(rows, marks) if not k]
+            self.rows[key] = [r for r, k in zip(rows, marks) if k]
+        return evicted
 
     def total(self):
         return sum(len(v) for v in self.rows.values())
@@ -56,7 +66,7 @@ class TestAppend:
         store = PagedKVStore(1, 1, 4, page_size=16)
         for i in range(20):
             store.append(0, 0, rng.normal(size=4), rng.normal(size=4), i, 0.5)
-        assert store.snapshot()["tables"]["0,0"] == {"logical_length": 20, "pages": 2}
+        assert snapshot(store)["tables"]["0,0"] == {"logical_length": 20, "pages": 2}
         assert store.pages_in_use() == 2
         assert len(store.gather(0, 0)) == 20
 
@@ -131,7 +141,7 @@ class TestEvict:
         assert store.pages_in_use() == 3
         store.evict(0, 0, [0, 1, 3, 4, 6, 7])
         assert store.pages_in_use() == 1
-        assert store.snapshot()["tables"]["0,0"]["pages"] == 1
+        assert snapshot(store)["tables"]["0,0"]["pages"] == 1
         assert list(store.gather(0, 0).births) == [2, 5, 8]
 
     def test_unknown_birth_raises(self, rng):
@@ -156,7 +166,7 @@ def assert_pages_follow_rows(store):
     ps = store.page_size
     held = [-(-len(store.gather(l, h)) // ps)
             for l in range(store.layers) for h in range(store.heads)]
-    assert [t["pages"] for t in store.snapshot()["tables"].values()] == held
+    assert [t["pages"] for t in snapshot(store)["tables"].values()] == held
     assert store.pages_in_use() == sum(held)
 
 
@@ -180,9 +190,9 @@ def random_script(store, shadow, rng, ops, layers=2, heads=2, dim=4, check_every
         else:
             assert_pages_follow_rows(store)
         if op_idx % check_every == 0:
-            store.check_accounting()
+            check_accounting(store)
             assert_matches_shadow(store, shadow, l, h)
-    store.check_accounting()
+    check_accounting(store)
     for l in range(layers):
         for h in range(heads):
             assert_matches_shadow(store, shadow, l, h)
@@ -223,7 +233,7 @@ def test_snapshot_is_json_serializable(rng):
     store = PagedKVStore(2, 2, 4, page_size=4)
     for i in range(10):
         store.append(0, 0, rng.normal(size=4), rng.normal(size=4), i, 1.0)
-    blob = json.dumps(store.snapshot())
+    blob = json.dumps(snapshot(store))
     parsed = json.loads(blob)
     assert parsed["tables"]["0,0"]["logical_length"] == 10
 
@@ -236,7 +246,7 @@ class TestCheckAccounting:
         for i in range(6):
             store.append(0, i % 2, rng.normal(size=2), rng.normal(size=2), i, 1.0)
         store.evict(0, 0, [0, 2])     # head 0 keeps one row in one page
-        store.check_accounting()
+        check_accounting(store)
         assert store.pages_in_use() == 3
         return store
 
@@ -246,7 +256,7 @@ class TestCheckAccounting:
         store = self.store(rng)
         store._cols[2][0, 1, row] = birth     # the births array, [layer, head, row]
         with pytest.raises(AssertionError, match=r"stored entries of \(0, 1\) repeat a birth"):
-            store.check_accounting()
+            check_accounting(store)
 
 
 class TestZeroCopySnapshots:
@@ -283,7 +293,7 @@ class TestZeroCopySnapshots:
                 shadow.evict(h, 0, gone)
                 held[h] = []
             else:
-                store.check_accounting()
+                check_accounting(store)
             assert_matches_shadow(store, shadow, h, 0)
             snap = store.gather(h, 0)
             grew += bool(held[h]) and held[h][-1][0].keys.base is not snap.keys.base
@@ -291,23 +301,23 @@ class TestZeroCopySnapshots:
             for s, copies in held[0] + held[1]:
                 for f, want in zip(fields, copies):
                     assert np.array_equal(getattr(s, f), want), f
-        store.check_accounting()
+        check_accounting(store)
         assert grew
 
     def test_bad_evict_leaves_store_unchanged(self, rng):
         store = PagedKVStore(1, 1, 2, page_size=2)
         for i in range(4):
             store.append(0, 0, [i, i], [i, i], i, 1.0)
-        before = store.snapshot()
+        before = snapshot(store)
         # the error names the first birth, in argument order, that is missing
         # or named a second time
         for births, bad in (([1, 7], 7), ([2, 2], 2), ([3, 1, 3, 9], 3), ([9, 2, 2], 9),
                             ([-1], -1), ([4], 4)):
             with pytest.raises(KeyError, match=f"birth {bad} "):
                 store.evict(0, 0, births)
-            assert store.snapshot() == before
+            assert snapshot(store) == before
             assert list(store.gather(0, 0).births) == [0, 1, 2, 3]
-        store.check_accounting()
+        check_accounting(store)
 
 
 class TestAppendLayer:
@@ -328,7 +338,7 @@ class TestAppendLayer:
                 a, b = layer_wise.gather(l, h), head_wise.gather(l, h)
                 for f in ("keys", "values", "births", "betas"):
                     assert getattr(a, f).tobytes() == getattr(b, f).tobytes(), f
-        assert layer_wise.snapshot() == head_wise.snapshot()
+        assert snapshot(layer_wise) == snapshot(head_wise)
 
     @pytest.mark.parametrize("fault", ["nan_key", "inf_value", "beta_above_one",
                                        "negative_beta", "nan_beta", "stale_birth"])
@@ -386,59 +396,139 @@ def head_bytes(store):
 
 
 class TestEvictRows:
-    """`evict_rows` removes rows by position; `evict` is its birth lookup."""
+    """Rows leave a head by birth (`evict`) or by a keep mask over every live
+    entry (`retain`); both end in the same drop."""
 
     def test_matches_evict_by_birth(self, rng):
-        by_row = PagedKVStore(2, 2, 4, page_size=4)
+        by_mask = PagedKVStore(2, 2, 4, page_size=4)
         by_birth = PagedKVStore(2, 2, 4, page_size=4)
         for t in range(60):
             keys, values, betas = rng.normal(size=(2, 4)), rng.normal(size=(2, 4)), rng.random(2)
-            for store in (by_row, by_birth):
+            for store in (by_mask, by_birth):
                 store.append(t % 2, None, keys, values, t, betas)
             if t % 5 == 4:
                 l, h = int(rng.integers(0, 2)), int(rng.integers(0, 2))
-                n = len(by_row.gather(l, h))
+                n = len(by_mask.gather(l, h))
                 rows = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)),
                                          replace=False).tolist())
-                by_birth.evict(l, h, by_row.gather(l, h).births[rows].tolist())
-                by_row.evict_rows(l, h, rows)
-                assert head_bytes(by_row) == head_bytes(by_birth)
-                assert by_row.total_entries() == by_birth.total_entries()
-        by_row.check_accounting()
+                births = by_mask.gather(l, h).births[rows].tolist()
+                # the head's rows start after every earlier head's rows
+                start = sum(len(by_mask.gather(a, b))
+                            for a in range(2) for b in range(2) if (a, b) < (l, h))
+                keep = np.ones(by_mask.total_entries(), dtype=bool)
+                keep[[start + r for r in rows]] = False
+                by_birth.evict(l, h, births)
+                assert by_mask.retain(keep) == {(l, h): births}
+                assert head_bytes(by_mask) == head_bytes(by_birth)
+                assert by_mask.total_entries() == by_birth.total_entries()
+        check_accounting(by_mask)
 
-    @pytest.mark.parametrize("rows", [[1, 1], [0, 2, 2], [2, 1], [3, 0], [-1], [-1, 2],
-                                      [4], [0, 4], [1, 2, 3, 4]],
-                             ids=["repeat", "repeat_last", "backwards", "backwards_ends",
-                                  "negative", "negative_first", "at_n", "past_n",
-                                  "one_past_n"])
-    def test_bad_rows_leave_every_head_unchanged(self, rng, rows):
+    @pytest.mark.parametrize("births", [[1, 1], [0, 2, 2], [-1], [-1, 2], [4], [0, 4],
+                                        [1, 2, 3, 4]],
+                             ids=["repeat", "repeat_last", "negative", "negative_first",
+                                  "at_n", "past_n", "one_past_n"])
+    def test_bad_rows_leave_every_head_unchanged(self, rng, births):
+        """Head (1, 0) holds births 0-3, one per row; a birth named twice or
+        not live raises, and no head changes."""
         store = PagedKVStore(2, 2, 4, page_size=2)
         for t in range(4):
             for l in range(2):
                 store.append(l, None, rng.normal(size=(2, 4)), rng.normal(size=(2, 4)), t,
                              rng.random(2))
         before = head_bytes(store)
-        with pytest.raises(ValueError, match=r"rows of \(1, 0\) must strictly increase"):
-            store.evict_rows(1, 0, rows)
+        with pytest.raises(KeyError, match=r"not present in \(1, 0\)"):
+            store.evict(1, 0, births)
         assert head_bytes(store) == before
         assert store.total_entries() == 16
-        store.check_accounting()
+        check_accounting(store)
 
     def test_no_rows_change_nothing(self, rng):
         store = PagedKVStore(1, 1, 4)
         store.append(0, 0, rng.normal(size=4), rng.normal(size=4), 0, 0.5)
         before = head_bytes(store)
-        store.evict_rows(0, 0, [])
+        store.evict(0, 0, [])
+        assert store.retain(np.ones(1, dtype=bool)) == {}
         assert head_bytes(store) == before and store.total_entries() == 1
 
     def test_non_integer_row_rejected(self, rng):
+        """A birth is an integer index: on births 0-3, [2.7] evicted birth 2
+        and [np.float64(1.2)] birth 1. Now they raise and change nothing;
+        numpy integers pass."""
         store = PagedKVStore(1, 1, 4)
-        for t in range(3):
+        for t in range(4):
             store.append(0, 0, rng.normal(size=4), rng.normal(size=4), t, 0.5)
         before = head_bytes(store)
-        with pytest.raises(TypeError):
-            store.evict_rows(0, 0, [0, 1.5])
-        assert head_bytes(store) == before and store.total_entries() == 3
+        for births in ([2.7], [np.float64(1.2)], [0, 1.5]):
+            with pytest.raises(TypeError):
+                store.evict(0, 0, births)
+            assert head_bytes(store) == before and store.total_entries() == 4
+        store.evict(0, 0, [np.int64(2)])
+        assert store.gather(0, 0).births.tolist() == [0, 1, 3]
+
+
+class TestRetain:
+    """`retain(keep)` evicts the live entries its mask marks False."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_masks_match_shadow(self, seed):
+        """Seeded random, all-True and all-False masks, over heads that may
+        hold no rows, interleaved with appends that grow the arrays; checked
+        after every op against the shadow store."""
+        rng = np.random.default_rng(seed)
+        L, H, D, ps = 2, 3, 4, 3
+        store = PagedKVStore(L, H, D, page_size=ps)
+        shadow = ShadowStore()
+        heads = [(l, h) for l in range(L) for h in range(H)]
+        kinds = {"random": 0, "all": 0, "none": 0, "empty_head": 0}
+        birth = 0
+        for _ in range(400):
+            l, h = int(rng.integers(0, L)), int(rng.integers(0, H))
+            roll = rng.random()
+            if roll < 0.3:
+                keys, values, betas = rng.normal(size=(H, D)), rng.normal(size=(H, D)), rng.random(H)
+                store.append(l, None, keys, values, birth, betas)
+                for j in range(H):
+                    shadow.append(l, j, keys[j], values[j], birth, betas[j])
+                birth += 1
+            elif roll < 0.6:
+                k, v, beta = rng.normal(size=D), rng.normal(size=D), float(rng.random())
+                store.append(l, h, k, v, birth, beta)
+                shadow.append(l, h, k, v, birth, beta)
+                birth += 1
+            else:
+                n = store.total_entries()
+                kind = ("all" if roll < 0.65 else "none" if roll < 0.68 else "random")
+                keep = (np.ones(n, dtype=bool) if kind == "all" else
+                        np.zeros(n, dtype=bool) if kind == "none" else
+                        rng.random(n) < rng.random())
+                kinds[kind] += 1
+                kinds["empty_head"] += any(not shadow.rows.get(g) for g in heads)
+                got = store.retain(keep)
+                assert list(got.items()) == list(shadow.retain(keep).items())
+                assert all(type(b) is int for births in got.values() for b in births)
+            for a, b in heads:
+                assert_matches_shadow(store, shadow, a, b)
+            assert store.total_entries() == shadow.total()
+            assert store.pages_in_use() == sum(-(-len(shadow.rows.get(g, [])) // ps)
+                                               for g in heads)
+        assert min(kinds.values()) > 0
+        assert store.gather_layer(0)[1].shape[1] > ps     # the arrays grew
+
+    @pytest.mark.parametrize("keep", [
+        np.zeros(7, dtype=bool), np.zeros(9, dtype=bool), np.zeros(0, dtype=bool),
+        np.zeros((2, 4), dtype=bool), np.zeros(8, dtype=np.int64), np.zeros(8),
+        [0, 3], [False] * 7 + [0]],
+        ids=["short", "long", "empty", "2d", "int", "float", "row_positions", "mixed_list"])
+    def test_bad_mask_changes_nothing(self, rng, keep):
+        store = PagedKVStore(2, 2, 4, page_size=2)
+        for t in range(2):
+            for l in range(2):
+                store.append(l, None, rng.normal(size=(2, 4)), rng.normal(size=(2, 4)), t,
+                             rng.random(2))
+        before = head_bytes(store)
+        with pytest.raises(ValueError, match="boolean mask of the 8 live entries"):
+            store.retain(keep)
+        assert head_bytes(store) == before and store.total_entries() == 8
 
 
 def test_total_entries_is_a_running_count(rng):
@@ -464,16 +554,16 @@ def test_total_entries_is_a_running_count(rng):
         elif roll < 0.75:
             store.evict(l, h, store.gather(l, h).births[:int(rng.integers(1, n + 1))])
         else:
-            store.evict_rows(l, h, list(range(0, n, 2)))
+            store.retain(rng.random(store.total_entries()) < 0.5)
         assert store.total_entries() == sum(
             len(store.gather(a, b)) for a in range(2) for b in range(3))
-        store.check_accounting()
+        check_accounting(store)
 
 
 class TestLayerMajorAgainstShadow:
     """Random interleavings of one-head appends, layer appends over heads of
     equal and of unequal length, growth past the capacity, `evict` and
-    `evict_rows`, checked after every op against the shadow store."""
+    `retain`, checked after every op against the shadow store."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_interleavings(self, seed):
@@ -509,16 +599,17 @@ class TestLayerMajorAgainstShadow:
                 shadow.evict(l, h, gone)
                 held[(l, h)] = []
             else:
-                rows = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
-                store.evict_rows(l, h, rows)
-                shadow.evict_rows(l, h, rows)
-                held[(l, h)] = []
+                keep = rng.random(shadow.total()) < 0.7
+                evicted = store.retain(keep)
+                assert list(evicted.items()) == list(shadow.retain(keep).items())
+                for g in evicted:       # a drop moves only its own head's rows
+                    held[g] = []
             lengths = {(a, b): len(shadow.rows.get((a, b), [])) for a in range(L) for b in range(H)}
             for a, b in lengths:
                 assert_matches_shadow(store, shadow, a, b)
             assert store.total_entries() == shadow.total()
             assert store.pages_in_use() == sum(-(-m // ps) for m in lengths.values())
-            assert store.snapshot() == {"page_size": ps, "tables": {
+            assert snapshot(store) == {"page_size": ps, "tables": {
                 f"{a},{b}": {"logical_length": m, "pages": -(-m // ps)}
                 for (a, b), m in lengths.items()}}
             # the layer's stacked views show the same rows as each head's gather
@@ -535,7 +626,7 @@ class TestLayerMajorAgainstShadow:
             for views in held.values():
                 for old, want in views:
                     assert [getattr(old, f).tobytes() for f in fields] == want
-        store.check_accounting()
+        check_accounting(store)
         assert grew and min(layer_appends.values()) > 0
 
     def test_layer_views_are_read_only(self, rng):
