@@ -1,6 +1,6 @@
 """Retention-gated attention with a single global KV budget over a paged cache."""
 
-from .backbone import Backbone, random_backbone, student_backward, student_forward, teacher_forward
+from .backbone import Backbone, student_backward, student_forward, teacher_forward
 from .eviction import (
     EvictionPolicy,
     score_entries,
@@ -15,7 +15,7 @@ from .gates import (
     quality_loss,
     save_gates,
 )
-from .numerics import EmptySupportError, finite_diff_grad, sigmoid, softmax, softmax_log_space
+from .numerics import EmptySupportError, sigmoid, softmax, softmax_log_space
 from .paged_cache import PagedKVStore
 from .tasks import TaskSpec, build_task_model, default_shape, generate_dataset, generate_sample
 from .theory import (
@@ -27,7 +27,6 @@ from .theory import (
     dilution,
     dilution_lower_bound,
     fit_var1,
-    retention_dilution,
     simulate_persistence,
     survival_curve,
 )

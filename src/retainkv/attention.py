@@ -14,13 +14,28 @@ from typing import Iterable
 
 import numpy as np
 
-from .numerics import (
-    Array,
-    as_matrix,
-    as_vector,
-    geometric_log_weights,
-    softmax_log_space,
-)
+from .numerics import Array, as_matrix, as_vector, softmax_log_space
+
+
+def geometric_log_weights(betas: Array, ages: Array) -> Array:
+    """Log of beta**age under the convention 0**0 == 1.
+
+    A token at age zero participates at full weight even when its retention
+    score is exactly zero, so the age-0 log weight is 0 regardless of beta.
+    """
+    b = np.ascontiguousarray(betas, dtype=np.float64)
+    a = np.ascontiguousarray(ages, dtype=np.float64)
+    if b.shape != a.shape:
+        raise ValueError(f"shape mismatch: betas {b.shape} vs ages {a.shape}")
+    if np.any(b < 0.0) or np.any(b > 1.0):
+        raise ValueError("betas must lie in [0, 1]")
+    if np.any(a < 0.0):
+        raise ValueError("ages must be nonnegative")
+    out = np.zeros_like(b)
+    old = a > 0
+    with np.errstate(divide="ignore"):
+        out[old] = a[old] * np.log(b[old])
+    return out
 
 
 @dataclass(frozen=True)

@@ -34,32 +34,6 @@ class Backbone:
     unembed: Array  # [d_model, vocab]
 
 
-def random_backbone(shape: ModelShape, rng: np.random.Generator,
-                    d_ff: int | None = None, scale: float = 0.5) -> Backbone:
-    """Seeded random frozen backbone, used by gradient checks and smoke tests."""
-    d = shape.d_model
-    d_ff = d_ff or 2 * d
-    L, H, dh = shape.layers, shape.heads, shape.head_dim
-
-    def w(*s, fan):
-        return rng.normal(0.0, scale / np.sqrt(fan), size=s)
-
-    return Backbone(
-        shape=shape,
-        embed=w(shape.vocab, d, fan=1),
-        pos=w(shape.seq_len, d, fan=1) * 0.1,
-        wq=w(L, H, d, dh, fan=d),
-        wk=w(L, H, d, dh, fan=d),
-        wv=w(L, H, d, dh, fan=d),
-        wo=w(L, H, dh, d, fan=dh),
-        mlp_w1=w(L, d, d_ff, fan=d),
-        mlp_b1=np.zeros((L, d_ff)),
-        mlp_w2=w(L, d_ff, d, fan=d_ff),
-        mlp_b2=np.zeros((L, d)),
-        unembed=w(d, shape.vocab, fan=d),
-    )
-
-
 def _gate_input(x: Array, k: Array, v: Array, mode: str) -> Array:
     if mode == "embedding":
         return x

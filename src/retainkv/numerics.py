@@ -1,4 +1,4 @@
-"""Shared dense numerics: stable softmax in log space, sigmoid, gradient oracle.
+"""Shared dense numerics: stable softmax in log space, sigmoid, input checks.
 
 All attention weighting in this package runs in the log domain: a multiplicative
 retention weight r is folded into the logits as ``z + log r`` before the usual
@@ -7,8 +7,6 @@ linear space for old tokens, while their logs stay exactly representable.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -98,44 +96,3 @@ def softmax_log_space(logits: Array, log_weights: Array) -> Array:
     if not np.isfinite(combined).any():
         raise EmptySupportError("all entries have zero weight")
     return softmax_kernel(combined)
-
-
-def geometric_log_weights(betas: Array, ages: Array) -> Array:
-    """Log of beta**age under the convention 0**0 == 1.
-
-    A token at age zero participates at full weight even when its retention
-    score is exactly zero, so the age-0 log weight is 0 regardless of beta.
-    """
-    b = np.ascontiguousarray(betas, dtype=np.float64)
-    a = np.ascontiguousarray(ages, dtype=np.float64)
-    if b.shape != a.shape:
-        raise ValueError(f"shape mismatch: betas {b.shape} vs ages {a.shape}")
-    if np.any(b < 0.0) or np.any(b > 1.0):
-        raise ValueError("betas must lie in [0, 1]")
-    if np.any(a < 0.0):
-        raise ValueError("ages must be nonnegative")
-    out = np.zeros_like(b)
-    old = a > 0
-    with np.errstate(divide="ignore"):
-        out[old] = a[old] * np.log(b[old])
-    return out
-
-
-def finite_diff_grad(f: Callable[[Array], float], x: Array, h: float = 1e-5) -> Array:
-    """Central-difference gradient of a scalar function. Test oracle only.
-
-    h = 1e-5 balances truncation against rounding at 64-bit precision.
-    """
-    x = as_vector(x, "x")
-    g = np.empty_like(x)
-    for i in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        fp = float(f(xp))
-        fm = float(f(xm))
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise ValueError(f"non-finite function value near coordinate {i}")
-        g[i] = (fp - fm) / (2.0 * h)
-    return g

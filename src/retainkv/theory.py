@@ -11,6 +11,9 @@ Three independent pillars:
   whose qualitative shape (sharp drop under fixed top-K, slower under mass
   criteria) the harness checks directly.
 
+`run_theory_suite` runs the dilution, reweighting and persistence checks and
+the VAR(1) diagnostics on seeded instances; `retainkv theory` writes its report.
+
 Everything here is randomized-but-seeded; Monte Carlo trial streams derive
 from one master seed so results do not depend on scheduling.
 """
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import Array, as_matrix, as_vector, softmax, softmax_log_space
+from .tasks import TaskSpec, build_task_model, generate_dataset
 
 
 class StabilityError(ValueError):
@@ -125,22 +129,6 @@ def random_near_tie_instance(rng: np.random.Generator, max_tokens: int = 64) -> 
     masks[0, :n_useful] = True
     masks[1, n_useful:n_useful + n_tie] = True
     return DilutionInstance(logits, masks[0], margin, masks[1])
-
-
-def retention_dilution(delta: float, rho_useful: float, rho_distractor: float) -> float:
-    """Dilution after reweighting, from the retention rates of each side.
-
-    (r * delta) / ((1 - delta) + r * delta) with r = rho_distractor / rho_useful.
-    Equals delta when the rates match and tends to 0 as the ratio does.
-    """
-    if rho_useful <= 0.0:
-        raise ValueError("useful retention rate must be positive")
-    if not (0.0 <= delta < 1.0):
-        raise ValueError("delta must lie in [0, 1)")
-    if rho_distractor < 0.0:
-        raise ValueError("distractor retention rate must be >= 0")
-    a = (rho_distractor / rho_useful) * delta
-    return a / ((1.0 - delta) + a)
 
 
 @dataclass(frozen=True)
@@ -470,3 +458,145 @@ def survival_curve(reach, horizons) -> Array:
     if reach.size == 0:
         raise ValueError("no tokens to follow")
     return np.array([(reach >= h).mean() for h in horizons])
+
+
+# -- the theory suite ----------------------------------------------------------
+
+
+def random_persistence_config(rng: np.random.Generator) -> PersistenceConfig:
+    """Stable dynamics with a reachable, frequently-exited survival region."""
+    m = int(rng.integers(2, 4))
+    a = rng.normal(size=(m, m))
+    a *= rng.uniform(0.3, 0.85) / spectral_radius(a)
+    n_tokens = int(rng.integers(6, 14))
+    compat = rng.normal(size=(n_tokens, m))
+    compat /= np.linalg.norm(compat, axis=1, keepdims=True)
+    return PersistenceConfig(
+        transition=a,
+        offset=0.2 * rng.normal(size=m),
+        noise_scale=float(rng.uniform(0.6, 1.2)),
+        compat=compat,
+        token=int(rng.integers(0, n_tokens)),
+        top_k=int(rng.integers(1, min(4, n_tokens))),
+        slack=float(rng.uniform(0.0, 0.4)),
+        block=int(rng.integers(1, 3)),
+    )
+
+
+def _backbone_query_var(cfg: dict, rng: np.random.Generator) -> dict:
+    """Fit query-state dynamics of the toy model: PCA projection, then VAR(1)."""
+    spec = TaskSpec(**cfg["task"])
+    bb = build_task_model(spec, rng)
+    # layer 0, head 0's queries: the same expression as in the forward pass
+    trajs = [(bb.embed[s.tokens] + bb.pos[:len(s.tokens)]) @ bb.wq[0, 0]
+             for s in generate_dataset(spec, 8, rng)]
+    states = np.concatenate(trajs)
+    _, comps, spectrum = pca_project(states, states.shape[1])
+    effective_rank = int(np.sum(spectrum > 1e-10 * spectrum.sum()))
+    k = max(1, min(8, effective_rank))
+    fit = fit_var1([(t - states.mean(axis=0)) @ comps[:k].T for t in trajs])
+    return {"pca_dims": k, "spectral_radius": fit.spectral_radius,
+            "stable": fit.stable, "residual_rms": fit.residual_rms}
+
+
+def _var1_paths(rng: np.random.Generator, fits: int, radius: float) -> np.ndarray:
+    """`fits` VAR(1) paths of 1500 steps in 4 dimensions from the zero state,
+    as [fits, 1501, 4].
+
+    Each fit draws a transition scaled to spectral radius `radius`, an
+    offset and its noise, in that order. The paths then run in lockstep as
+    stacked rows, which gives each fit the bits of its own `a @ x + b + e`.
+    """
+    m, steps = 4, 1500
+    a = np.empty((fits, m, m))
+    b = np.empty((fits, m))
+    noise = np.empty((fits, steps, m))
+    for f in range(fits):
+        a[f] = rng.normal(size=(m, m))
+        a[f] *= radius / spectral_radius(a[f])
+        b[f] = 0.1 * rng.normal(size=m)
+        # one draw gives the same stream as `steps` draws of size m
+        noise[f] = 0.1 * rng.normal(size=(steps, m))
+    states = np.zeros((fits, steps + 1, m))
+    for t in range(steps):
+        states[:, t + 1] = (a @ states[:, t, :, None])[..., 0] + b + noise[:, t]
+    return states
+
+
+def run_theory_suite(cfg: dict, seed: int) -> tuple[dict, list[dict]]:
+    """The theory report and the rows of `persistence.csv`."""
+    tcfg = cfg["theory"]
+    master = np.random.SeedSequence(seed)
+    rng_bound, rng_ident, rng_pers, rng_var, rng_bb = \
+        [np.random.default_rng(s) for s in master.spawn(5)]
+
+    bound_viol = 0
+    bound_margin = np.inf
+    for _ in range(tcfg["bound_instances"]):
+        res = check_dilution_bound(random_near_tie_instance(rng_bound))
+        bound_margin = min(bound_margin, res.delta - res.bound)
+        if not res.holds:
+            bound_viol += 1
+
+    ident_viol = 0
+    ident_err = 0.0
+    for _ in range(tcfg["identity_instances"]):
+        n = int(rng_ident.integers(2, 65))
+        z = rng_ident.normal(0.0, 2.0, size=n)
+        n_useful = int(rng_ident.integers(1, n))
+        useful = np.zeros(n, dtype=bool)
+        useful[rng_ident.choice(n, size=n_useful, replace=False)] = True
+        r = rng_ident.random(n)
+        res = check_reweighting_identity(z, useful, r)
+        err = abs(res.direct - res.formula)
+        ident_err = max(ident_err, err)
+        if err >= 1e-12:
+            ident_viol += 1
+
+    pers_viol = 0
+    pers_vacuous = 0
+    pers_details = []
+    pers_rows = []
+    for i in range(tcfg["persistence_configs"]):
+        pcfg = random_persistence_config(rng_pers)
+        res = simulate_persistence(pcfg, n_max=tcfg["n_max"],
+                                   trials=tcfg["persistence_trials"],
+                                   seed=int(rng_pers.integers(2 ** 31)))
+        detail = {"config": i, "epsilon_hat": res.epsilon_hat, "beta": res.beta,
+                  "vacuous": res.vacuous, "holds": res.holds}
+        if res.vacuous:
+            pers_vacuous += 1
+        elif not res.holds:
+            pers_viol += 1
+        else:
+            detail["margin"] = res.margin()
+        pers_details.append(detail)
+        for n in range(res.survival.shape[0]):
+            pers_rows.append({"config": i, "horizon": n + 1, "criterion": "survival",
+                              "fraction": float(res.survival[n])})
+            pers_rows.append({"config": i, "horizon": n + 1, "criterion": "bound",
+                              "fraction": float(min(1.0, res.bound[n]))})
+
+    target = tcfg["var_radius"]
+    radii = [fit_var1([states]).spectral_radius
+             for states in _var1_paths(rng_var, tcfg["var_fits"], target)]
+    walk = np.cumsum(rng_var.normal(size=(1000, 3)), axis=0)
+    walk_fit = fit_var1([walk])
+
+    report = {
+        "seed": seed,
+        "dilution_bound": {"instances": tcfg["bound_instances"], "violations": bound_viol,
+                  "min_margin": bound_margin},
+        "reweighting": {"instances": tcfg["identity_instances"], "violations": ident_viol,
+                 "max_abs_error": ident_err},
+        "persistence": {"configs": tcfg["persistence_configs"],
+                        "violations": pers_viol, "vacuous": pers_vacuous,
+                        "details": pers_details},
+        "var1": {"fits": tcfg["var_fits"], "target_radius": target,
+                 "median_fitted_radius": float(np.median(radii)),
+                 "random_walk_radius": walk_fit.spectral_radius,
+                 "random_walk_flagged_unstable": not walk_fit.stable},
+        "backbone_query_var": _backbone_query_var(cfg, rng_bb),
+        "violations_total": bound_viol + ident_viol + pers_viol,
+    }
+    return report, pers_rows

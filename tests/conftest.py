@@ -1,10 +1,62 @@
+from typing import Callable
+
 import numpy as np
 import pytest
+
+from retainkv.backbone import Backbone
+from retainkv.gates import ModelShape
+from retainkv.numerics import Array, as_vector
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+def random_backbone(shape: ModelShape, rng: np.random.Generator,
+                    d_ff: int | None = None, scale: float = 0.5) -> Backbone:
+    """Seeded random frozen backbone, for gradient checks and smoke tests."""
+    d = shape.d_model
+    d_ff = d_ff or 2 * d
+    L, H, dh = shape.layers, shape.heads, shape.head_dim
+
+    def w(*s, fan):
+        return rng.normal(0.0, scale / np.sqrt(fan), size=s)
+
+    return Backbone(
+        shape=shape,
+        embed=w(shape.vocab, d, fan=1),
+        pos=w(shape.seq_len, d, fan=1) * 0.1,
+        wq=w(L, H, d, dh, fan=d),
+        wk=w(L, H, d, dh, fan=d),
+        wv=w(L, H, d, dh, fan=d),
+        wo=w(L, H, dh, d, fan=dh),
+        mlp_w1=w(L, d, d_ff, fan=d),
+        mlp_b1=np.zeros((L, d_ff)),
+        mlp_w2=w(L, d_ff, d, fan=d_ff),
+        mlp_b2=np.zeros((L, d)),
+        unembed=w(d, shape.vocab, fan=d),
+    )
+
+
+def finite_diff_grad(f: Callable[[Array], float], x: Array, h: float = 1e-5) -> Array:
+    """Central-difference gradient of a scalar function.
+
+    h = 1e-5 balances truncation against rounding at 64-bit precision.
+    """
+    x = as_vector(x, "x")
+    g = np.empty_like(x)
+    for i in range(x.size):
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += h
+        xm[i] -= h
+        fp = float(f(xp))
+        fm = float(f(xm))
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            raise ValueError(f"non-finite function value near coordinate {i}")
+        g[i] = (fp - fm) / (2.0 * h)
+    return g
 
 
 def admit(store, layer: int, head: int, birth: int, beta: float) -> None:

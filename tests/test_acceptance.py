@@ -10,11 +10,10 @@ import numpy as np
 import pytest
 
 from retainkv.attention import HeadCache, attend_full
-from retainkv.backbone import random_backbone, student_forward
+from retainkv.backbone import student_forward
 from retainkv.eviction import EvictionPolicy, score_entries, select_retained
 from retainkv.evaluate import SelectionRecorder, decode_sequence, evaluate_policies
 from retainkv.gates import ModelShape, init_gate_params
-from retainkv.numerics import finite_diff_grad
 from retainkv.paged_cache import PagedKVStore
 from retainkv.tasks import TaskSpec, build_task_model, default_shape, generate_dataset
 from retainkv.theory import (
@@ -22,13 +21,20 @@ from retainkv.theory import (
     check_reweighting_identity,
     check_dilution_bound,
     random_near_tie_instance,
+    random_persistence_config,
     simulate_persistence,
     survival_curve,
 )
-from retainkv.cli import random_persistence_config
 from retainkv.training import loss_and_grads, train_gates
 
-from conftest import admit, check_accounting, mask_of, snapshot
+from conftest import (
+    admit,
+    check_accounting,
+    finite_diff_grad,
+    mask_of,
+    random_backbone,
+    snapshot,
+)
 
 
 def report(num, ok, detail=""):

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from retainkv.backbone import random_backbone, student_forward, teacher_forward
+from retainkv.backbone import student_forward, teacher_forward
 from retainkv.gates import ModelShape, init_gate_params
-from retainkv.numerics import finite_diff_grad
 from retainkv.training import loss_and_grads
+
+from conftest import finite_diff_grad, random_backbone
 
 SHAPE = ModelShape(layers=2, heads=2, head_dim=4, gate_hidden=4, seq_len=8, vocab=10)
 

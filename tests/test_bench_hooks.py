@@ -36,6 +36,13 @@ def test_function_targets_resolve(tracing):
             f"{mod_name}.{attr}"
 
 
+def test_theory_suite_keeps_its_cli_name():
+    """The bench calls and traces the suite as `cli.run_theory_suite`."""
+    from retainkv import cli, theory
+
+    assert cli.run_theory_suite is theory.run_theory_suite
+
+
 def test_method_targets_resolve(tracing):
     for mod_name, cls_name, attr, _ in tracing.METHODS:
         cls = getattr(importlib.import_module(mod_name), cls_name, None)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from retainkv import cli
+from retainkv import cli, theory
 from retainkv.cli import ConfigError, load_config, main
 from retainkv.evaluate import SelectionRecorder, decode_sequence
 from retainkv.gates import ModelShape, init_gate_params, save_gates
@@ -214,7 +214,7 @@ class TestAtomicWrite:
 
 
 def var1_paths_per_fit(rng, fits, radius):
-    """`cli._var1_paths` one fit and one step at a time."""
+    """`theory._var1_paths` one fit and one step at a time."""
     paths = []
     for _ in range(fits):
         m, steps = 4, 1500
@@ -232,7 +232,7 @@ def var1_paths_per_fit(rng, fits, radius):
 @pytest.mark.parametrize("fits", (1, 10))
 def test_lockstep_var1_paths_match_per_fit_loop(fits):
     rng_lockstep, rng_loop = np.random.default_rng(fits), np.random.default_rng(fits)
-    got = cli._var1_paths(rng_lockstep, fits, 0.76)
+    got = theory._var1_paths(rng_lockstep, fits, 0.76)
     assert np.array_equal(got, var1_paths_per_fit(rng_loop, fits, 0.76))
     assert rng_lockstep.bit_generator.state == rng_loop.bit_generator.state
 

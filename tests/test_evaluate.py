@@ -12,13 +12,12 @@ from retainkv.evaluate import (
     evaluate_policies,
     make_policy,
 )
-from retainkv.backbone import random_backbone
 from retainkv.gates import ModelShape, gate_forward_batch, init_gate_params
 from retainkv.numerics import softmax_kernel
 from retainkv.paged_cache import PagedKVStore
 from retainkv.tasks import Sample, TaskSpec, build_task_model, default_shape, generate_dataset
 
-from conftest import admit
+from conftest import admit, random_backbone
 
 SPEC = TaskSpec(context_len=40, n_keys=4, n_values=3, n_queries=2,
                 n_distractor_vocab=8, vocab=40)

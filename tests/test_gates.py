@@ -15,6 +15,8 @@ from retainkv.gates import (
     save_gates,
 )
 
+from conftest import finite_diff_grad
+
 SHAPE = ModelShape(layers=2, heads=2, head_dim=4, gate_hidden=6, seq_len=16, vocab=12)
 
 
@@ -132,8 +134,6 @@ class TestQualityLoss:
             quality_loss(logits, logits, [0, 1])
 
     def test_grad_matches_finite_differences(self, rng):
-        from retainkv.numerics import finite_diff_grad
-
         p_logits = rng.normal(size=(3, 5))
         q_logits = rng.normal(size=(3, 5))
         targets = rng.integers(0, 5, size=3)
@@ -167,8 +167,6 @@ class TestCapLoss:
         assert cap(betas, 12.0) == 0.0
 
     def test_grad_matches_finite_differences(self, rng):
-        from retainkv.numerics import finite_diff_grad
-
         betas = rng.uniform(0.2, 0.95, size=(2, 5))
         m = 3.0
         _, grad = cap_loss_global_grad(betas, m)

@@ -41,7 +41,7 @@ def _config() -> dict:
 
 
 def digest(seed: int) -> dict:
-    report, rows = cli.run_theory_suite(_config(), seed)
+    report, rows = theory.run_theory_suite(_config(), seed)
     return {"report": hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest(),
             "rows": hashlib.sha256(repr(rows).encode()).hexdigest()}
 
@@ -51,7 +51,7 @@ def _persistence_configs(seed: int) -> list:
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(5)[2])
     out = []
     for _ in range(SMALL_THEORY["theory"]["persistence_configs"]):
-        out.append(cli.random_persistence_config(rng))
+        out.append(theory.random_persistence_config(rng))
         rng.integers(2 ** 31)
     return out
 

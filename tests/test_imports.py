@@ -1,16 +1,22 @@
-"""The package's modules never import the attention oracles.
+"""The package's import boundary and its surface.
 
 `retainkv.attention` holds the reference attention functions that tests check
 decode and the paged store against. A production module that imported it
 would put a second attention kernel back on a production path.
+
+Every other module-level function and class of the package has a caller in
+the package, or is the console-script entry point. Code that only tests call
+lives in `tests/`.
 """
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "retainkv"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "retainkv"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "attention.py")
 
 
@@ -59,3 +65,78 @@ def test_package_modules_found():
 def test_no_production_module_imports_attention(path):
     assert not imports_attention(ast.parse(path.read_text(), filename=str(path))), \
         f"{path.name} imports retainkv.attention"
+
+
+# -- surface guard -------------------------------------------------------------
+
+
+def referenced(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Every name `tree` loads, reads as an attribute or imports by name,
+    outside the subtree `skip`."""
+    names = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def uncalled(trees: dict[str, ast.AST], entry_points=frozenset()) -> list[str]:
+    """Each module-level def or class, as "module.name", that no other module
+    (re-exports in `__init__` aside) and no other code of its own module
+    refers to, and that is not an entry point or in `attention`."""
+    others = {mod: set().union(*(referenced(t) for m, t in trees.items()
+                                 if m not in (mod, "__init__")))
+              for mod in trees}
+    out = []
+    for mod, tree in trees.items():
+        if mod == "attention":
+            continue
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if (mod, node.name) in entry_points or node.name in others[mod]:
+                continue
+            if node.name not in referenced(tree, skip=node):
+                out.append(f"{mod}.{node.name}")
+    return out
+
+
+def entry_points() -> set[tuple[str, str]]:
+    """(module, function) of each `[project.scripts]` entry into the package."""
+    text = (ROOT / "pyproject.toml").read_text()
+    section = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    return {tuple(target.split(":"))
+            for target in re.findall(r'=\s*"retainkv\.(\w+:\w+)"', section)}
+
+
+def test_surface_guard_sees_uncalled_names():
+    trees = {
+        "__init__": ast.parse("from .a import helper, used, Kept\n"),
+        "a": ast.parse("def helper():\n    return helper()\n\n"
+                       "def used():\n    pass\n\n"
+                       "class Kept:\n    pass\n\n"
+                       "def main():\n    return Kept()\n"),
+        "b": ast.parse("from . import a\nx = a.used\n"),
+        "attention": ast.parse("def oracle():\n    pass\n"),
+    }
+    assert uncalled(trees) == ["a.helper", "a.main"]
+    assert uncalled(trees, {("a", "main")}) == ["a.helper"]
+
+
+def test_entry_point_found():
+    assert entry_points() == {("cli", "main")}
+
+
+def test_every_package_name_has_a_caller():
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert uncalled(trees, entry_points()) == []

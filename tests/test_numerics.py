@@ -4,15 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from retainkv.attention import geometric_log_weights
 from retainkv.numerics import (
     EmptySupportError,
-    finite_diff_grad,
-    geometric_log_weights,
     sigmoid,
     softmax,
     softmax_kernel,
     softmax_log_space,
 )
+
+from conftest import finite_diff_grad
 
 NEG_INF = -np.inf
 

@@ -5,10 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from retainkv.backbone import random_backbone, student_forward, teacher_forward
+from retainkv.backbone import student_forward, teacher_forward
 from retainkv.cli import DEFAULT_CONFIG
 from retainkv.gates import ModelShape
 from retainkv.tasks import TaskSpec, build_task_model, generate_dataset
+
+from conftest import random_backbone
 
 
 def task_model(context_len):

@@ -18,7 +18,6 @@ from retainkv.theory import (
     fit_var1,
     pca_project,
     random_near_tie_instance,
-    retention_dilution,
     simulate_persistence,
     spectral_radius,
     survival_curve,
@@ -98,28 +97,58 @@ class TestDilutionBoundCheck:
         assert deltas[-1] > 0.99
 
 
-class TestRetentionDilution:
-    def test_equal_rates_fixed_point(self):
-        for d in (0.0, 0.3, 0.8):
-            assert retention_dilution(d, 0.7, 0.7) == pytest.approx(d, abs=1e-15)
+def reweighted_formula(logits, useful, retention) -> float:
+    """The reweighting formula `check_reweighting_identity` reports."""
+    return check_reweighting_identity(logits, useful, retention).formula
 
-    def test_vanishing_ratio_kills_dilution(self):
-        assert retention_dilution(0.9, 1.0, 0.0) == 0.0
-        assert retention_dilution(0.9, 1.0, 1e-9) < 1e-7
+
+class TestRetentionDilution:
+    """The formula side of the reweighting identity, on constructed inputs."""
+
+    def test_equal_rates_fixed_point(self, rng):
+        # one useful logit at 0 and one distractor at log(d / (1 - d)): dilution d
+        for d in (0.3, 0.8):
+            z = [0.0, np.log(d / (1.0 - d))]
+            assert reweighted_formula(z, mask_of(2, [0]), [0.7, 0.7]) == \
+                pytest.approx(d, abs=1e-15)
+        # no distractor: dilution 0
+        assert reweighted_formula([0.5, -1.0], mask_of(2, [0, 1]), [0.7, 0.7]) == 0.0
+        for _ in range(20):
+            z = rng.normal(0.0, 2.0, size=9)
+            useful = mask_of(9, [0, 4])
+            res = check_reweighting_identity(z, useful, np.full(9, 0.7))
+            assert res.formula == pytest.approx(res.delta, abs=1e-15)
+
+    def test_vanishing_ratio_kills_dilution(self, rng):
+        z = rng.normal(size=10)
+        useful = mask_of(10, [0])
+        r = np.zeros(10)
+        r[0] = 1.0
+        assert reweighted_formula(z, useful, r) == 0.0
+        r[1:] = 1e-9
+        assert reweighted_formula(z, useful, r) < 1e-7
 
     def test_worked_example(self):
-        assert retention_dilution(0.9, 1.0, 0.1) == pytest.approx(0.473684210526316, abs=1e-14)
+        # 10 equal logits, 1 useful: dilution 0.9, retention 1 on it, 0.1 elsewhere
+        r = np.full(10, 0.1)
+        r[0] = 1.0
+        assert reweighted_formula(np.zeros(10), mask_of(10, [0]), r) == \
+            pytest.approx(0.473684210526316, abs=1e-14)
 
     def test_monotone_in_ratio(self, rng):
         for _ in range(50):
-            d = float(rng.uniform(0.01, 0.99))
-            ratios = np.sort(rng.uniform(0, 3, size=8))
-            vals = [retention_dilution(d, 1.0, r) for r in ratios]
+            n = int(rng.integers(2, 20))
+            z = rng.normal(0.0, 2.0, size=n)
+            useful = mask_of(n, rng.choice(n, size=int(rng.integers(1, n)), replace=False))
+            vals = []
+            for rate in np.sort(rng.uniform(0, 1, size=8)):
+                r = np.where(useful, 1.0, rate)
+                vals.append(reweighted_formula(z, useful, r))
             assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_zero_useful_rate_rejected(self):
-        with pytest.raises(ValueError):
-            retention_dilution(0.5, 0.0, 0.5)
+        with pytest.raises(ValueError, match="no useful token is retained"):
+            reweighted_formula([0.0, 1.0, 2.0], mask_of(3, [0]), [0.0, 0.5, 0.5])
 
 
 class TestReweightingIdentity:
@@ -165,8 +194,9 @@ class TestReweightingIdentity:
         useful = mask_of(12, [0, 1, 2])
         r = rng.random(12)
         res = check_reweighting_identity(z, useful, r)
-        assert res.formula == pytest.approx(
-            retention_dilution(res.delta, res.rho_useful, res.rho_distractor), abs=1e-12)
+        # the closed form in the dilution alone: (r d) / ((1 - d) + r d), r = rho_d / rho_u
+        a = res.rho_distractor / res.rho_useful * res.delta
+        assert res.formula == pytest.approx(a / ((1.0 - res.delta) + a), abs=1e-12)
 
 
 class TestPersistence:

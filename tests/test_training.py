@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from retainkv.backbone import random_backbone, student_forward, teacher_forward
+from retainkv.backbone import student_forward, teacher_forward
 from retainkv.gates import ModelShape, cap_loss_global_grad, init_gate_params
 from retainkv.training import DivergenceError, loss_and_grads, train_gates
+
+from conftest import random_backbone
 
 SHAPE = ModelShape(layers=2, heads=2, head_dim=4, gate_hidden=4, seq_len=12, vocab=12)
 
