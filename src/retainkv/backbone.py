@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import GateParams, ModelShape, _gate_mlp
+from .gates import GateParams, ModelShape, gate_features, gate_layer
 from .numerics import Array, softmax_kernel
 
 
@@ -34,12 +34,16 @@ class Backbone:
     unembed: Array  # [d_model, vocab]
 
 
-def _gate_input(x: Array, k: Array, v: Array, mode: str) -> Array:
-    if mode == "embedding":
-        return x
-    if mode == "kv":
-        return np.concatenate([k, v], axis=-1)
-    raise ValueError(f"unknown gate input mode {mode!r}")
+@dataclass
+class LayerTrace:
+    x: Array             # [T, d_model] layer input
+    k: Array             # [H, T, d_head]
+    v: Array
+    q: list              # per head [T, d_head]
+    w: list              # per head [T, T] attention weights
+    h1: Array | None     # [H, T, d_gate] gate hidden layer and projection, as
+    p: Array | None      # `gate_layer` returns them; None without gates
+    mlp_act: Array       # [T, d_ff] tanh activations
 
 
 @dataclass
@@ -48,8 +52,7 @@ class ForwardTrace:
 
     tokens: np.ndarray
     betas: Array                 # [L, H, T]
-    per_head: list               # [L][H] dict of q, k, v, w, gate intermediates
-    mlp_act: list                # per layer [T, d_ff] tanh activations
+    layers: list                 # one LayerTrace per layer
 
 
 def teacher_forward(bb: Backbone, tokens) -> Array:
@@ -86,47 +89,41 @@ def _forward(bb: Backbone, gates: GateParams | None, tokens,
 
     h = bb.embed[tokens] + bb.pos[:T]
     betas = np.ones((L, H, T))
-    per_head_all, mlp_acts = [], []
+    layers = []
 
     for l in range(L):
         x = h
         attn = np.zeros_like(h)
         # k and v may feed the gate, which runs once for all heads; q waits for
         # its head, as computing it here too raised peak memory ~1 MB at T=489
-        ks = [x @ bb.wk[l, hd] for hd in range(H)]
-        vs = [x @ bb.wv[l, hd] for hd in range(H)]
+        k, v = x @ bb.wk[l], x @ bb.wv[l]
+        h1 = p = None
         if gates is not None:
-            gin = [_gate_input(x, ks[hd], vs[hd], gates.gate_input) for hd in range(H)]
-            shared = gates.gate_input == "embedding"
-            h1, p, beta = _gate_mlp(x if shared else np.stack(gin), l, None, gates)
-            betas[l] = beta
-        heads = []
+            h1, p, betas[l] = gate_layer(gate_features(x, k, v, gates.gate_input), l, gates)
+        qs, ws = [], []
         for hd in range(H):
             q = x @ bb.wq[l, hd]
-            z = q @ ks[hd].T
+            z = q @ k[hd].T
             z /= np.sqrt(dh)
             if gates is not None:
-                z += np.where(aged, ages * np.log(beta[hd])[None, :], 0.0)
+                z += np.where(aged, ages * np.log(betas[l, hd])[None, :], 0.0)
             np.copyto(z, -np.inf, where=future)
             w = softmax_kernel(z)
-            attn += (w @ vs[hd]) @ bb.wo[l, hd]
+            attn += (w @ v[hd]) @ bb.wo[l, hd]
             if keep_trace:
-                cache = {"q": q, "k": ks[hd], "v": vs[hd], "w": w}
-                if gates is not None:
-                    cache.update({"gin": gin[hd], "h1": h1[hd], "p": p[hd], "beta": beta[hd]})
-                heads.append(cache)
+                qs.append(q)
+                ws.append(w)
             del z, w  # free them before the next head builds its own [T, T] logits
         h = h + attn
         a = np.tanh(h @ bb.mlp_w1[l] + bb.mlp_b1[l])
         if keep_trace:
-            per_head_all.append(heads)
-            mlp_acts.append(a)
+            layers.append(LayerTrace(x, k, v, qs, ws, h1, p, a))
         h = h + a @ bb.mlp_w2[l] + bb.mlp_b2[l]
 
     logits = h @ bb.unembed
     if not keep_trace:
         return logits, None
-    return logits, ForwardTrace(tokens, betas, per_head_all, mlp_acts)
+    return logits, ForwardTrace(tokens, betas, layers)
 
 
 def student_backward(bb: Backbone, gates: GateParams, trace: ForwardTrace,
@@ -147,14 +144,14 @@ def student_backward(bb: Backbone, gates: GateParams, trace: ForwardTrace,
 
     dh_grad = dlogits @ bb.unembed.T
     for l in reversed(range(L)):
+        lt = trace.layers[l]
         da = dh_grad @ bb.mlp_w2[l].T
-        dpre = da * (1.0 - trace.mlp_act[l] ** 2)
+        dpre = da * (1.0 - lt.mlp_act ** 2)
         dh_grad = dh_grad + dpre @ bb.mlp_w1[l].T
 
         dx = dh_grad.copy()  # residual into the layer input
         for hd in range(H):
-            hc = trace.per_head[l][hd]
-            q, k, v, w = hc["q"], hc["k"], hc["v"], hc["w"]
+            q, k, v, w, h1, p = lt.q[hd], lt.k[hd], lt.v[hd], lt.w[hd], lt.h1[hd], lt.p[hd]
             do = dh_grad @ bb.wo[l, hd].T
             dw = do @ v.T
             dv = w.T @ do
@@ -162,7 +159,7 @@ def student_backward(bb: Backbone, gates: GateParams, trace: ForwardTrace,
             dq = (dg @ k) / np.sqrt(dh)
             dk = (dg.T @ q) / np.sqrt(dh)
 
-            beta = hc["beta"]
+            beta = trace.betas[l, hd]
             # d(logit)/d(pre-sigmoid) for the geometric term is age * (1 - beta):
             # the sigmoid slope beta * (1 - beta) cancels the 1/beta from
             # d(age * log beta)/d(beta), which also keeps beta == 0 finite
@@ -171,17 +168,17 @@ def student_backward(bb: Backbone, gates: GateParams, trace: ForwardTrace,
                 du = du + dbeta_extra[l, hd] * beta * (1.0 - beta)
             wg, _ = gates.readout(l, hd)
             if gates.tied:
-                grads.wg += hc["p"].T @ du
+                grads.wg += p.T @ du
                 grads.bg += du.sum()
             else:
-                grads.wg[l, hd] += hc["p"].T @ du
+                grads.wg[l, hd] += p.T @ du
                 grads.bg[l, hd] += du.sum()
             dp = np.outer(du, wg)
-            grads.w2[l, hd] += dp.T @ hc["h1"]
+            grads.w2[l, hd] += dp.T @ h1
             grads.b2[l, hd] += dp.sum(axis=0)
             dh1 = dp @ gates.w2[l, hd]
-            dpre1 = dh1 * (1.0 - hc["h1"] ** 2)
-            grads.w1[l, hd] += dpre1.T @ hc["gin"]
+            dpre1 = dh1 * (1.0 - h1 ** 2)
+            grads.w1[l, hd] += dpre1.T @ gate_features(lt.x, k, v, gates.gate_input)
             grads.b1[l, hd] += dpre1.sum(axis=0)
             dgin = dpre1 @ gates.w1[l, hd]
             if gates.gate_input == "embedding":

@@ -21,9 +21,9 @@ import tempfile
 
 import numpy as np
 
-from .eviction import SCORED, trace_columns
-from .evaluate import POLICIES, SelectionRecorder, decode_sequence, evaluate_policies
-from .gates import GateParams, init_gate_params, load_gates, save_gates
+from .eviction import POLICIES, SCORED, trace_columns
+from .evaluate import SelectionRecorder, decode_sequence, evaluate_policies
+from .gates import GATE_INPUTS, GateParams, gate_width, init_gate_params, load_gates, save_gates
 from .tasks import TaskSpec, build_task_model, default_shape, generate_dataset
 from .theory import MIN_TRIALS, run_theory_suite, survival_curve
 from .training import DivergenceError, train_gates
@@ -83,7 +83,6 @@ FLOAT_RANGES = {
     "theory.var_radius": ("in (0, 1)", lambda v: 0 < v < 1),
 }
 INT_MINIMUMS = {"theory.persistence_trials": MIN_TRIALS}
-GATE_INPUTS = ("embedding", "kv")
 
 
 def _check_value(name: str, val, default) -> None:
@@ -223,12 +222,9 @@ def _load_checkpoint(path: str | None, bb) -> GateParams | None:
         raise ConfigError(f"cannot read checkpoint {path}: {exc.strerror or exc}") from None
     except ValueError as exc:
         raise ConfigError(f"bad checkpoint {path}: {exc}") from None
-    if gates.gate_input not in GATE_INPUTS:
-        raise ConfigError(f"bad checkpoint {path}: unknown gate_input {gates.gate_input!r}")
     shape = bb.shape
-    d_in = shape.d_model if gates.gate_input == "embedding" else 2 * shape.head_dim
     have = (gates.layers, gates.heads, gates.d_in, gates.gate_input)
-    need = (shape.layers, shape.heads, d_in, gates.gate_input)
+    need = (shape.layers, shape.heads, gate_width(shape, gates.gate_input), gates.gate_input)
     if have != need:
         raise ConfigError(f"checkpoint {path} does not fit the backbone: (layers, heads, "
                           f"d_in, gate_input) is {have}, the backbone needs {need}")
@@ -254,8 +250,8 @@ def cmd_train(cfg: dict, seed: int, out: str, args) -> int:
     tr = cfg["train"]
     data_rng = np.random.default_rng(s_data)
     sequences = [s.tokens for s in generate_dataset(spec, tr["n_sequences"], data_rng)]
-    d_in = bb.shape.d_model if tr["gate_input"] == "embedding" else 2 * bb.shape.head_dim
-    gates = init_gate_params(default_shape(spec, cfg["model"]["gate_hidden"]), d_in,
+    gates = init_gate_params(default_shape(spec, cfg["model"]["gate_hidden"]),
+                             gate_width(bb.shape, tr["gate_input"]),
                              np.random.default_rng(s_gates), tied=tr["tied"],
                              gate_input=tr["gate_input"], seed=seed)
     m_global = tr["budget_fraction"] * spec.seq_len * bb.shape.head_count

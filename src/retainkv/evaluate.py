@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import Backbone, _gate_input
-from .eviction import POLICIES, SCORED, EvictionPolicy
-from .gates import GateParams, gate_forward_batch
+from .backbone import Backbone
+from .eviction import SCORED, EvictionPolicy
+from .gates import GateParams, gate_features, gate_forward_batch
 from .numerics import softmax_kernel
 from .paged_cache import DEFAULT_PAGE_SIZE, PagedKVStore
 from .tasks import Sample
@@ -107,8 +107,8 @@ def _project(wqkv: np.ndarray, gates: GateParams | None, layer: int, x: np.ndarr
     q, k, v = y[:, :H], y[:, H:2 * H], y[:, 2 * H:]
     if gates is None:
         return q, k, v, np.ones(q.shape[:2])
-    gin = _gate_input(rows, k[:, :, None], v[:, :, None], gates.gate_input)
-    return q, k, v, gate_forward_batch(gin, layer, None, gates)[..., 0]
+    gin = gate_features(rows, k[:, :, None], v[:, :, None], gates.gate_input)
+    return q, k, v, gate_forward_batch(gin, layer, gates)[..., 0]
 
 
 def decode_sequence(bb: Backbone, gates: GateParams | None, sample: Sample,

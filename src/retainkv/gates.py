@@ -32,6 +32,7 @@ from .numerics import Array, as_matrix, sigmoid
 
 MAGIC = b"RKVGATE1"
 INIT_READOUT_BIAS = 18.0  # starts every gate at beta ~= 1 so gating is a no-op
+GATE_INPUTS = ("embedding", "kv")  # the layer input, or each head's k || v
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,7 @@ class GateParams:
     d_gate: int
     d_in: int
     tied: bool = True
-    gate_input: str = "embedding"  # "embedding" | "kv"
+    gate_input: str = "embedding"  # one of GATE_INPUTS
     seed: int | None = None
     w1: Array = field(init=False, repr=False)  # [L, H, d_gate, d_in]
     b1: Array = field(init=False, repr=False)  # [L, H, d_gate]
@@ -87,6 +88,8 @@ class GateParams:
     bg: Array = field(init=False, repr=False)  # [] tied, [L, H] untied
 
     def __post_init__(self):
+        if self.gate_input not in GATE_INPUTS:
+            raise ValueError(f"gate_input {self.gate_input!r} is not one of {GATE_INPUTS}")
         L, H, dg = self.layers, self.heads, self.d_gate
         readout = () if self.tied else (L, H)
         shapes = ((L, H, dg, self.d_in), (L, H, dg), (L, H, dg, dg), (L, H, dg),
@@ -131,46 +134,50 @@ def init_gate_params(shape: ModelShape, d_in: int, rng: np.random.Generator,
     return params
 
 
-def _gate_mlp(x: Array, layer: int, head: int | None,
-              params: GateParams) -> tuple[Array, Array, Array]:
-    """The gate MLP of one head, or of every head of the layer with `head=None`.
+def gate_width(shape: ModelShape, mode: str) -> int:
+    """The width of a gate input row under `mode`, one of `GATE_INPUTS`."""
+    return shape.d_model if mode == "embedding" else 2 * shape.head_dim
+
+
+def gate_features(x: Array, k: Array, v: Array, mode: str) -> Array:
+    """The gate input rows under `mode`: x, shared by the heads, or each head's k || v."""
+    return x if mode == "embedding" else np.concatenate([k, v], axis=-1)
+
+
+def gate_layer(x: Array, layer: int, params: GateParams) -> tuple[Array, Array, Array]:
+    """The gate MLP of every head of a layer.
 
     x is [n, d_in], shared by the heads, or [heads, n, d_in], one block per
     head. Returns the tanh hidden layer h1 and the projection p, both
-    [heads, n, d_gate], and beta [heads, n]; one head keeps a leading axis of 1.
+    [heads, n, d_gate], and beta [heads, n].
     """
-    heads = slice(None) if head is None else slice(head, head + 1)
-    h1 = np.tanh(x @ params.w1[layer, heads].transpose(0, 2, 1)
-                 + params.b1[layer, heads][:, None, :])
-    p = h1 @ params.w2[layer, heads].transpose(0, 2, 1) + params.b2[layer, heads][:, None, :]
+    h1 = np.tanh(x @ params.w1[layer].transpose(0, 2, 1) + params.b1[layer][:, None, :])
+    p = h1 @ params.w2[layer].transpose(0, 2, 1) + params.b2[layer][:, None, :]
     if params.tied:
         z = p @ params.wg + params.bg
     else:
-        z = (p @ params.wg[layer, heads][:, :, None])[..., 0] + params.bg[layer, heads][:, None]
+        z = (p @ params.wg[layer][:, :, None])[..., 0] + params.bg[layer][:, None]
     return h1, p, sigmoid(z)
 
 
-def gate_forward_batch(x: Array, layer: int, head: int | None, params: GateParams) -> Array:
-    """Retention scores sigmoid(wg . Proj_{layer,head}(x) + bg) of rows of x [n, d_in].
+def gate_forward_batch(x: Array, layer: int, params: GateParams) -> Array:
+    """Retention scores sigmoid(wg . Proj_{layer,head}(x) + bg) of every head of a layer.
 
-    With `head=None` every head of the layer runs at once: x is [n, d_in],
-    shared by all heads, or [heads, n, d_in], one block per head, and the
-    result is [heads, n]. Each head's rows are bit-identical to its own call.
-    Stacked rows [n, 1 or heads, 1, d_in] give [n, heads, 1], each row
-    bit-identical to a call with that row alone.
+    x is [n, d_in], shared by all heads, or [heads, n, d_in], one block per
+    head, and the result is [heads, n]. Stacked rows [n, 1 or heads, 1, d_in]
+    give [n, heads, 1], each row bit-identical to a call with that row alone.
     """
     x = np.asarray(x, dtype=np.float64)
     stacked = x.ndim == 4 and x.shape[1] in (1, params.heads) and x.shape[2] == 1
-    if x.ndim != 2 and not (head is None and (x.ndim == 3 or stacked)):
-        raise ValueError(f"x must be [n, d_in], or for every head [heads, n, d_in] or "
+    if x.ndim not in (2, 3) and not stacked:
+        raise ValueError(f"x must be [n, d_in], [heads, n, d_in] or "
                          f"[n, 1 or heads, 1, d_in]; got shape {x.shape}")
     if x.shape[-1] != params.d_in:
         raise ValueError(f"gate input dim {x.shape[-1]} != {params.d_in}")
     # count_nonzero costs a fraction of a reduction such as all()
     if np.count_nonzero(np.isfinite(x)) != x.size:
         raise ValueError("x contains non-finite entries")
-    beta = _gate_mlp(x, layer, head, params)[2]
-    return beta if head is None else beta[0]
+    return gate_layer(x, layer, params)[2]
 
 
 # -- losses -----------------------------------------------------------------

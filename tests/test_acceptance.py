@@ -152,7 +152,7 @@ def test_criterion_06_full_cache_recovery_at_init():
         _, gated = student_forward(bb, gates, tokens)
         for l in range(shape.layers):
             for h in range(shape.heads):
-                diff = np.abs(gated.per_head[l][h]["w"] - full.per_head[l][h]["w"])
+                diff = np.abs(gated.layers[l].w[h] - full.layers[l].w[h])
                 worst_tv = max(worst_tv, float(0.5 * diff.sum(axis=1).max()))
     report(6, worst_tv < 1e-3, f"max per-step TV = {worst_tv:.2e} on length-128 prompts")
 

@@ -418,6 +418,10 @@ def _bad_checkpoint(tmp_path, case):
         blob = _checkpoint(path).read_bytes()
         path.write_bytes(blob.replace(b'"activation": "tanh"', b'"activation": "relu"'))
         return path
+    if case == "gate_input":
+        blob = _checkpoint(path).read_bytes()
+        path.write_bytes(blob.replace(b'"gate_input": "embedding"', b'"gate_input": "bogusmode"'))
+        return path
     raise AssertionError(case)
 
 
@@ -425,7 +429,8 @@ class TestBadCheckpoint:
     """Exit 2 with one line on stderr, checked before any decoding."""
 
     CASES = ("missing", "corrupt", "bad_header", "truncated", "trailing",
-             "layers", "heads", "d_in", "activation", "nan_weight", "inf_weight")
+             "layers", "heads", "d_in", "activation", "gate_input", "nan_weight",
+             "inf_weight")
 
     @pytest.mark.parametrize("command", ["eval"])
     @pytest.mark.parametrize("case", CASES)

@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 from retainkv import evaluate
-from retainkv.eviction import SCORED, trace_columns
-from retainkv.evaluate import (
-    POLICIES,
-    SelectionRecorder,
-    decode_sequence,
-    evaluate_policies,
-    make_policy,
-)
+from retainkv.eviction import POLICIES, SCORED, trace_columns
+from retainkv.evaluate import SelectionRecorder, decode_sequence, evaluate_policies, make_policy
 from retainkv.gates import ModelShape, gate_forward_batch, init_gate_params
 from retainkv.numerics import softmax_kernel
 from retainkv.paged_cache import PagedKVStore

@@ -5,10 +5,14 @@ import numpy as np
 import pytest
 
 from retainkv.gates import (
+    GATE_INPUTS,
     INIT_READOUT_BIAS,
+    GateParams,
     ModelShape,
     cap_loss_global_grad,
+    gate_features,
     gate_forward_batch,
+    gate_width,
     init_gate_params,
     load_gates,
     quality_loss,
@@ -38,15 +42,16 @@ class TestGateForward:
     def test_zero_readout_gives_sigmoid_of_bias(self, params):
         params.wg[:] = 0.0
         for x in (np.zeros(8), np.ones(8), np.linspace(-3, 3, 8)):
-            beta = gate_forward_batch(x[None, :], 0, 0, params)[0]
+            beta = gate_forward_batch(x[None, :], 0, params)[0, 0]
             assert beta == pytest.approx(0.999999984770020487, abs=1e-15)
 
     def test_large_negative_bias_clamps_to_zero(self, params):
         params.wg[:] = 0.0
         params.bg -= 800.0
-        assert gate_forward_batch(np.ones(8)[None, :], 1, 1, params)[0] == 0.0
+        assert gate_forward_batch(np.ones(8)[None, :], 1, params)[1, 0] == 0.0
 
     def test_matches_independent_reimplementation(self, rng, params):
+        """Head h of a layer-wide call runs head h's own weights."""
         def oracle(x, l, h):
             hidden = [math.tanh(sum(params.w1[l, h][i, j] * x[j] for j in range(8))
                                 + params.b1[l, h][i]) for i in range(6)]
@@ -58,14 +63,14 @@ class TestGateForward:
         for _ in range(20):
             x = rng.normal(size=8)
             l, h = int(rng.integers(0, 2)), int(rng.integers(0, 2))
-            got = gate_forward_batch(x[None, :], l, h, params)[0]
+            got = gate_forward_batch(x[None, :], l, params)[h, 0]
             assert got == pytest.approx(oracle(x, l, h), rel=1e-12)
 
     def test_batch_matches_scalar(self, rng, params):
         xs = rng.normal(size=(5, 8))
-        batch = gate_forward_batch(xs, 1, 0, params)
+        batch = gate_forward_batch(xs, 1, params)[0]
         for i in range(5):
-            one = gate_forward_batch(xs[i][None, :], 1, 0, params)[0]
+            one = gate_forward_batch(xs[i][None, :], 1, params)[0, 0]
             assert batch[i] == pytest.approx(one, rel=1e-14)
 
     def test_heads_differ_only_through_projection(self, rng, params):
@@ -74,14 +79,14 @@ class TestGateForward:
         params.b1[0, 1] = params.b1[0, 0]
         params.w2[0, 1] = params.w2[0, 0]
         params.b2[0, 1] = params.b2[0, 0]
-        assert (gate_forward_batch(x[None, :], 0, 0, params)[0]
-                == gate_forward_batch(x[None, :], 0, 1, params)[0])
+        beta = gate_forward_batch(x[None, :], 0, params)[:, 0]
+        assert beta[0] == beta[1]
 
     def test_init_invariant_all_betas_above_point999(self, rng, params):
         xs = rng.normal(size=(64, 8))
         for l in range(2):
             for h in range(2):
-                assert np.all(gate_forward_batch(xs, l, h, params) > 0.999)
+                assert np.all(gate_forward_batch(xs, l, params)[h] > 0.999)
 
 
 class TestQualityLoss:
@@ -254,6 +259,15 @@ class TestCheckpoint:
         assert np.array_equal(loaded.bg, params.bg)
         assert loaded.flat.tobytes() == params.flat.tobytes()
 
+    def test_unknown_gate_input_rejected(self, tmp_path, params):
+        path = tmp_path / "gates.ckpt"
+        save_gates(path, params)
+        blob = path.read_bytes()
+        # same length, so the header length field still holds
+        path.write_bytes(blob.replace(b'"gate_input": "embedding"', b'"gate_input": "bogusmode"'))
+        with pytest.raises(ValueError, match="gate_input 'bogusmode' is not one of"):
+            load_gates(path)
+
     def test_save_is_byte_deterministic(self, tmp_path, rng, params):
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         save_gates(p1, params)
@@ -338,29 +352,54 @@ class TestFlatVector:
         with pytest.raises(ValueError, match="flat has shape"):
             params.with_flat(np.zeros(params.flat.size + delta))
 
+    def test_unknown_gate_input_rejected(self, rng, params):
+        with pytest.raises(ValueError, match="gate_input 'bogus' is not one of"):
+            GateParams(params.flat, 2, 2, 6, 8, gate_input="bogus")
+        with pytest.raises(ValueError, match="gate_input 'bogus' is not one of"):
+            init_gate_params(SHAPE, d_in=8, rng=rng, gate_input="bogus")
+
+
+def test_gate_input_width_and_rows(rng):
+    """`embedding` feeds the layer input x [n, d_model] to every head; `kv`
+    feeds head h its k || v [n, 2 * head_dim]."""
+    shape = ModelShape(layers=1, heads=3, head_dim=4, gate_hidden=6, seq_len=16, vocab=12)
+    x = rng.normal(size=(5, shape.d_model))
+    k, v = rng.normal(size=(2, shape.heads, 5, shape.head_dim))
+    assert GATE_INPUTS == ("embedding", "kv")
+    assert gate_features(x, k, v, "embedding") is x
+    assert gate_width(shape, "embedding") == x.shape[-1] == 12
+    rows = gate_features(x, k, v, "kv")
+    assert rows.shape == (3, 5, gate_width(shape, "kv")) == (3, 5, 8)
+    assert np.array_equal(rows[1], np.hstack([k[1], v[1]]))
+
 
 class TestGateForwardAllHeads:
-    """`head=None` runs a layer's heads in one call, bit-identical per head."""
+    """One call runs every head of a layer; `test_matches_independent_reimplementation`
+    checks each head against its own weights."""
 
     @pytest.mark.parametrize("tied", [True, False])
     def test_shared_input_matches_per_head(self, rng, tied):
+        """Rows shared by the heads give the bits of one block per head holding them."""
         params = init_gate_params(SHAPE, d_in=8, rng=rng, tied=tied, init_scale=2.0)
         params.bg -= 18.0
         xs = rng.normal(size=(5, 8))
+        blocks = np.stack([xs] * SHAPE.heads)
         for layer in range(SHAPE.layers):
-            got = gate_forward_batch(xs, layer, None, params)
+            got = gate_forward_batch(xs, layer, params)
             assert got.shape == (SHAPE.heads, 5)
-            for head in range(SHAPE.heads):
-                assert np.array_equal(got[head], gate_forward_batch(xs, layer, head, params))
+            assert np.array_equal(got, gate_forward_batch(blocks, layer, params))
 
     def test_per_head_input_matches_per_head(self, rng):
+        """Head h reads block h only: its betas are the bits of a call that
+        gives every head block h."""
         params = init_gate_params(SHAPE, d_in=8, rng=rng, tied=False, gate_input="kv",
                                   init_scale=2.0)
         params.bg -= 18.0
         xs = rng.normal(size=(SHAPE.heads, 1, 8))
-        got = gate_forward_batch(xs, 1, None, params)
+        got = gate_forward_batch(xs, 1, params)
         for head in range(SHAPE.heads):
-            assert np.array_equal(got[head], gate_forward_batch(xs[head], 1, head, params))
+            alone = gate_forward_batch(xs[head], 1, params)
+            assert np.array_equal(got[head], alone[head])
 
     @pytest.mark.parametrize("tied", [True, False])
     def test_stacked_rows_match_one_row_calls(self, rng, tied):
@@ -370,21 +409,20 @@ class TestGateForwardAllHeads:
         params.bg -= 18.0
         for blocks in (1, SHAPE.heads):
             xs = rng.normal(size=(7, blocks, 1, 8))
-            got = gate_forward_batch(xs, 1, None, params)
+            got = gate_forward_batch(xs, 1, params)
             assert got.shape == (7, SHAPE.heads, 1)
             for i in range(7):
                 one = xs[i, 0] if blocks == 1 else xs[i]     # [1, d_in] or [heads, 1, d_in]
-                assert np.array_equal(got[i], gate_forward_batch(one, 1, None, params))
+                assert np.array_equal(got[i], gate_forward_batch(one, 1, params))
 
     def test_bad_input_rejected(self, params):
         with pytest.raises(ValueError):
-            gate_forward_batch(np.ones(8), 0, None, params)
+            gate_forward_batch(np.ones(8), 0, params)
         with pytest.raises(ValueError):
-            gate_forward_batch(np.full((1, 8), np.nan), 0, None, params)
-        # stacked rows: one block or one per head, one row per block, every head
-        for shape, head in (((2, 3, 1, 8), None), ((2, 1, 2, 8), None), ((2, 1, 1, 8), 0),
-                            ((2, 1, 1, 7), None)):
+            gate_forward_batch(np.full((1, 8), np.nan), 0, params)
+        # stacked rows: one block or one per head, one row per block, four axes
+        for shape in ((2, 3, 1, 8), (2, 1, 2, 8), (2, 1, 1, 1, 8), (2, 1, 1, 7)):
             with pytest.raises(ValueError):
-                gate_forward_batch(np.ones(shape), 0, head, params)
+                gate_forward_batch(np.ones(shape), 0, params)
         with pytest.raises(ValueError):
-            gate_forward_batch(np.full((2, 1, 1, 8), np.inf), 0, None, params)
+            gate_forward_batch(np.full((2, 1, 1, 8), np.inf), 0, params)

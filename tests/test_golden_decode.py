@@ -31,8 +31,8 @@ import numpy as np
 import pytest
 
 from retainkv import cli, tasks
-from retainkv.evaluate import POLICIES, SelectionRecorder, decode_sequence
-from retainkv.eviction import trace_columns
+from retainkv.evaluate import SelectionRecorder, decode_sequence
+from retainkv.eviction import POLICIES, trace_columns
 from retainkv.gates import init_gate_params, save_gates
 
 GOLDEN = Path(__file__).with_name("data") / "golden_decode.json"

@@ -7,6 +7,10 @@ would put a second attention kernel back on a production path.
 Every other module-level function and class of the package has a caller in
 the package, or is the console-script entry point. Code that only tests call
 lives in `tests/`.
+
+A module reaches another only through its public names: an underscore name
+is its own module's business, so a caller elsewhere means the name belongs to
+the public surface or to the caller.
 """
 
 import ast
@@ -65,6 +69,58 @@ def test_package_modules_found():
 def test_no_production_module_imports_attention(path):
     assert not imports_attention(ast.parse(path.read_text(), filename=str(path))), \
         f"{path.name} imports retainkv.attention"
+
+
+# -- private-name guard ----------------------------------------------------------
+
+
+def private_imports(tree: ast.AST) -> list[str]:
+    """Each underscore name (dunders aside) that `tree` imports from a package
+    module, or reads as an attribute of a package module it imports."""
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    names, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level == 1 or (node.level == 0 and node.module.split(".")[0] == "retainkv")):
+            names += [a.name for a in node.names if private(a.name)]
+            if node.module in (None, "retainkv"):
+                modules.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(a.asname for a in node.names
+                           if a.asname and a.name.startswith("retainkv."))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and private(node.attr)):
+            names.append(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("source", (
+    "from .gates import _gate_mlp",
+    "from .gates import GateParams, _gate_mlp as mlp",
+    "from retainkv.gates import _gate_mlp",
+    "from . import gates\ngates._gate_mlp(x)\n",
+    "from retainkv import gates as g\ny = g._gate_mlp\n",
+    "import retainkv.gates as g\ny = g._gate_mlp\n",
+    "def f():\n    from .gates import _gate_mlp\n",
+))
+def test_private_guard_sees_every_import_form(source):
+    assert private_imports(ast.parse(source)) == ["_gate_mlp"]
+
+
+def test_private_guard_ignores_public_and_foreign_names():
+    assert private_imports(ast.parse(
+        "from .gates import gate_layer\nfrom numpy import _core\nimport numpy as np\n"
+        "np._x\nfrom . import __version__\nfrom . import gates\ngates.__doc__\n"
+        "self._step = 1\n")) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_another_modules_private_name(path):
+    """A module reaches another only through its public names."""
+    assert private_imports(ast.parse(path.read_text(), filename=str(path))) == [], path.name
 
 
 # -- surface guard -------------------------------------------------------------

@@ -88,7 +88,7 @@ class TestTaskModel:
         bb = build_task_model(spec, rng)
         s = generate_dataset(spec, 5, rng)[0]
         _, trace = student_forward(bb, None, s.tokens)
-        w = trace.per_head[0][0]["w"]
+        w = trace.layers[0].w[0]
         useful = set(s.needle_positions.tolist())
         diluted = []
         for pos in s.query_positions:
