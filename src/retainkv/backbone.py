@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import GateParams, ModelShape, gate_features, gate_layer
+from .gates import GateParams, ModelShape, gate_features, gate_layer, gate_layer_grad
 from .numerics import Array, softmax_kernel
 
 
@@ -55,6 +55,24 @@ class ForwardTrace:
     layers: list                 # one LayerTrace per layer
 
 
+def token_ids(shape: ModelShape, tokens) -> np.ndarray:
+    """`tokens` as a 1-D int64 array of ids in [0, vocab), at most `seq_len` long.
+
+    Raises ValueError on anything else: a negative id would index the
+    embedding from its end and a fractional one would be truncated.
+    """
+    ids = np.asarray(tokens)
+    if ids.ndim != 1 or (ids.size and not np.issubdtype(ids.dtype, np.integer)):
+        raise ValueError(f"tokens must be a 1-D array of integer ids; got {ids.dtype} "
+                         f"of shape {ids.shape}")
+    if ids.shape[0] > shape.seq_len:
+        raise ValueError(f"sequence length {ids.shape[0]} exceeds model limit {shape.seq_len}")
+    if ids.size and (ids.min() < 0 or ids.max() >= shape.vocab):
+        raise ValueError(f"token ids must lie in [0, {shape.vocab}); "
+                         f"got {ids.min()} to {ids.max()}")
+    return ids.astype(np.int64, copy=False)
+
+
 def teacher_forward(bb: Backbone, tokens) -> Array:
     """Full-cache forward: standard causal attention, no gating. Returns logits.
 
@@ -76,11 +94,9 @@ def student_forward(bb: Backbone, gates: GateParams | None, tokens) -> tuple[Arr
 
 def _forward(bb: Backbone, gates: GateParams | None, tokens,
              keep_trace: bool) -> tuple[Array, ForwardTrace | None]:
-    tokens = np.asarray(tokens, dtype=np.int64)
-    T = tokens.shape[0]
     shape = bb.shape
-    if T > shape.seq_len:
-        raise ValueError(f"sequence length {T} exceeds model limit {shape.seq_len}")
+    tokens = token_ids(shape, tokens)
+    T = tokens.shape[0]
     L, H, dh = shape.layers, shape.heads, shape.head_dim
     future = ~np.tri(T, dtype=bool)  # [t, i] is i > t
     if gates is not None:
@@ -127,66 +143,48 @@ def _forward(bb: Backbone, gates: GateParams | None, tokens,
 
 
 def student_backward(bb: Backbone, gates: GateParams, trace: ForwardTrace,
-                     dlogits: Array, dbeta_extra: Array | None = None) -> GateParams:
+                     dlogits: Array, dbeta_extra: Array) -> GateParams:
     """Gradients of a scalar loss with respect to the gate parameters only.
 
     `dlogits` is the loss gradient at the student logits; `dbeta_extra` adds a
     direct [L, H, T] gradient on the betas (the capacity loss path). Backbone
-    tensors are read but never written; the shared readout accumulates
-    contributions from every layer and head.
+    tensors are read but never written; `gates.gate_layer_grad` carries each
+    layer's score gradients through its gate.
     """
-    shape = bb.shape
-    L, H, dh = shape.layers, shape.heads, shape.head_dim
+    L, H, dh = bb.shape.layers, bb.shape.heads, bb.shape.head_dim
     T = trace.tokens.shape[0]
-    ages = np.arange(T)[:, None] - np.arange(T)[None, :]
-    age_w = np.where(ages > 0, ages.astype(np.float64), 0.0)
+    age_w = np.maximum(np.subtract.outer(np.arange(T), np.arange(T)), 0).astype(np.float64)
     grads = gates.with_flat(np.zeros_like(gates.flat))
 
     dh_grad = dlogits @ bb.unembed.T
     for l in reversed(range(L)):
         lt = trace.layers[l]
-        da = dh_grad @ bb.mlp_w2[l].T
-        dpre = da * (1.0 - lt.mlp_act ** 2)
+        dpre = (dh_grad @ bb.mlp_w2[l].T) * (1.0 - lt.mlp_act ** 2)
         dh_grad = dh_grad + dpre @ bb.mlp_w1[l].T
 
         dx = dh_grad.copy()  # residual into the layer input
-        for hd in range(H):
-            q, k, v, w, h1, p = lt.q[hd], lt.k[hd], lt.v[hd], lt.w[hd], lt.h1[hd], lt.p[hd]
+        du, dqkv = np.empty((H, T)), []
+        for hd, (q, k, v, w) in enumerate(zip(lt.q, lt.k, lt.v, lt.w)):
             do = dh_grad @ bb.wo[l, hd].T
             dw = do @ v.T
             dv = w.T @ do
             dg = w * (dw - (dw * w).sum(axis=1, keepdims=True))
-            dq = (dg @ k) / np.sqrt(dh)
-            dk = (dg.T @ q) / np.sqrt(dh)
+            dqkv.append(((dg @ k) / np.sqrt(dh), (dg.T @ q) / np.sqrt(dh), dv))
 
             beta = trace.betas[l, hd]
             # d(logit)/d(pre-sigmoid) for the geometric term is age * (1 - beta):
             # the sigmoid slope beta * (1 - beta) cancels the 1/beta from
             # d(age * log beta)/d(beta), which also keeps beta == 0 finite
-            du = (dg * age_w).sum(axis=0) * (1.0 - beta)
-            if dbeta_extra is not None:
-                du = du + dbeta_extra[l, hd] * beta * (1.0 - beta)
-            wg, _ = gates.readout(l, hd)
-            if gates.tied:
-                grads.wg += p.T @ du
-                grads.bg += du.sum()
-            else:
-                grads.wg[l, hd] += p.T @ du
-                grads.bg[l, hd] += du.sum()
-            dp = np.outer(du, wg)
-            grads.w2[l, hd] += dp.T @ h1
-            grads.b2[l, hd] += dp.sum(axis=0)
-            dh1 = dp @ gates.w2[l, hd]
-            dpre1 = dh1 * (1.0 - h1 ** 2)
-            grads.w1[l, hd] += dpre1.T @ gate_features(lt.x, k, v, gates.gate_input)
-            grads.b1[l, hd] += dpre1.sum(axis=0)
-            dgin = dpre1 @ gates.w1[l, hd]
+            du[hd] = ((dg * age_w).sum(axis=0) * (1.0 - beta)
+                      + dbeta_extra[l, hd] * beta * (1.0 - beta))
+        dgin = gate_layer_grad(gate_features(lt.x, lt.k, lt.v, gates.gate_input), l, gates,
+                               lt.h1, lt.p, du, grads)
+        for hd, (dq, dk, dv) in enumerate(dqkv):
             if gates.gate_input == "embedding":
-                dx += dgin
+                dx += dgin[hd]
             else:
-                dk += dgin[:, :dh]
-                dv += dgin[:, dh:]
-
+                dk += dgin[hd, :, :dh]
+                dv += dgin[hd, :, dh:]
             dx += dq @ bb.wq[l, hd].T + dk @ bb.wk[l, hd].T + dv @ bb.wv[l, hd].T
         dh_grad = dx
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import Backbone
+from .backbone import Backbone, token_ids
 from .eviction import SCORED, EvictionPolicy
 from .gates import GateParams, gate_features, gate_forward_batch
 from .numerics import softmax_kernel
@@ -126,10 +126,8 @@ def decode_sequence(bb: Backbone, gates: GateParams | None, sample: Sample,
         gates = None
     shape = bb.shape
     L, H, dh, D = shape.layers, shape.heads, shape.head_dim, shape.d_model
-    tokens = sample.tokens
+    tokens = token_ids(shape, sample.tokens)
     T = tokens.shape[0]
-    if T > shape.seq_len:
-        raise ValueError(f"sequence length {T} exceeds model limit {shape.seq_len}")
     total_budget = max(1, int(np.ceil(budget_fraction * T * L * H)))
     store = PagedKVStore(L, H, dh, page_size=page_size)
     policy = make_policy(policy_name, total_budget, store, horizon, cadence, trace)

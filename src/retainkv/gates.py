@@ -110,11 +110,6 @@ class GateParams:
         return GateParams(flat, self.layers, self.heads, self.d_gate, self.d_in,
                           self.tied, self.gate_input, self.seed)
 
-    def readout(self, layer: int, head: int) -> tuple[Array, float]:
-        if self.tied:
-            return self.wg, float(self.bg)
-        return self.wg[layer, head], float(self.bg[layer, head])
-
     def tensors(self) -> dict[str, Array]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2,
                 "wg": self.wg, "bg": self.bg}
@@ -160,6 +155,29 @@ def gate_layer(x: Array, layer: int, params: GateParams) -> tuple[Array, Array, 
     return h1, p, sigmoid(z)
 
 
+def gate_layer_grad(x: Array, layer: int, params: GateParams, h1: Array, p: Array,
+                    du: Array, grads: GateParams) -> Array:
+    """The adjoint of `gate_layer` at x, given the h1 and p it returned and du
+    [heads, n], the loss gradient at each head's pre-sigmoid score. Adds the
+    layer's gradients into `grads` and returns the gradient at the input rows,
+    [heads, n, d_in]; a shared x gets their sum over heads."""
+    gw = (p.transpose(0, 2, 1) @ du[..., None])[..., 0]
+    if params.tied:
+        for g, d in zip(gw, du):  # the shared readout sums in head order
+            grads.wg += g
+            grads.bg += d.sum()
+    else:
+        grads.wg[layer] += gw
+        grads.bg[layer] += du.sum(axis=1)
+    dp = du[..., None] * (params.wg if params.tied else params.wg[layer][:, None, :])
+    grads.w2[layer] += dp.transpose(0, 2, 1) @ h1
+    grads.b2[layer] += dp.sum(axis=1)
+    dpre1 = (dp @ params.w2[layer]) * (1.0 - h1 ** 2)
+    grads.w1[layer] += dpre1.transpose(0, 2, 1) @ x
+    grads.b1[layer] += dpre1.sum(axis=1)
+    return dpre1 @ params.w1[layer]
+
+
 def gate_forward_batch(x: Array, layer: int, params: GateParams) -> Array:
     """Retention scores sigmoid(wg . Proj_{layer,head}(x) + bg) of every head of a layer.
 
@@ -195,9 +213,12 @@ def quality_loss(teacher_logits: Array, student_logits: Array,
     if p_logits.shape != q_logits.shape:
         raise ValueError("teacher and student logits must share a shape")
     targets = np.asarray(targets, dtype=np.int64)
-    n = p_logits.shape[0]
+    n, vocab = p_logits.shape
     if targets.shape != (n,):
         raise ValueError("targets must give one vocab index per position")
+    if n and (targets.min() < 0 or targets.max() >= vocab):
+        raise ValueError(f"targets must lie in [0, {vocab}); "
+                         f"got {targets.min()} to {targets.max()}")
 
     def log_softmax(z):
         zz = z - z.max(axis=-1, keepdims=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import Backbone, student_backward, student_forward, teacher_forward
+from .backbone import Backbone, student_backward, student_forward, teacher_forward, token_ids
 from .gates import GateParams, cap_loss_global_grad, quality_loss
 from .numerics import Array
 
@@ -61,7 +61,7 @@ def loss_and_grads(bb: Backbone, gates: GateParams, tokens, lam: float,
     """
     if lam < 0.0:
         raise ValueError("lambda must be >= 0")
-    tokens = np.asarray(tokens, dtype=np.int64)
+    tokens = token_ids(bb.shape, tokens)
     if tokens.shape[0] < 2:
         raise ValueError("need at least two tokens to form a prediction")
     if teacher_logits is None:

@@ -94,6 +94,17 @@ class TestDecodeSequence:
             with pytest.raises(ValueError, match="length 69 exceeds model limit 37"):
                 decode_sequence(short, None, sample, policy, 0.25)
 
+    @pytest.mark.parametrize("bad", [-1, SPEC.vocab])
+    def test_token_id_outside_the_vocab_rejected(self, world, bad):
+        """An id outside [0, vocab) fails up front: -1 would be scored as the
+        last token and `vocab` would raise a bare IndexError."""
+        bb, samples = world
+        tokens = samples[0].tokens.copy()
+        tokens[3] = bad
+        for policy in ("full", "global"):
+            with pytest.raises(ValueError, match=r"token ids must lie in \[0, 40\)"):
+                decode_sequence(bb, None, replace(samples[0], tokens=tokens), policy, 0.25)
+
     def test_layer_zero_and_appends_run_once_per_token_and_layer(self, world, monkeypatch):
         """A scored decode of T tokens gates layer 0 in one call and every
         later layer once per token, and appends each layer's heads in one call."""

@@ -12,6 +12,8 @@ from retainkv.gates import (
     cap_loss_global_grad,
     gate_features,
     gate_forward_batch,
+    gate_layer,
+    gate_layer_grad,
     gate_width,
     init_gate_params,
     load_gates,
@@ -137,6 +139,13 @@ class TestQualityLoss:
             quality_loss(logits, logits[:2], [0, 1])
         with pytest.raises(ValueError, match="one vocab index"):
             quality_loss(logits, logits, [0, 1])
+
+    @pytest.mark.parametrize("targets", [[-1, 0], [0, 4]])
+    def test_target_outside_the_vocab_rejected(self, rng, targets):
+        """-1 would read the last column and give a finite NLL."""
+        logits = rng.normal(size=(2, 4))
+        with pytest.raises(ValueError, match=r"targets must lie in \[0, 4\)"):
+            quality_loss(logits, logits, targets)
 
     def test_grad_matches_finite_differences(self, rng):
         p_logits = rng.normal(size=(3, 5))
@@ -426,3 +435,55 @@ class TestGateForwardAllHeads:
                 gate_forward_batch(np.ones(shape), 0, params)
         with pytest.raises(ValueError):
             gate_forward_batch(np.full((2, 1, 1, 8), np.inf), 0, params)
+
+
+class TestGateLayerGrad:
+    """`gate_layer_grad` against central differences of `gate_layer`, on
+    f = sum of c * beta, whose gradient at the pre-sigmoid scores is
+    du = c * beta * (1 - beta)."""
+
+    @staticmethod
+    def case(rng, tied, shared):
+        params = init_gate_params(SHAPE, d_in=8, rng=rng, tied=tied, init_scale=1.5)
+        params.bg -= 18.0
+        x = rng.normal(size=(5, 8) if shared else (SHAPE.heads, 5, 8))
+        c = rng.normal(size=(SHAPE.heads, 5))
+        return params, x, c
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per_head"])
+    @pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
+    def test_matches_finite_differences(self, rng, tied, shared):
+        params, x, c = self.case(rng, tied, shared)
+        layer = 1
+        h1, p, beta = gate_layer(x, layer, params)
+        grads = params.with_flat(np.zeros_like(params.flat))
+        dx = gate_layer_grad(x, layer, params, h1, p, c * beta * (1.0 - beta), grads)
+
+        def f_params(flat):
+            return (c * gate_layer(x, layer, params.with_flat(flat))[2]).sum()
+
+        def f_x(vec):
+            return (c * gate_layer(vec.reshape(x.shape), layer, params)[2]).sum()
+
+        numeric = finite_diff_grad(f_params, params.flat)
+        np.testing.assert_allclose(grads.flat, numeric, rtol=1e-6, atol=1e-9)
+        assert not grads.w1[0].any() and not grads.b2[0].any()   # only this layer's heads
+        assert dx.shape == (SHAPE.heads, 5, 8)
+        # a shared x feeds every head, so its gradient is the sum over heads
+        np.testing.assert_allclose(dx.sum(axis=0) if shared else dx,
+                                   finite_diff_grad(f_x, x.ravel()).reshape(x.shape),
+                                   rtol=1e-6, atol=1e-9)
+
+    @pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
+    def test_adds_into_grads(self, rng, tied):
+        """A second call adds the same gradients again, as the layers of one
+        backward pass do into the shared readout."""
+        params, x, c = self.case(rng, tied, shared=True)
+        h1, p, beta = gate_layer(x, 0, params)
+        du = c * beta * (1.0 - beta)
+        once = params.with_flat(np.zeros_like(params.flat))
+        gate_layer_grad(x, 0, params, h1, p, du, once)
+        twice = params.with_flat(np.zeros_like(params.flat))
+        for _ in range(2):
+            gate_layer_grad(x, 0, params, h1, p, du, twice)
+        np.testing.assert_allclose(twice.flat, 2.0 * once.flat, rtol=1e-15)

@@ -11,6 +11,9 @@ lives in `tests/`.
 A module reaches another only through its public names: an underscore name
 is its own module's business, so a caller elsewhere means the name belongs to
 the public surface or to the caller.
+
+Only `retainkv.gates` reads the gate's tensors, so a change to the gate MLP is
+made in one module, in both directions.
 """
 
 import ast
@@ -121,6 +124,32 @@ def test_private_guard_ignores_public_and_foreign_names():
 def test_no_module_imports_another_modules_private_name(path):
     """A module reaches another only through its public names."""
     assert private_imports(ast.parse(path.read_text(), filename=str(path))) == [], path.name
+
+
+# -- gate-tensor guard ----------------------------------------------------------
+
+GATE_ATTRIBUTES = frozenset({"w1", "b1", "w2", "b2", "wg", "bg", "tied", "readout"})
+
+
+def gate_attributes(tree: ast.AST) -> list[str]:
+    """Each attribute `tree` reads or writes that is named after a gate tensor,
+    `tied` or `readout`, in sorted order."""
+    return sorted(node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in GATE_ATTRIBUTES)
+
+
+def test_gate_guard_sees_gate_attributes_only():
+    assert gate_attributes(ast.parse(
+        "grads.w1[l, h] += g\nif gates.tied:\n    wg, bg = gates.readout(l, h)\n"
+        "y = x @ bb.mlp_w1[l] + bb.mlp_b1[l]\nw1 = tr['tied']\nf(tied=True)\n")) == \
+        ["readout", "tied", "w1"]
+
+
+def test_only_gates_reads_gate_tensors():
+    """The gate's forward and backward both live in `gates`."""
+    readers = [p.name for p in sorted(PACKAGE.glob("*.py"))
+               if p.name != "gates.py" and gate_attributes(ast.parse(p.read_text()))]
+    assert readers == []
 
 
 # -- surface guard -------------------------------------------------------------

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from retainkv.backbone import student_forward, teacher_forward
+from retainkv.backbone import student_forward, teacher_forward, token_ids
 from retainkv.cli import DEFAULT_CONFIG
 from retainkv.gates import ModelShape
 from retainkv.tasks import TaskSpec, build_task_model, generate_dataset
@@ -60,3 +60,32 @@ def test_teacher_peak_memory_at_long_context(long_model):
     finally:
         tracemalloc.stop()
     assert peak < 6e6, f"teacher_forward peaked at {peak / 1e6:.1f} MB"
+
+
+class TestTokenIds:
+    """Token ids index the embedding only after `token_ids` checks them."""
+
+    SHAPE = ModelShape(layers=1, heads=2, head_dim=4, gate_hidden=4, seq_len=8, vocab=64)
+
+    @pytest.mark.parametrize("forward", [teacher_forward,
+                                         lambda bb, t: student_forward(bb, None, t)],
+                             ids=["teacher", "student"])
+    @pytest.mark.parametrize("tokens, match", [
+        ([3, -1, 5], r"in \[0, 64\)"),       # would read the embedding's last row
+        ([3, 64, 5], r"in \[0, 64\)"),       # would raise a bare IndexError
+        ([3, 3.7, 5], "integer ids"),         # would run as 3
+        ([[3, 5]], "1-D"),
+        (list(range(9)), "length 9 exceeds model limit 8"),
+    ], ids=["negative", "vocab", "fractional", "2-D", "too_long"])
+    def test_bad_ids_rejected(self, rng, forward, tokens, match):
+        bb = random_backbone(self.SHAPE, rng)
+        with pytest.raises(ValueError, match=match):
+            forward(bb, tokens)
+
+    def test_valid_ids_pass_unchanged(self, rng):
+        bb = random_backbone(self.SHAPE, rng)
+        tokens = rng.integers(0, 64, size=8)
+        ids = token_ids(self.SHAPE, tokens.astype(np.int32))
+        assert ids.dtype == np.int64 and np.array_equal(ids, tokens)
+        assert token_ids(self.SHAPE, tokens) is tokens
+        assert np.array_equal(teacher_forward(bb, tokens.tolist()), teacher_forward(bb, tokens))

@@ -150,3 +150,10 @@ class TestLossAndGrads:
         bb, gates, sequences = setup
         with pytest.raises(ValueError, match="teacher logits"):
             loss_and_grads(bb, gates, sequences[0], 1.0, 1.0, np.zeros(shape))
+
+
+def test_fractional_tokens_rejected(setup):
+    """Ids are checked before the int64 cast, which would truncate 3.7 to 3."""
+    bb, gates, sequences = setup
+    with pytest.raises(ValueError, match="integer ids"):
+        loss_and_grads(bb, gates, sequences[0] + 0.7, 1.0, 4.0)
