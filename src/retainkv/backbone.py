@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import GateParams, ModelShape, gate_features, gate_layer, gate_layer_grad
+from .gates import (GateParams, ModelShape, gate_features, gate_layer, gate_layer_grad,
+                    retention_log_weights, retention_log_weights_grad)
 from .numerics import Array, softmax_kernel
 
 
@@ -99,9 +100,6 @@ def _forward(bb: Backbone, gates: GateParams | None, tokens,
     T = tokens.shape[0]
     L, H, dh = shape.layers, shape.heads, shape.head_dim
     future = ~np.tri(T, dtype=bool)  # [t, i] is i > t
-    if gates is not None:
-        ages = np.subtract.outer(np.arange(T), np.arange(T)).astype(np.float64)
-        aged = ages > 0
 
     h = bb.embed[tokens] + bb.pos[:T]
     betas = np.ones((L, H, T))
@@ -116,13 +114,14 @@ def _forward(bb: Backbone, gates: GateParams | None, tokens,
         h1 = p = None
         if gates is not None:
             h1, p, betas[l] = gate_layer(gate_features(x, k, v, gates.gate_input), l, gates)
+            lw = retention_log_weights(betas[l])
         qs, ws = [], []
         for hd in range(H):
             q = x @ bb.wq[l, hd]
             z = q @ k[hd].T
             z /= np.sqrt(dh)
             if gates is not None:
-                z += np.where(aged, ages * np.log(betas[l, hd])[None, :], 0.0)
+                z += lw[hd]
             np.copyto(z, -np.inf, where=future)
             w = softmax_kernel(z)
             attn += (w @ v[hd]) @ bb.wo[l, hd]
@@ -153,7 +152,6 @@ def student_backward(bb: Backbone, gates: GateParams, trace: ForwardTrace,
     """
     L, H, dh = bb.shape.layers, bb.shape.heads, bb.shape.head_dim
     T = trace.tokens.shape[0]
-    age_w = np.maximum(np.subtract.outer(np.arange(T), np.arange(T)), 0).astype(np.float64)
     grads = gates.with_flat(np.zeros_like(gates.flat))
 
     dh_grad = dlogits @ bb.unembed.T
@@ -172,10 +170,7 @@ def student_backward(bb: Backbone, gates: GateParams, trace: ForwardTrace,
             dqkv.append(((dg @ k) / np.sqrt(dh), (dg.T @ q) / np.sqrt(dh), dv))
 
             beta = trace.betas[l, hd]
-            # d(logit)/d(pre-sigmoid) for the geometric term is age * (1 - beta):
-            # the sigmoid slope beta * (1 - beta) cancels the 1/beta from
-            # d(age * log beta)/d(beta), which also keeps beta == 0 finite
-            du[hd] = ((dg * age_w).sum(axis=0) * (1.0 - beta)
+            du[hd] = (retention_log_weights_grad(dg, beta)
                       + dbeta_extra[l, hd] * beta * (1.0 - beta))
         dgin = gate_layer_grad(gate_features(lt.x, lt.k, lt.v, gates.gate_input), l, gates,
                                lt.h1, lt.p, du, grads)

@@ -15,6 +15,7 @@ of columns, and each token's last selection step.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -118,10 +119,13 @@ def decode_sequence(bb: Backbone, gates: GateParams | None, sample: Sample,
                     trace: list | None = None) -> DecodeResult:
     """Teacher-forced incremental pass with live eviction; scores answers.
 
-    The budget fraction is relative to the full cache at the end of the
-    sequence, `T * layers * heads` entries in total. Only the policies in
-    `SCORED` run the gates; the others cache every entry with beta 1.
+    The budget fraction, finite and > 0, is relative to the full cache at the
+    end of the sequence, `T * layers * heads` entries in total. Only the
+    policies in `SCORED` run the gates; the others cache every entry with
+    beta 1.
     """
+    if not (math.isfinite(budget_fraction) and budget_fraction > 0):
+        raise ValueError(f"budget_fraction must be finite and > 0; got {budget_fraction!r}")
     if policy_name not in SCORED:
         gates = None
     shape = bb.shape

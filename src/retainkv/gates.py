@@ -21,6 +21,7 @@ Checkpoint format (versioned, little-endian, documented for byte-exactness):
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
@@ -178,6 +179,30 @@ def gate_layer_grad(x: Array, layer: int, params: GateParams, h1: Array, p: Arra
     return dpre1 @ params.w1[layer]
 
 
+@functools.lru_cache(maxsize=4)
+def _ages(T: int) -> Array:
+    """The [T, T] table of ages t - i, shared and read-only."""
+    ages = np.subtract.outer(np.arange(T), np.arange(T)).astype(np.float64)
+    ages.flags.writeable = False
+    return ages
+
+
+def retention_log_weights(betas: Array) -> Array:
+    """Log retention weights [..., T, T] of betas [..., T]: (t - i) * log(beta_i)
+    below the diagonal, 0 on and above it, so beta ** 0 == 1 even at beta == 0."""
+    ages = _ages(betas.shape[-1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(ages > 0, ages * np.log(betas)[..., None, :], 0.0)
+
+
+def retention_log_weights_grad(dz: Array, betas: Array) -> Array:
+    """The adjoint of `retention_log_weights`: the gradient [..., T] at the betas'
+    pre-sigmoid scores, from dz [..., T, T], the gradient at the log weights."""
+    # d(age * log beta)/d(pre-sigmoid) is age * (1 - beta): the sigmoid slope
+    # cancels the 1/beta of d(log beta), which also keeps beta == 0 finite
+    return (dz * np.maximum(_ages(betas.shape[-1]), 0.0)).sum(axis=-2) * (1.0 - betas)
+
+
 def gate_forward_batch(x: Array, layer: int, params: GateParams) -> Array:
     """Retention scores sigmoid(wg . Proj_{layer,head}(x) + bg) of every head of a layer.
 
@@ -212,7 +237,10 @@ def quality_loss(teacher_logits: Array, student_logits: Array,
     q_logits = as_matrix(student_logits, "student_logits")
     if p_logits.shape != q_logits.shape:
         raise ValueError("teacher and student logits must share a shape")
-    targets = np.asarray(targets, dtype=np.int64)
+    targets = np.asarray(targets)
+    if targets.size and not np.issubdtype(targets.dtype, np.integer):
+        raise ValueError(f"targets must be integer vocab indices; got {targets.dtype}")
+    targets = targets.astype(np.int64, copy=False)
     n, vocab = p_logits.shape
     if targets.shape != (n,):
         raise ValueError("targets must give one vocab index per position")
@@ -249,15 +277,10 @@ def cap_loss_global_grad(betas: Array, m_global: float) -> tuple[float, Array]:
     b = as_matrix(betas, "betas")
     if np.any(b < 0.0) or np.any(b > 1.0):
         raise ValueError("betas must lie in [0, 1]")
-    G, T = b.shape
-    ages = np.subtract.outer(np.arange(T), np.arange(T)).astype(np.float64)  # [t, i]
-    # decay[g, t, i] = beta_{g,i} ** (t - i) for i <= t, else 0, and 1 at age 0
-    # even for beta == 0; exp runs only at positive ages
-    with np.errstate(divide="ignore", invalid="ignore"):
-        decay = ages * np.log(b)[:, None, :]
-    np.exp(decay, out=decay, where=ages > 0)
-    np.copyto(decay, 0.0, where=ages < 0)
-    np.copyto(decay, 1.0, where=ages == 0)
+    ages = _ages(b.shape[1])
+    # decay[g, t, i] = beta_{g,i} ** (t - i) for i <= t; above, the log weight's 0 stays
+    decay = retention_log_weights(b)
+    np.exp(decay, out=decay, where=ages >= 0)
     mass = decay.sum(axis=2).sum(axis=0)
     loss = float(np.maximum(0.0, mass - m_global).sum())
     # beta ** (t - i - 1) is the decay one step earlier
@@ -300,8 +323,9 @@ def load_gates(path) -> GateParams:
 
     Raises OSError if the file cannot be read and ValueError if its contents
     are not exactly one well-formed checkpoint: bad magic, version or header
-    (an activation other than tanh included), truncated arrays, trailing
-    bytes, or a parameter that is NaN or infinite.
+    (an activation other than tanh, or a seed other than null or a
+    non-negative int, included), truncated arrays, trailing bytes, or a
+    parameter that is NaN or infinite.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -332,6 +356,9 @@ def load_gates(path) -> GateParams:
     tied = header["tied"]
     if not all(type(v) is int and v >= 1 for v in (L, H, d_in, dg)) or type(tied) is not bool:
         raise ValueError("checkpoint header has bad dimensions")
+    seed = header["seed"]
+    if seed is not None and (type(seed) is not int or seed < 0):
+        raise ValueError(f"checkpoint seed must be null or a non-negative integer; got {seed!r}")
 
     per_head = dg * d_in + dg + dg * dg + dg
     readout = dg + 1 if tied else L * H * (dg + 1)
@@ -352,4 +379,4 @@ def load_gates(path) -> GateParams:
     cuts = [0, dg * d_in, dg * d_in + dg, dg * d_in + dg + dg * dg, per_head]
     flat = np.concatenate([heads[:, a:b].ravel() for a, b in zip(cuts, cuts[1:])]
                           + [rows[:, :dg].ravel(), rows[:, dg]])
-    return GateParams(flat, L, H, dg, d_in, tied, header["gate_input"], header["seed"])
+    return GateParams(flat, L, H, dg, d_in, tied, header["gate_input"], seed)

@@ -418,6 +418,11 @@ def _bad_checkpoint(tmp_path, case):
         blob = _checkpoint(path).read_bytes()
         path.write_bytes(blob.replace(b'"activation": "tanh"', b'"activation": "relu"'))
         return path
+    if case == "seed":
+        blob = _checkpoint(path).read_bytes()
+        # same length, so the header length field still holds
+        path.write_bytes(blob.replace(b'"seed": null', b'"seed": "ab"'))
+        return path
     if case == "gate_input":
         blob = _checkpoint(path).read_bytes()
         path.write_bytes(blob.replace(b'"gate_input": "embedding"', b'"gate_input": "bogusmode"'))
@@ -429,7 +434,7 @@ class TestBadCheckpoint:
     """Exit 2 with one line on stderr, checked before any decoding."""
 
     CASES = ("missing", "corrupt", "bad_header", "truncated", "trailing",
-             "layers", "heads", "d_in", "activation", "gate_input", "nan_weight",
+             "layers", "heads", "d_in", "activation", "gate_input", "seed", "nan_weight",
              "inf_weight")
 
     @pytest.mark.parametrize("command", ["eval"])

@@ -105,6 +105,23 @@ class TestDecodeSequence:
             with pytest.raises(ValueError, match=r"token ids must lie in \[0, 40\)"):
                 decode_sequence(bb, None, replace(samples[0], tokens=tokens), policy, 0.25)
 
+    @pytest.mark.parametrize("bad", [0.0, -0.5, float("nan"), float("inf")])
+    def test_budget_fraction_not_positive_and_finite_rejected(self, world, bad):
+        """0 and -0.5 would run as a budget of one entry per group; NaN would
+        fail converting to an integer."""
+        bb, samples = world
+        for policy in ("full", "recency", "global"):
+            with pytest.raises(ValueError, match=f"budget_fraction must be finite and > 0; "
+                                                 f"got {bad!r}"):
+                decode_sequence(bb, None, samples[0], policy, bad)
+
+    def test_budget_fraction_above_one_keeps_every_entry(self, world):
+        bb, samples = world
+        whole = decode_sequence(bb, None, samples[0], "recency", 1.0)
+        more = decode_sequence(bb, None, samples[0], "recency", 1.5)
+        assert more.peak_entries == whole.peak_entries
+        assert np.array_equal(more.predictions, whole.predictions)
+
     def test_layer_zero_and_appends_run_once_per_token_and_layer(self, world, monkeypatch):
         """A scored decode of T tokens gates layer 0 in one call and every
         later layer once per token, and appends each layer's heads in one call."""

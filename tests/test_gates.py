@@ -1,9 +1,15 @@
+import json
 import math
+import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from retainkv import gates
+from retainkv.attention import geometric_log_weights
+from retainkv.backbone import student_forward, teacher_forward
 from retainkv.gates import (
     GATE_INPUTS,
     INIT_READOUT_BIAS,
@@ -18,10 +24,13 @@ from retainkv.gates import (
     init_gate_params,
     load_gates,
     quality_loss,
+    retention_log_weights,
+    retention_log_weights_grad,
     save_gates,
 )
+from retainkv.numerics import sigmoid
 
-from conftest import finite_diff_grad
+from conftest import finite_diff_grad, random_backbone
 
 SHAPE = ModelShape(layers=2, heads=2, head_dim=4, gate_hidden=6, seq_len=16, vocab=12)
 
@@ -146,6 +155,23 @@ class TestQualityLoss:
         logits = rng.normal(size=(2, 4))
         with pytest.raises(ValueError, match=r"targets must lie in \[0, 4\)"):
             quality_loss(logits, logits, targets)
+
+    @pytest.mark.parametrize("targets", [[0.7, 1.0], [0.0, 1.0], [True, False]])
+    def test_non_integer_target_rejected(self, rng, targets):
+        """[0.7, 1.0] would run as [0, 1], as token ids may not."""
+        logits = rng.normal(size=(2, 4))
+        with pytest.raises(ValueError, match="targets must be integer vocab indices"):
+            quality_loss(logits, logits, targets)
+
+    def test_integer_and_empty_targets_accepted(self, rng):
+        logits = rng.normal(size=(2, 4))
+        want = quality_loss(logits, logits, [3, 1])
+        got = quality_loss(logits, logits, np.array([3, 1], dtype=np.int32))
+        assert got[:2] == want[:2] and np.array_equal(got[2], want[2])
+        empty = np.zeros((0, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the mean of no positions
+            assert quality_loss(empty, empty, [])[2].shape == (0, 4)
 
     def test_grad_matches_finite_differences(self, rng):
         p_logits = rng.normal(size=(3, 5))
@@ -276,6 +302,30 @@ class TestCheckpoint:
         path.write_bytes(blob.replace(b'"gate_input": "embedding"', b'"gate_input": "bogusmode"'))
         with pytest.raises(ValueError, match="gate_input 'bogusmode' is not one of"):
             load_gates(path)
+
+    @staticmethod
+    def with_header(path, **changes):
+        """Rewrite the checkpoint at `path` with header keys replaced."""
+        blob = path.read_bytes()
+        (n,) = struct.unpack_from("<I", blob, 8)
+        header = dict(json.loads(blob[12:12 + n]), **changes)
+        head = json.dumps(header, sort_keys=True).encode("utf-8")
+        path.write_bytes(blob[:8] + struct.pack("<I", len(head)) + head + blob[12 + n:])
+
+    @pytest.mark.parametrize("seed", ["abc", -1, True, 1.5, [0]])
+    def test_bad_seed_rejected(self, tmp_path, rng, seed):
+        path = tmp_path / "gates.ckpt"
+        save_gates(path, init_gate_params(SHAPE, d_in=8, rng=rng, seed=3))
+        self.with_header(path, seed=seed)
+        with pytest.raises(ValueError, match="seed must be null or a non-negative integer"):
+            load_gates(path)
+
+    @pytest.mark.parametrize("seed", [None, 0, 2 ** 31 - 1])
+    def test_good_seed_round_trips(self, tmp_path, rng, seed):
+        path = tmp_path / "gates.ckpt"
+        save_gates(path, init_gate_params(SHAPE, d_in=8, rng=rng, seed=3))
+        self.with_header(path, seed=seed)
+        assert load_gates(path).seed == seed
 
     def test_save_is_byte_deterministic(self, tmp_path, rng, params):
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
@@ -487,3 +537,70 @@ class TestGateLayerGrad:
         for _ in range(2):
             gate_layer_grad(x, 0, params, h1, p, du, twice)
         np.testing.assert_allclose(twice.flat, 2.0 * once.flat, rtol=1e-15)
+
+
+class TestRetentionLogWeights:
+    """The geometric retention weight beta_i ** (t - i), in log space, and its adjoint."""
+
+    BETAS = (0.0, 0.3, 1.0)
+    LENGTHS = (1, 2, 37, 105)
+
+    @staticmethod
+    def betas(T, beta, rng):
+        """Every entry `beta`, with a second row that mixes the three values."""
+        return np.stack([np.full(T, beta),
+                         rng.choice(TestRetentionLogWeights.BETAS, size=T)])
+
+    @pytest.mark.parametrize("T", LENGTHS)
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_matches_oracle_on_and_below_the_diagonal(self, rng, T, beta):
+        b = self.betas(T, beta, rng)
+        lw = retention_log_weights(b)
+        assert lw.shape == (2, T, T)
+        past = np.tri(T, dtype=bool)
+        ages = np.maximum(np.arange(T)[:, None] - np.arange(T)[None, :], 0)
+        for row, got in zip(b, lw):
+            want = geometric_log_weights(np.broadcast_to(row, (T, T)), ages)
+            assert np.array_equal(got[past], want[past])
+            assert not np.any(got[~past])
+        assert np.array_equal(lw[0], retention_log_weights(b[0]))
+
+    @pytest.mark.parametrize("T", LENGTHS)
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_grad_matches_finite_differences(self, rng, T, beta):
+        """Central differences of sum(c * lw) against the pre-sigmoid scores;
+        beta 0 and 1 are taken at scores of -40 and 40."""
+        u = np.full(T, {0.0: -40.0, 0.3: math.log(0.3 / 0.7), 1.0: 40.0}[beta])
+        c = rng.normal(size=(T, T))  # above the diagonal too, where lw is constant
+
+        def f(score):
+            return float((c * retention_log_weights(sigmoid(score))).sum())
+
+        fd = finite_diff_grad(f, u)
+        got = retention_log_weights_grad(c, sigmoid(u))
+        np.testing.assert_allclose(got, fd, rtol=1e-6, atol=1e-6)
+
+    def test_grad_at_exact_bounds(self, rng):
+        """At beta 0 the gradient is its limit, sum_t c * age; at beta 1 it is 0."""
+        T = 37
+        c = rng.normal(size=(2, T, T))
+        ages = np.maximum(np.arange(T)[:, None] - np.arange(T)[None, :], 0)
+        got = retention_log_weights_grad(c, np.stack([np.zeros(T), np.ones(T)]))
+        np.testing.assert_allclose(got[0], (c[0] * ages).sum(axis=0), rtol=1e-12)
+        assert np.array_equal(got[1], np.zeros(T))
+
+    def test_age_table_is_read_only(self):
+        retention_log_weights(np.full(5, 0.5))
+        with pytest.raises(ValueError, match="read-only"):
+            gates._ages(5)[1, 0] = 0.0
+        assert retention_log_weights(np.full(5, 0.5))[1, 0] == math.log(0.5)
+
+    def test_teacher_builds_no_age_table(self, rng):
+        shape = ModelShape(layers=2, heads=2, head_dim=4, gate_hidden=6, seq_len=40, vocab=12)
+        bb = random_backbone(shape, rng)
+        tokens = rng.integers(0, 12, size=33)
+        gates._ages.cache_clear()
+        teacher_forward(bb, tokens)
+        assert gates._ages.cache_info().currsize == 0
+        student_forward(bb, init_gate_params(shape, d_in=8, rng=rng), tokens)
+        assert gates._ages.cache_info().currsize == 1

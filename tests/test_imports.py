@@ -13,7 +13,8 @@ is its own module's business, so a caller elsewhere means the name belongs to
 the public surface or to the caller.
 
 Only `retainkv.gates` reads the gate's tensors, so a change to the gate MLP is
-made in one module, in both directions.
+made in one module, in both directions. It also owns the geometric retention
+weight: no other module builds the table of ages it is made from.
 """
 
 import ast
@@ -150,6 +151,40 @@ def test_only_gates_reads_gate_tensors():
     readers = [p.name for p in sorted(PACKAGE.glob("*.py"))
                if p.name != "gates.py" and gate_attributes(ast.parse(p.read_text()))]
     assert readers == []
+
+
+# -- age-table guard -----------------------------------------------------------
+
+
+def age_tables(tree: ast.AST) -> int:
+    """How many calls of `<name>.subtract.outer`, the table of ages t - i, `tree` makes."""
+    return sum(1 for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "outer" and isinstance(node.func.value, ast.Attribute)
+               and node.func.value.attr == "subtract")
+
+
+@pytest.mark.parametrize("source", (
+    "ages = np.subtract.outer(np.arange(T), np.arange(T))",
+    "ages = numpy.subtract.outer(a, b).astype(np.float64)",
+    "w = np.maximum(np.subtract.outer(a, b), 0)",
+    "def f(T):\n    return np.subtract.outer(range(T), range(T))\n",
+))
+def test_age_guard_sees_the_table(source):
+    assert age_tables(ast.parse(source)) == 1
+
+
+def test_age_guard_ignores_other_outer_calls():
+    assert age_tables(ast.parse(
+        "np.add.outer(a, b)\nnp.subtract(a, b)\nnp.outer(a, b)\nf = np.subtract.outer\n"
+        "ages = a[:, None] - b[None, :]\n")) == 0
+
+
+def test_only_gates_builds_the_age_table():
+    """The retention weight, its adjoint and the capacity decay share one table."""
+    builders = [p.name for p in sorted(PACKAGE.glob("*.py"))
+                if p.name != "gates.py" and age_tables(ast.parse(p.read_text()))]
+    assert builders == []
 
 
 # -- surface guard -------------------------------------------------------------
