@@ -48,6 +48,11 @@ class SelectionRecorder:
     def __init__(self, top_k=(1, 2, 4), tau=(0.99,)):
         self.top_k = tuple(top_k)
         self.tau = tuple(tau)
+        ks, taus = np.asarray(self.top_k), np.asarray(self.tau, dtype=np.float64)
+        if ks.size and (not np.issubdtype(ks.dtype, np.integer) or np.any(ks < 1)):
+            raise ValueError(f"top_k must be integers >= 1; got {self.top_k}")
+        if not np.all((taus > 0.0) & (taus <= 1.0)):
+            raise ValueError(f"tau must lie in (0, 1]; got {self.tau}")
         # (layer, head, criterion) -> {birth: last selection step}
         self.last: dict = {}
         self.mass_set_sizes: list[int] = []

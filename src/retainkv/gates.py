@@ -13,10 +13,11 @@ Checkpoint format (versioned, little-endian, documented for byte-exactness):
     bytes 12..   N bytes of UTF-8 JSON header:
                  {"version": 1, "layers", "heads", "d_in", "d_gate",
                   "activation": "tanh", "tied": bool, "gate_input", "seed"}
-    then, for layer-major (layer, head) order, float64 C-order arrays:
+    then the payload, `GateParams.flat` as little-endian float64: for each
+    (layer, head) in layer-major order, one block of C-order arrays
                  w1 [d_gate, d_in], b1 [d_gate], w2 [d_gate, d_gate], b2 [d_gate]
-    then the shared readout: wg [d_gate], bg [1]
-    (untied: one wg [d_gate], bg [1] pair per (layer, head), same order)
+    then the shared readout row: wg [d_gate], bg [1]
+    (untied: one wg [d_gate], bg [1] row per (layer, head), same order)
 """
 
 from __future__ import annotations
@@ -61,16 +62,23 @@ class ModelShape:
         return self.layers * self.heads
 
 
+def _param_count(layers: int, heads: int, d_gate: int, d_in: int, tied: bool) -> int:
+    """The floats in the payload: a w1, b1, w2, b2 block per (layer, head), then
+    the readout rows (wg, bg), one if tied, else one per (layer, head)."""
+    readouts = 1 if tied else layers * heads
+    return layers * heads * d_gate * (d_in + 1 + d_gate + 1) + readouts * (d_gate + 1)
+
+
 @dataclass
 class GateParams:
     """Per-(layer, head) projections plus the shared scoring readout.
 
-    Every parameter lives in one float64 vector `flat`, in the order w1, b1,
-    w2, b2, wg, bg; the six tensors are reshaped views of it, so writing
-    through either changes both. proj_* tensors are indexed [layer, head, ...].
-    When `tied` is False the readout tensors grow leading (layer, head) axes;
-    everything else is unchanged, which keeps the ablation a pure calibration
-    comparison.
+    Every parameter lives in one float64 vector `flat`, in the checkpoint's
+    payload order (see the module docstring); the six tensors are strided
+    views of it, so writing through either changes both. proj_* tensors are
+    indexed [layer, head, ...]. When `tied` is False the readout tensors grow
+    leading (layer, head) axes; everything else is unchanged, which keeps the
+    ablation a pure calibration comparison.
     """
 
     flat: Array
@@ -92,19 +100,18 @@ class GateParams:
         if self.gate_input not in GATE_INPUTS:
             raise ValueError(f"gate_input {self.gate_input!r} is not one of {GATE_INPUTS}")
         L, H, dg = self.layers, self.heads, self.d_gate
-        readout = () if self.tied else (L, H)
-        shapes = ((L, H, dg, self.d_in), (L, H, dg), (L, H, dg, dg), (L, H, dg),
-                  readout + (dg,), readout)
-        sizes = [math.prod(s) for s in shapes]
+        count = _param_count(L, H, dg, self.d_in, self.tied)
         self.flat = np.asarray(self.flat, dtype=np.float64)
-        if self.flat.shape != (sum(sizes),):
-            raise ValueError(f"flat has shape {self.flat.shape}; these gates need "
-                             f"({sum(sizes)},)")
-        views, offset = [], 0
-        for shape, size in zip(shapes, sizes):
-            views.append(self.flat[offset:offset + size].reshape(shape))
-            offset += size
-        self.w1, self.b1, self.w2, self.b2, self.wg, self.bg = views
+        if self.flat.shape != (count,):
+            raise ValueError(f"flat has shape {self.flat.shape}; these gates need ({count},)")
+        readout = () if self.tied else (L, H)
+        rows = self.flat[count - math.prod(readout) * (dg + 1):].reshape(readout + (dg + 1,))
+        blocks = self.flat[:count - rows.size].reshape(L, H, -1)
+        # b1, w2 and b2 start at a, b and c in each block
+        a, b, c = dg * self.d_in, dg * (self.d_in + 1), dg * (self.d_in + 1 + dg)
+        self.w1, self.b1 = blocks[..., :a].reshape(L, H, dg, self.d_in), blocks[..., a:b]
+        self.w2, self.b2 = blocks[..., b:c].reshape(L, H, dg, dg), blocks[..., c:]
+        self.wg, self.bg = rows[..., :dg], rows[..., dg:].reshape(readout)
 
     def with_flat(self, flat: Array) -> "GateParams":
         """Gates of this layout over the vector `flat`, which they view, not copy."""
@@ -121,8 +128,8 @@ def init_gate_params(shape: ModelShape, d_in: int, rng: np.random.Generator,
                      init_scale: float = 0.1, seed: int | None = None) -> GateParams:
     """Small random projections; readout bias starts at 18.0 so beta > 0.999."""
     L, H, dg = shape.layers, shape.heads, shape.gate_hidden
-    n = L * H * (dg * d_in + dg + dg * dg + dg) + (1 if tied else L * H) * (dg + 1)
-    params = GateParams(np.zeros(n), L, H, dg, d_in, tied, gate_input, seed)
+    params = GateParams(np.zeros(_param_count(L, H, dg, d_in, tied)), L, H, dg, d_in,
+                        tied, gate_input, seed)
     params.w1[...] = rng.normal(0.0, init_scale / np.sqrt(d_in), size=params.w1.shape)
     params.w2[...] = rng.normal(0.0, init_scale / np.sqrt(dg), size=params.w2.shape)
     params.wg[...] = rng.normal(0.0, init_scale / np.sqrt(dg), size=params.wg.shape)
@@ -187,6 +194,14 @@ def _ages(T: int) -> Array:
     return ages
 
 
+@functools.lru_cache(maxsize=4)
+def _past_ages(T: int) -> Array:
+    """`_ages(T)` clipped at 0, the ages of past entries; shared and read-only."""
+    ages = np.maximum(_ages(T), 0.0)
+    ages.flags.writeable = False
+    return ages
+
+
 def retention_log_weights(betas: Array) -> Array:
     """Log retention weights [..., T, T] of betas [..., T]: (t - i) * log(beta_i)
     below the diagonal, 0 on and above it, so beta ** 0 == 1 even at beta == 0."""
@@ -200,7 +215,7 @@ def retention_log_weights_grad(dz: Array, betas: Array) -> Array:
     pre-sigmoid scores, from dz [..., T, T], the gradient at the log weights."""
     # d(age * log beta)/d(pre-sigmoid) is age * (1 - beta): the sigmoid slope
     # cancels the 1/beta of d(log beta), which also keeps beta == 0 finite
-    return (dz * np.maximum(_ages(betas.shape[-1]), 0.0)).sum(axis=-2) * (1.0 - betas)
+    return (dz * _past_ages(betas.shape[-1])).sum(axis=-2) * (1.0 - betas)
 
 
 def gate_forward_batch(x: Array, layer: int, params: GateParams) -> Array:
@@ -305,17 +320,11 @@ def save_gates(path, params: GateParams) -> None:
         "seed": params.seed,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    # layer-major (layer, head) blocks of w1, b1, w2, b2, then the readout
-    # (wg, bg), once if tied, else per (layer, head): the layout `load_gates` reads
-    L, H = params.layers, params.heads
-    heads = np.concatenate([params.w1.reshape(L, H, -1), params.b1,
-                            params.w2.reshape(L, H, -1), params.b2], axis=2)
-    readout = np.concatenate([params.wg, np.asarray(params.bg)[..., None]], axis=-1)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        fh.write(np.concatenate([heads.ravel(), readout.ravel()]).astype("<f8").tobytes())
+        fh.write(params.flat.astype("<f8").tobytes())
 
 
 def load_gates(path) -> GateParams:
@@ -360,9 +369,7 @@ def load_gates(path) -> GateParams:
     if seed is not None and (type(seed) is not int or seed < 0):
         raise ValueError(f"checkpoint seed must be null or a non-negative integer; got {seed!r}")
 
-    per_head = dg * d_in + dg + dg * dg + dg
-    readout = dg + 1 if tied else L * H * (dg + 1)
-    count = L * H * per_head + readout
+    count = _param_count(L, H, dg, d_in, tied)
     payload = len(blob) - 12 - n
     if payload < 8 * count:
         raise ValueError("truncated checkpoint")
@@ -371,12 +378,4 @@ def load_gates(path) -> GateParams:
     data = np.frombuffer(blob, dtype="<f8", count=count, offset=12 + n)
     if not np.isfinite(data).all():
         raise ValueError("checkpoint has non-finite parameters")
-
-    # layer-major (layer, head) blocks of w1, b1, w2, b2, then the readout
-    # rows (wg, bg): regrouped into the name order of `GateParams.flat`
-    heads = data[:L * H * per_head].reshape(L * H, per_head)
-    rows = data[L * H * per_head:].reshape(-1, dg + 1)
-    cuts = [0, dg * d_in, dg * d_in + dg, dg * d_in + dg + dg * dg, per_head]
-    flat = np.concatenate([heads[:, a:b].ravel() for a, b in zip(cuts, cuts[1:])]
-                          + [rows[:, :dg].ravel(), rows[:, dg]])
-    return GateParams(flat, L, H, dg, d_in, tied, header["gate_input"], seed)
+    return GateParams(data.copy(), L, H, dg, d_in, tied, header["gate_input"], seed)

@@ -451,7 +451,9 @@ def pca_project(states: Array, k: int) -> tuple[Array, Array, Array]:
 def survival_curve(reach, horizons) -> Array:
     """Fraction of tokens still selected at or beyond each horizon, from each
     token's distance to its last selection (`reach`; -1 if never selected)."""
-    horizons = np.asarray(list(horizons), dtype=np.int64)
+    horizons = np.asarray(list(horizons))
+    if horizons.size and not np.issubdtype(horizons.dtype, np.integer):
+        raise ValueError(f"horizons must be integers; got {horizons.dtype}")
     if np.any(horizons < 1):
         raise ValueError("horizons must be positive")
     reach = np.asarray(reach)

@@ -10,6 +10,7 @@ gating.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +60,8 @@ def loss_and_grads(bb: Backbone, gates: GateParams, tokens, lam: float,
     `teacher_forward(bb, tokens)`; the teacher is frozen, so a caller that
     sees the same sequence again may pass them instead of recomputing them.
     """
-    if lam < 0.0:
-        raise ValueError("lambda must be >= 0")
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise ValueError(f"lambda must be finite and >= 0; got {lam}")
     tokens = token_ids(bb.shape, tokens)
     if tokens.shape[0] < 2:
         raise ValueError("need at least two tokens to form a prediction")

@@ -385,6 +385,14 @@ class TestSelectionRecorder:
                         want = [max(slot[b]) - b if b in slot else -1 for b in range(n_tokens)]
                         assert rec.reach(criterion, layer, head, n_tokens).tolist() == want
 
+    @pytest.mark.parametrize("bad", [{"top_k": (-1,)}, {"top_k": (0, 2)}, {"top_k": (1.5,)},
+                                     {"top_k": (True,)}, {"tau": (0.0,)}, {"tau": (1.5,)},
+                                     {"tau": (float("nan"),)}],
+                             ids=lambda b: "{}={}".format(*next(iter(b.items()))))
+    def test_bad_criteria_rejected(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            SelectionRecorder(**bad)
+
     def test_steps_must_not_go_back(self):
         rec = SelectionRecorder()
         rec.observe(0, 0, 3, np.arange(2), np.array([0.5, 0.5]))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import struct
@@ -12,7 +13,6 @@ from retainkv.attention import geometric_log_weights
 from retainkv.backbone import student_forward, teacher_forward
 from retainkv.gates import (
     GATE_INPUTS,
-    INIT_READOUT_BIAS,
     GateParams,
     ModelShape,
     cap_loss_global_grad,
@@ -375,28 +375,55 @@ class TestCheckpoint:
         payload = b"".join(np.asarray(a, dtype="<f8").tobytes() for a in blocks)
         assert path.read_bytes().endswith(payload)
 
-    def test_reloaded_tensors_are_contiguous_copies(self, tmp_path, rng):
+    def test_reloaded_tensors_view_a_fresh_vector(self, tmp_path, rng):
         params = init_gate_params(SHAPE, d_in=8, rng=rng, tied=False)
         path = tmp_path / "gates.ckpt"
         save_gates(path, params)
         loaded = load_gates(path)
         for name, arr in loaded.tensors().items():
-            assert arr.flags.c_contiguous and arr.flags.writeable, name
+            assert np.shares_memory(arr, loaded.flat) and arr.flags.writeable, name
             assert arr.shape == params.tensors()[name].shape, name
+        flat = loaded.flat
+        assert flat.flags.c_contiguous and flat.flags.writeable and flat.flags.owndata
+
+    # sha256 of each tensor's C-order bytes, from the pinned checkpoint
+    PINNED_DIGESTS = {
+        "w1": "e9fbb1527989f34f151459617cf4ccf128d660889bf3945d6cbbad2fa40be5ba",
+        "b1": "531026c5b2e54e098630380c99904866094ce79e0dc1d0a6ac2fbb9a33a4dea3",
+        "w2": "69593979c21b8ad064ff69c65cedac844c36119f952c9795ab357be446e8162e",
+        "b2": "969d6bd6431189b7f0956bc4c1ad051cbe53834d894502cd93769a3914bf6f1d",
+        "wg": "5a2b77553db78fa0438a592bdc73eef3da835dea271e792e1b2b36b83b05b4e2",
+        "bg": "d90cab96ae53f9ce4a71193191f8b77894b9e586bf363f8976839f4e45414b4c",
+    }
+
+    def test_pinned_checkpoint_tensor_values(self):
+        loaded = load_gates(Path(__file__).parents[1] / "bench" / "gates_seed0.ckpt")
+        digests = {name: hashlib.sha256(np.ascontiguousarray(t).tobytes()).hexdigest()
+                   for name, t in loaded.tensors().items()}
+        assert digests == self.PINNED_DIGESTS
 
 
 class TestFlatVector:
-    """The six tensors are views of `flat`, in the order w1, b1, w2, b2, wg, bg."""
+    """The six tensors are views of `flat`, which is the checkpoint's payload."""
 
     @pytest.mark.parametrize("tied", [True, False])
-    def test_tensors_are_views_in_name_order(self, rng, tied):
+    def test_tensors_are_views_in_payload_order(self, tmp_path, rng, tied):
         params = init_gate_params(SHAPE, d_in=8, rng=rng, tied=tied)
-        parts = [params.tensors()[n].ravel() for n in ("w1", "b1", "w2", "b2", "wg", "bg")]
-        assert np.concatenate(parts).tobytes() == params.flat.tobytes()
+        path = tmp_path / "gates.ckpt"
+        save_gates(path, params)
+        blob = path.read_bytes()
+        (n,) = struct.unpack_from("<I", blob, 8)
+        assert params.flat.tobytes() == blob[12 + n:]
+        # (layer 1, head 0) owns block 2; w1 opens each block of dg * (d_in + dg + 2)
+        dg, d_in = SHAPE.gate_hidden, 8
+        block = dg * (d_in + dg + 2)
         params.w1[1, 0, 2, 3] = 7.0
-        params.bg -= 1.0
-        assert params.flat[np.ravel_multi_index((1, 0, 2, 3), params.w1.shape)] == 7.0
-        assert params.flat[-1] == INIT_READOUT_BIAS - 1.0
+        assert params.flat[2 * block + 2 * d_in + 3] == 7.0
+        # the readout rows (wg, bg) follow the blocks: one row, or (1, 0)'s is row 2
+        at, row = ((), 0) if tied else ((1, 0), 2)
+        params.bg[at] = -5.0
+        assert params.flat[SHAPE.head_count * block + row * (dg + 1) + dg] == -5.0
+        assert np.count_nonzero(params.flat == -5.0) == 1
         params.flat[:] = 0.0
         assert all(not np.any(t) for t in params.tensors().values())
 
@@ -594,6 +621,14 @@ class TestRetentionLogWeights:
         with pytest.raises(ValueError, match="read-only"):
             gates._ages(5)[1, 0] = 0.0
         assert retention_log_weights(np.full(5, 0.5))[1, 0] == math.log(0.5)
+
+    def test_clipped_age_table_is_cached_and_read_only(self):
+        T = 6
+        past = gates._past_ages(T)
+        assert past is gates._past_ages(T)
+        assert np.array_equal(past, np.maximum(gates._ages(T), 0.0))
+        with pytest.raises(ValueError, match="read-only"):
+            past[2, 0] = 0.0
 
     def test_teacher_builds_no_age_table(self, rng):
         shape = ModelShape(layers=2, heads=2, head_dim=4, gate_hidden=6, seq_len=40, vocab=12)

@@ -590,3 +590,8 @@ class TestSurvivalCurve:
         assert curve[-2] == pytest.approx(0.10)
         assert curve[-1] == pytest.approx(0.10)
         assert all(b <= a for a, b in zip(curve, curve[1:]))
+
+    @pytest.mark.parametrize("horizons", [[1.5, 2.7], [2.0], [True]])
+    def test_non_integer_horizon_rejected(self, horizons):
+        with pytest.raises(ValueError, match="horizons must be integers"):
+            survival_curve(np.array([0, 1, 2, 3]), horizons)

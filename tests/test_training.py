@@ -89,6 +89,12 @@ class TestTrainGates:
         with pytest.raises(ValueError, match=next(iter(bad))):
             train_gates(bb, gates, sequences, **kwargs)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
+    def test_bad_lambda_rejected(self, setup, lam):
+        bb, gates, sequences = setup
+        with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
+            loss_and_grads(bb, gates, sequences[0], lam, 1.0)
+
     def test_loss_rows_schema(self, setup):
         bb, gates, sequences = setup
         res = train_gates(bb, gates, sequences, lam=1.0, m_global=10.0,
