@@ -41,7 +41,7 @@ class LayerTrace:
     k: Array             # [H, T, d_head]
     v: Array
     q: list              # per head [T, d_head]
-    w: list              # per head [T, T] attention weights
+    w: Array             # [H, T, T] attention weights, a view of ForwardTrace.weights
     h1: Array | None     # [H, T, d_gate] gate hidden layer and projection, as
     p: Array | None      # `gate_layer` returns them; None without gates
     mlp_act: Array       # [T, d_ff] tanh activations
@@ -49,11 +49,32 @@ class LayerTrace:
 
 @dataclass
 class ForwardTrace:
-    """Student activations cached for the manual backward pass."""
+    """Student activations cached for the manual backward pass.
+
+    `student_forward(..., out=trace)` refills a trace of the same layers,
+    heads, length and gate use in place: its two [L, H, T, T] arrays are
+    allocated once for every sequence it serves.
+    """
 
     tokens: np.ndarray
     betas: Array                 # [L, H, T]
+    log_weights: Array | None    # [L, H, T, T] retention log weights; None without
+                                 # gates; `loss_and_grads` exponentiates them in place
+    weights: Array               # [L, H, T, T] attention weights
     layers: list                 # one LayerTrace per layer
+
+    def fits(self, shape: ModelShape, T: int, gated: bool) -> bool:
+        """Whether `student_forward` can refill this trace for a length-T sequence."""
+        return (self.weights.shape == (shape.layers, shape.heads, T, T)
+                and (self.log_weights is not None) == gated)
+
+
+def new_trace(shape: ModelShape, T: int, gated: bool = True) -> ForwardTrace:
+    """An unfilled trace for a length-T sequence, for `student_forward(..., out=)`."""
+    L, H = shape.layers, shape.heads
+    return ForwardTrace(np.zeros(0, dtype=np.int64), np.ones((L, H, T)),
+                        np.empty((L, H, T, T)) if gated else None,
+                        np.empty((L, H, T, T)), [])
 
 
 def token_ids(shape: ModelShape, tokens) -> np.ndarray:
@@ -79,31 +100,39 @@ def teacher_forward(bb: Backbone, tokens) -> Array:
 
     Keeps no trace, so no head's [T, T] weights outlive its attention output.
     """
-    logits, _ = _forward(bb, None, tokens, keep_trace=False)
-    return logits
+    return _forward(bb, None, token_ids(bb.shape, tokens), None)[0]
 
 
-def student_forward(bb: Backbone, gates: GateParams | None, tokens) -> tuple[Array, ForwardTrace]:
+def student_forward(bb: Backbone, gates: GateParams | None, tokens,
+                    out: ForwardTrace | None = None) -> tuple[Array, ForwardTrace]:
     """Gated forward pass; `gates=None` runs the plain full-cache path.
 
     Retention enters each head as additive log weights (t - i) * log(beta_i)
     on the causal attention logits; betas come from the gate applied to that
     layer's input hidden state (or to [k || v] in the ablation variant).
+    The trace returned is `out`, refilled, if `out.fits` this call, and a new
+    one otherwise.
     """
-    return _forward(bb, gates, tokens, keep_trace=True)
+    tokens = token_ids(bb.shape, tokens)
+    T, gated = tokens.shape[0], gates is not None
+    if out is None or not out.fits(bb.shape, T, gated):
+        out = new_trace(bb.shape, T, gated)
+    return _forward(bb, gates, tokens, out)
 
 
-def _forward(bb: Backbone, gates: GateParams | None, tokens,
-             keep_trace: bool) -> tuple[Array, ForwardTrace | None]:
+def _forward(bb: Backbone, gates: GateParams | None, tokens: np.ndarray,
+             trace: ForwardTrace | None) -> tuple[Array, ForwardTrace | None]:
+    """The forward pass over checked token ids. It fills `trace`, which must fit
+    them; with `trace=None` it keeps none, as the teacher needs."""
     shape = bb.shape
-    tokens = token_ids(shape, tokens)
     T = tokens.shape[0]
     L, H, dh = shape.layers, shape.heads, shape.head_dim
     future = ~np.tri(T, dtype=bool)  # [t, i] is i > t
 
     h = bb.embed[tokens] + bb.pos[:T]
     betas = np.ones((L, H, T))
-    layers = []
+    if trace is not None:
+        trace.tokens, trace.betas, trace.layers = tokens, betas, []
 
     for l in range(L):
         x = h
@@ -114,8 +143,8 @@ def _forward(bb: Backbone, gates: GateParams | None, tokens,
         h1 = p = None
         if gates is not None:
             h1, p, betas[l] = gate_layer(gate_features(x, k, v, gates.gate_input), l, gates)
-            lw = retention_log_weights(betas[l])
-        qs, ws = [], []
+            lw = retention_log_weights(betas[l], None if trace is None else trace.log_weights[l])
+        qs = []
         for hd in range(H):
             q = x @ bb.wq[l, hd]
             z = q @ k[hd].T
@@ -123,22 +152,18 @@ def _forward(bb: Backbone, gates: GateParams | None, tokens,
             if gates is not None:
                 z += lw[hd]
             np.copyto(z, -np.inf, where=future)
-            w = softmax_kernel(z)
+            w = softmax_kernel(z, None if trace is None else trace.weights[l, hd])
             attn += (w @ v[hd]) @ bb.wo[l, hd]
-            if keep_trace:
+            if trace is not None:
                 qs.append(q)
-                ws.append(w)
             del z, w  # free them before the next head builds its own [T, T] logits
         h = h + attn
         a = np.tanh(h @ bb.mlp_w1[l] + bb.mlp_b1[l])
-        if keep_trace:
-            layers.append(LayerTrace(x, k, v, qs, ws, h1, p, a))
+        if trace is not None:
+            trace.layers.append(LayerTrace(x, k, v, qs, trace.weights[l], h1, p, a))
         h = h + a @ bb.mlp_w2[l] + bb.mlp_b2[l]
 
-    logits = h @ bb.unembed
-    if not keep_trace:
-        return logits, None
-    return logits, ForwardTrace(tokens, betas, layers)
+    return h @ bb.unembed, trace
 
 
 def student_backward(bb: Backbone, gates: GateParams, trace: ForwardTrace,

@@ -195,6 +195,14 @@ def _ages(T: int) -> Array:
 
 
 @functools.lru_cache(maxsize=4)
+def _past(T: int) -> Array:
+    """The [T, T] mask of past entries, t > i; shared and read-only."""
+    past = _ages(T) > 0
+    past.flags.writeable = False
+    return past
+
+
+@functools.lru_cache(maxsize=4)
 def _past_ages(T: int) -> Array:
     """`_ages(T)` clipped at 0, the ages of past entries; shared and read-only."""
     ages = np.maximum(_ages(T), 0.0)
@@ -202,12 +210,21 @@ def _past_ages(T: int) -> Array:
     return ages
 
 
-def retention_log_weights(betas: Array) -> Array:
+def retention_log_weights(betas: Array, out: Array | None = None) -> Array:
     """Log retention weights [..., T, T] of betas [..., T]: (t - i) * log(beta_i)
-    below the diagonal, 0 on and above it, so beta ** 0 == 1 even at beta == 0."""
-    ages = _ages(betas.shape[-1])
+    below the diagonal, 0 on and above it, so beta ** 0 == 1 even at beta == 0.
+
+    `out`, if given, is a float64 array of the result's shape; every entry of
+    it is written, so nothing of its old contents carries over.
+    """
+    T = betas.shape[-1]
+    if out is None:
+        out = np.zeros(betas.shape[:-1] + (T, T))
+    else:
+        out.fill(0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(ages > 0, ages * np.log(betas)[..., None, :], 0.0)
+        np.multiply(_ages(T), np.log(betas)[..., None, :], out=out, where=_past(T))
+    return out
 
 
 def retention_log_weights_grad(dz: Array, betas: Array) -> Array:
@@ -280,21 +297,26 @@ def quality_loss(teacher_logits: Array, student_logits: Array,
     return kl, nll, dlogits
 
 
-def cap_loss_global_grad(betas: Array, m_global: float) -> tuple[float, Array]:
+def cap_loss_global_grad(log_weights: Array, m_global: float) -> tuple[float, Array]:
     """Hinge on the global retained mass, sum_t max(0, mass_t - m_global), and
     its subgradient with respect to each beta.
 
-    betas is [(layers * heads), T]; entry (g, i) is token i's score in head
-    group g, and mass_t sums beta_{g,i}**(t - i) over groups and tokens i <= t,
-    with beta**0 == 1. d mass_t / d beta_{g,i} is (t - i) * beta**(t - i - 1)
-    for t > i and zero at t == i; the hinge subgradient is 1[mass_t > m_global].
+    log_weights is [(layers * heads), T, T], `retention_log_weights` of the
+    betas [(layers * heads), T]; it is exponentiated in place, so it holds the
+    decay beta ** (t - i) after the call. Entry (g, i) of the betas is token
+    i's score in head group g, and mass_t sums beta_{g,i}**(t - i) over groups
+    and tokens i <= t, with beta**0 == 1. d mass_t / d beta_{g,i} is
+    (t - i) * beta**(t - i - 1) for t > i and zero at t == i; the hinge
+    subgradient is 1[mass_t > m_global].
     """
-    b = as_matrix(betas, "betas")
-    if np.any(b < 0.0) or np.any(b > 1.0):
-        raise ValueError("betas must lie in [0, 1]")
-    ages = _ages(b.shape[1])
+    decay = np.asarray(log_weights, dtype=np.float64)
+    if decay.ndim != 3 or decay.shape[1] != decay.shape[2]:
+        raise ValueError(f"log weights must be [groups, T, T]; got shape {decay.shape}")
+    # NaN fails `<= 0` as a max too, so this is the betas' [0, 1] check
+    if decay.size and not decay.max() <= 0.0:
+        raise ValueError("log weights must lie in [-inf, 0], from betas in [0, 1]")
+    ages = _ages(decay.shape[2])
     # decay[g, t, i] = beta_{g,i} ** (t - i) for i <= t; above, the log weight's 0 stays
-    decay = retention_log_weights(b)
     np.exp(decay, out=decay, where=ages >= 0)
     mass = decay.sum(axis=2).sum(axis=0)
     loss = float(np.maximum(0.0, mass - m_global).sum())

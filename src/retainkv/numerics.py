@@ -50,17 +50,17 @@ def sigmoid(x):
     return out
 
 
-def softmax_kernel(z: Array) -> Array:
+def softmax_kernel(z: Array, out: Array | None = None) -> Array:
     """Max-subtracted softmax along the last axis, with no input checks.
 
     The package's one softmax: `softmax`, `softmax_log_space`, the backbone's
     causal attention and decode all call it. Entries at -inf get weight
-    exactly 0; every row needs at least one finite entry. It allocates one
-    array of z's shape and never writes into `z`, which may alias a caller's
-    array; the in-place exp and divide give the same bits as
-    ``np.exp(z - m) / sum``.
+    exactly 0; every row needs at least one finite entry. It writes the
+    weights into `out`, a float64 array of z's shape, or else into one new
+    array. It never writes into `z`, which may alias a caller's array; the
+    in-place exp and divide give the same bits as ``np.exp(z - m) / sum``.
     """
-    e = z - z.max(-1, keepdims=True)
+    e = np.subtract(z, z.max(-1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(-1, keepdims=True)
     return e

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import Backbone, student_backward, student_forward, teacher_forward, token_ids
+from .backbone import (Backbone, ForwardTrace, new_trace, student_backward, student_forward,
+                       teacher_forward, token_ids)
 from .gates import GateParams, cap_loss_global_grad, quality_loss
 from .numerics import Array
 
@@ -51,7 +52,7 @@ class TrainResult:
 
 def loss_and_grads(bb: Backbone, gates: GateParams, tokens, lam: float,
                    m_global: float, teacher_logits: Array | None = None,
-                   ) -> tuple[LossBreakdown, GateParams]:
+                   out: ForwardTrace | None = None) -> tuple[LossBreakdown, GateParams]:
     """Full objective on one sequence plus analytic gate gradients.
 
     Positions 0..T-2 predict the next token. The capacity hinge is evaluated
@@ -59,9 +60,12 @@ def loss_and_grads(bb: Backbone, gates: GateParams, tokens, lam: float,
     quality + lam * cap. `teacher_logits`, if given, must be
     `teacher_forward(bb, tokens)`; the teacher is frozen, so a caller that
     sees the same sequence again may pass them instead of recomputing them.
+    `out`, if given, is a trace for `student_forward` to refill.
     """
     if not (math.isfinite(lam) and lam >= 0.0):
         raise ValueError(f"lambda must be finite and >= 0; got {lam}")
+    if not (math.isfinite(m_global) and m_global >= 0.0):
+        raise ValueError(f"m_global must be finite and >= 0; got {m_global}")
     tokens = token_ids(bb.shape, tokens)
     if tokens.shape[0] < 2:
         raise ValueError("need at least two tokens to form a prediction")
@@ -70,12 +74,13 @@ def loss_and_grads(bb: Backbone, gates: GateParams, tokens, lam: float,
     elif np.shape(teacher_logits) != (tokens.shape[0], bb.shape.vocab):
         raise ValueError(f"teacher logits of shape {np.shape(teacher_logits)} for "
                          f"{tokens.shape[0]} tokens and vocab {bb.shape.vocab}")
-    student_logits, trace = student_forward(bb, gates, tokens)
+    student_logits, trace = student_forward(bb, gates, tokens, out)
     targets = tokens[1:]
     kl, nll, dlogits_used = quality_loss(teacher_logits[:-1], student_logits[:-1], targets)
     quality = kl + nll
-    G = trace.betas.reshape(bb.shape.head_count, -1)
-    cap, dbeta_flat = cap_loss_global_grad(G, m_global)
+    T = tokens.shape[0]
+    cap, dbeta_flat = cap_loss_global_grad(
+        trace.log_weights.reshape(bb.shape.head_count, T, T), m_global)
     dlogits = np.zeros_like(student_logits)
     dlogits[:-1] = dlogits_used
     dbeta = lam * dbeta_flat.reshape(trace.betas.shape)
@@ -93,22 +98,25 @@ def train_gates(bb: Backbone, gates: GateParams, sequences, *, lam: float = 1.0,
     `sequences` is a list of token arrays sampled up front so that (seed,
     config) fully determines the run. Gradients within a batch average in
     list order. Each pool sequence's teacher logits are computed the first
-    time it is drawn and reused for the rest of the call. Training runs on a
-    copy of `gates.flat`; the caller's gates are left unchanged.
+    time it is drawn and reused for the rest of the call. One student trace,
+    sized for the first sequence drawn, is refilled by every draw of that
+    length. Training runs on a copy of `gates.flat`; the caller's gates are
+    left unchanged.
     """
     n = len(sequences)
     if n == 0:
         raise ValueError("no training sequences")
     if steps < 1 or batch_size < 1:
         raise ValueError(f"steps ({steps}) and batch_size ({batch_size}) must be >= 1")
-    if not lr > 0.0:
-        raise ValueError(f"lr must be > 0, got {lr}")
-    if not m_global >= 0.0:
-        raise ValueError(f"m_global must be >= 0, got {m_global}")
+    if not (math.isfinite(lr) and lr > 0.0):
+        raise ValueError(f"lr must be finite and > 0; got {lr}")
+    if not (math.isfinite(m_global) and m_global >= 0.0):
+        raise ValueError(f"m_global must be finite and >= 0; got {m_global}")
     rng = np.random.default_rng(seed)
     params = gates.with_flat(gates.flat.copy())
     history: list[LossBreakdown] = []
     teacher: dict[int, Array] = {}
+    trace: ForwardTrace | None = None
     # low first-moment decay: the capacity hinge is a cliff in beta space, and
     # ordinary momentum carries the betas through the release point into
     # irrecoverable sigmoid saturation
@@ -126,8 +134,10 @@ def train_gates(bb: Backbone, gates: GateParams, sequences, *, lam: float = 1.0,
         for i in map(int, idx):
             if i not in teacher:
                 teacher[i] = teacher_forward(bb, sequences[i])
+            if trace is None:
+                trace = new_trace(bb.shape, len(teacher[i]))
             breakdown, grads = loss_and_grads(bb, params, sequences[i], lam, m_global,
-                                              teacher[i])
+                                              teacher[i], trace)
             g += (1.0 / batch_size) * grads.flat
             tot += breakdown.total / batch_size
             qual += breakdown.quality / batch_size

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from retainkv import evaluate
+from retainkv.backbone import teacher_forward
+from retainkv.cli import DEFAULT_CONFIG
 from retainkv.eviction import POLICIES, SCORED, trace_columns
 from retainkv.evaluate import SelectionRecorder, decode_sequence, evaluate_policies, make_policy
 from retainkv.gates import ModelShape, gate_forward_batch, init_gate_params
@@ -146,6 +148,26 @@ class TestDecodeSequence:
             calls.update(gate=0, append=0)
             decode_sequence(bb, gates, samples[0], policy, 0.25)
             assert calls == {"gate": gate_calls, "append": L * T}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("context_len", [96, 480])
+def test_decode_predicts_the_forward_argmax(context_len, seed):
+    """Decode re-implements the backbone's forward row by row: `full` must
+    predict `teacher_forward`'s argmax at every position, at T=105 and T=489,
+    and so must the scored policies at budget 1.0, where gates only rank."""
+    spec = TaskSpec(**{**DEFAULT_CONFIG["task"], "context_len": context_len})
+    rng = np.random.default_rng(seed)
+    bb = build_task_model(spec, rng)
+    sample = generate_dataset(spec, 1, rng)[0]
+    want = np.argmax(teacher_forward(bb, sample.tokens), axis=-1)
+    assert want.shape == (spec.seq_len,)
+    assert np.array_equal(decode_sequence(bb, None, sample, "full", 1.0).predictions, want)
+    gates = init_gate_params(bb.shape, bb.shape.d_model, rng, init_scale=2.0)
+    gates.bg -= 18.0      # betas spread over (0, 1)
+    for policy in ("global", "per_head"):
+        got = decode_sequence(bb, gates, sample, policy, 1.0).predictions
+        assert np.array_equal(got, want), policy
 
 
 GATE_KINDS = ("none", "tied_embedding", "untied_kv")

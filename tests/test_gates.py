@@ -41,7 +41,7 @@ def quality(teacher_logits, student_logits, targets):
 
 
 def cap(betas, m_global):
-    return cap_loss_global_grad(betas, m_global)[0]
+    return cap_loss_global_grad(retention_log_weights(betas), m_global)[0]
 
 
 @pytest.fixture
@@ -209,7 +209,7 @@ class TestCapLoss:
     def test_grad_matches_finite_differences(self, rng):
         betas = rng.uniform(0.2, 0.95, size=(2, 5))
         m = 3.0
-        _, grad = cap_loss_global_grad(betas, m)
+        _, grad = cap_loss_global_grad(retention_log_weights(betas), m)
 
         def f(flat):
             return cap(flat.reshape(2, 5), m)
@@ -247,7 +247,7 @@ class TestCapLossOracle:
                  "ones": np.ones((G, T)),
                  "mixed": rng.choice([0.0, 0.5, 1.0], size=(G, T))}[kind]
         for m_global in (0.0, 0.5 * G, 0.3 * G * T, float(G * T)):
-            loss, dbeta = cap_loss_global_grad(betas, m_global)
+            loss, dbeta = cap_loss_global_grad(retention_log_weights(betas), m_global)
             want_loss, want_dbeta = cap_oracle(betas, m_global)
             assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-12)
             np.testing.assert_allclose(dbeta, want_dbeta, rtol=1e-12, atol=1e-12)
@@ -255,21 +255,46 @@ class TestCapLossOracle:
 
     def test_zero_beta_gradient_counts_age_one_only(self):
         # masses are 1 and 1 + 0**1; the age-1 term has slope 1 * 0**0 == 1
-        loss, dbeta = cap_loss_global_grad(np.zeros((1, 2)), 0.5)
+        loss, dbeta = cap_loss_global_grad(retention_log_weights(np.zeros((1, 2))), 0.5)
         assert loss == 0.5 + 0.5
         assert dbeta.tolist() == [[1.0, 0.0]]
 
     def test_one_beta_gradient_is_sum_of_ages(self):
-        loss, dbeta = cap_loss_global_grad(np.ones((2, 3)), 0.0)
+        loss, dbeta = cap_loss_global_grad(retention_log_weights(np.ones((2, 3))), 0.0)
         assert loss == 2.0 + 4.0 + 6.0
         assert dbeta.tolist() == [[3.0, 1.0, 0.0]] * 2
 
     @pytest.mark.parametrize("bad", [-1e-12, 1.0 + 1e-12, np.nan])
     def test_out_of_range_rejected(self, bad):
+        # token 1 of 3: the last token's beta enters no log weight, as no step
+        # follows it
         betas = np.full((2, 3), 0.5)
-        betas[1, 2] = bad
-        with pytest.raises(ValueError):
-            cap_loss_global_grad(betas, 1.0)
+        betas[1, 1] = bad
+        with pytest.raises(ValueError, match=r"\[-inf, 0\]"):
+            cap_loss_global_grad(retention_log_weights(betas), 1.0)
+
+    @pytest.mark.parametrize("bad", [1e-300, np.inf, np.nan])
+    def test_log_weight_above_zero_or_nan_rejected(self, bad):
+        lw = retention_log_weights(np.full((2, 4), 0.5))
+        lw[0, 3, 1] = bad
+        with pytest.raises(ValueError, match=r"\[-inf, 0\]"):
+            cap_loss_global_grad(lw, 1.0)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 3, 4), (1, 2, 3, 3)])
+    def test_log_weights_not_groups_by_square_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"\[groups, T, T\]"):
+            cap_loss_global_grad(np.zeros(shape), 1.0)
+
+    def test_log_weights_become_the_decay_in_place(self, rng):
+        betas = rng.random((3, 7))
+        lw = retention_log_weights(betas)
+        want = cap_oracle(betas, 4.0)
+        loss, dbeta = cap_loss_global_grad(lw, 4.0)
+        ages = gates._ages(7)
+        decay = np.where(ages >= 0, betas[:, None, :] ** np.maximum(ages, 0), 0.0)
+        np.testing.assert_allclose(lw, decay, rtol=1e-12, atol=0)
+        assert loss == pytest.approx(want[0], rel=1e-12)
+        np.testing.assert_allclose(dbeta, want[1], rtol=1e-12, atol=1e-12)
 
 
 class TestCheckpoint:
@@ -591,6 +616,15 @@ class TestRetentionLogWeights:
             assert np.array_equal(got[past], want[past])
             assert not np.any(got[~past])
         assert np.array_equal(lw[0], retention_log_weights(b[0]))
+
+    @pytest.mark.parametrize("T", LENGTHS)
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_out_overwrites_every_entry(self, rng, T, beta):
+        b = self.betas(T, beta, rng)
+        dirty = np.full((2, T, T), np.nan)
+        got = retention_log_weights(b, out=dirty)
+        assert got is dirty
+        assert got.tobytes() == retention_log_weights(b).tobytes()
 
     @pytest.mark.parametrize("T", LENGTHS)
     @pytest.mark.parametrize("beta", BETAS)

@@ -103,9 +103,9 @@ def test_teacher_runs_once_per_drawn_sequence(golden, tmp_path, monkeypatch):
         teacher_calls.append(id(tokens))
         return real_teacher(bb, tokens)
 
-    def record_draw(bb, gates, tokens, *args):
+    def record_draw(bb, gates, tokens, *args, **kwargs):
         draws.append(id(tokens))
-        return real_loss(bb, gates, tokens, *args)
+        return real_loss(bb, gates, tokens, *args, **kwargs)
 
     monkeypatch.setattr(training, "teacher_forward", count_teacher)
     monkeypatch.setattr(training, "loss_and_grads", record_draw)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from retainkv.backbone import student_forward, teacher_forward
-from retainkv.gates import ModelShape, cap_loss_global_grad, init_gate_params
+from retainkv.backbone import new_trace, student_forward, teacher_forward
+from retainkv.gates import (ModelShape, cap_loss_global_grad, init_gate_params,
+                            retention_log_weights)
 from retainkv.training import DivergenceError, loss_and_grads, train_gates
 
 from conftest import random_backbone
@@ -41,8 +42,8 @@ class TestTrainGates:
         # a zero hinge at 1.1 * m_global means no step's mass exceeds it
         for seq in sequences:
             _, trace = student_forward(bb, res.params, seq)
-            over, _ = cap_loss_global_grad(trace.betas.reshape(SHAPE.head_count, -1),
-                                           1.1 * m_global)
+            over, _ = cap_loss_global_grad(
+                retention_log_weights(trace.betas.reshape(SHAPE.head_count, -1)), 1.1 * m_global)
             assert over == 0.0
 
     def test_identical_seeds_give_bit_identical_params(self, setup, tmp_path):
@@ -80,7 +81,9 @@ class TestTrainGates:
             train_gates(bb, gates, [], lam=1.0, m_global=1.0, steps=1)
 
     @pytest.mark.parametrize("bad", [{"steps": 0}, {"batch_size": 0}, {"lr": 0.0},
-                                     {"lr": -1.0}, {"m_global": -5.0}],
+                                     {"lr": -1.0}, {"lr": np.nan}, {"lr": np.inf},
+                                     {"m_global": -5.0}, {"m_global": np.nan},
+                                     {"m_global": np.inf}],
                              ids=lambda b: "{}={}".format(*next(iter(b.items()))))
     def test_bad_arguments_rejected(self, setup, bad):
         bb, gates, sequences = setup
@@ -127,9 +130,17 @@ class TestLossAndGrads:
 
     def test_zero_cap_total_is_quality(self, setup):
         bb, gates, sequences = setup
-        br, _ = loss_and_grads(bb, gates, sequences[0], lam=1.0, m_global=np.inf)
+        # no step's mass exceeds head_count * T, its value at betas all 1
+        m_global = float(SHAPE.head_count * len(sequences[0]))
+        br, _ = loss_and_grads(bb, gates, sequences[0], lam=1.0, m_global=m_global)
         assert br.cap == 0.0
         assert br.total == br.quality
+
+    @pytest.mark.parametrize("m_global", [np.nan, np.inf, -1.0])
+    def test_bad_m_global_rejected(self, setup, m_global):
+        bb, gates, sequences = setup
+        with pytest.raises(ValueError, match="m_global must be finite and >= 0"):
+            loss_and_grads(bb, gates, sequences[0], 1.0, m_global)
 
     def test_negative_lambda_rejected(self, setup):
         bb, gates, sequences = setup
@@ -156,6 +167,69 @@ class TestLossAndGrads:
         bb, gates, sequences = setup
         with pytest.raises(ValueError, match="teacher logits"):
             loss_and_grads(bb, gates, sequences[0], 1.0, 1.0, np.zeros(shape))
+
+
+class TestTraceReuse:
+    """A trace refilled through `out=` is invisible in every output bit."""
+
+    @staticmethod
+    def world(rng, tied, gate_input):
+        bb = random_backbone(SHAPE, rng)
+        d_in = SHAPE.d_model if gate_input == "embedding" else 2 * SHAPE.head_dim
+        gates = init_gate_params(SHAPE, d_in, rng, tied=tied, gate_input=gate_input,
+                                 init_scale=2.0)
+        gates.bg -= 18.0  # betas spread over (0, 1)
+        # head (0, 1) scores far below the sigmoid's range: beta == 0 exactly,
+        # so its log weights are -inf below the diagonal
+        wg = gates.wg if tied else gates.wg[0, 1]
+        gates.b2[0, 1] = -1e3 * np.sign(wg)
+        sequences = [rng.integers(0, SHAPE.vocab, size=SHAPE.seq_len) for _ in range(5)]
+        return bb, gates, sequences
+
+    @pytest.mark.parametrize("tied,gate_input", [(True, "embedding"), (False, "kv")])
+    def test_refilled_trace_gives_fresh_bits(self, rng, tied, gate_input):
+        bb, gates, sequences = self.world(rng, tied, gate_input)
+        trace = new_trace(SHAPE, SHAPE.seq_len)
+        weights, log_weights = trace.weights, trace.log_weights
+        # each sequence twice, in shuffled order, so every refill overwrites another's
+        for i in rng.permutation(np.repeat(np.arange(len(sequences)), 2)):
+            seq = sequences[i]
+            want_logits, want = student_forward(bb, gates, seq)
+            assert np.all(want.betas[0, 1] == 0.0)
+            logits, got = student_forward(bb, gates, seq, out=trace)
+            assert got is trace
+            assert logits.tobytes() == want_logits.tobytes()
+            for name in ("tokens", "betas", "log_weights", "weights"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            assert np.shares_memory(got.weights, weights)
+            assert np.shares_memory(got.log_weights, log_weights)
+            for got_layer, want_layer in zip(got.layers, want.layers):
+                assert np.shares_memory(got_layer.w, weights)
+                assert got_layer.w.tobytes() == want_layer.w.tobytes()
+
+            want_br, want_grads = loss_and_grads(bb, gates, seq, 0.7, 3.0)
+            got_br, got_grads = loss_and_grads(bb, gates, seq, 0.7, 3.0, out=trace)
+            assert [float.hex(v) for v in vars(got_br).values()] == \
+                [float.hex(v) for v in vars(want_br).values()]
+            assert got_grads.flat.tobytes() == want_grads.flat.tobytes()
+            # the forward refilled the trace passed in
+            assert trace.weights is weights and trace.log_weights is log_weights
+            assert trace.tokens.tobytes() == seq.tobytes()
+
+    @pytest.mark.parametrize("T,gated", [(9, True), (SHAPE.seq_len, False)])
+    def test_unfit_trace_left_alone(self, setup, T, gated):
+        """A trace of another length or gate use gets fresh arrays, and the
+        one passed in keeps what it held."""
+        bb, gates, sequences = setup
+        _, trace = student_forward(bb, gates, sequences[0])
+        before = trace.weights.copy(), trace.log_weights.copy()
+        _, got = student_forward(bb, gates if gated else None, sequences[1][:T], out=trace)
+        assert got is not trace
+        assert got.weights.shape == (SHAPE.layers, SHAPE.heads, T, T)
+        assert (got.log_weights is not None) == gated
+        assert not np.shares_memory(got.weights, trace.weights)
+        assert trace.weights.tobytes() == before[0].tobytes()
+        assert trace.log_weights.tobytes() == before[1].tobytes()
 
 
 def test_fractional_tokens_rejected(setup):
